@@ -168,17 +168,23 @@ def stable_matchings(mpref: list[list[int]], wpref: list[list[int]]) -> list[tup
 
 def knapsack_optimum(values: list[int], weights: list[list[int]], caps: list[int], qmax: int) -> int:
     """Maximum of sum(values[i] * x[i]) with 0 <= x[i] <= qmax and
-    sum(weights[r][i] * x[i]) <= caps[r] for every resource r."""
-    best = {tuple(0 for _ in caps): 0}
+    sum(weights[r][i] * x[i]) <= caps[r] for every resource r: a dynamic
+    program over usage vectors, each packed into one mixed-radix int."""
+    radix, k = [], 1
+    for cap in caps:
+        radix.append(k)
+        k *= cap + 1
+    best = {0: 0}
     for i, v in enumerate(values):
-        nxt: dict[tuple[int, ...], int] = {}
+        step = sum(w[i] * r for w, r in zip(weights, radix))
+        nxt: dict[int, int] = {}
         for used, val in best.items():
-            for q in range(qmax + 1):
-                u = tuple(used[r] + weights[r][i] * q for r in range(len(caps)))
-                if any(u[r] > caps[r] for r in range(len(caps))):
-                    break
-                if nxt.get(u, -1) < val + v * q:
-                    nxt[u] = val + v * q
+            room = min((cap - used // r % (cap + 1)) // w[i]
+                       for w, cap, r in zip(weights, caps, radix))
+            for q in range(min(qmax, room) + 1):
+                u, total = used + step * q, val + v * q
+                if nxt.get(u, -1) < total:
+                    nxt[u] = total
         best = nxt
     return max(best.values())
 
@@ -195,30 +201,56 @@ def knapsack_violation(x: list[int], weights, caps, qmax: int) -> str | None:
 
 def knapsack_search_nodes(values: list[int], weights: list[list[int]], caps: list[int],
                           qmax: int) -> int:
-    """Nodes of a plain depth-first branch-and-bound over x[1], x[2], ... in
-    order, smallest quantity first, pruning on value so far plus what each
-    remaining item could add alone. A measure of how hard the instance is
-    for a search of that shape."""
-    n, rs = len(values), range(len(caps))
-    best = -1
+    """Nodes of a textbook CP branch-and-bound: at each node, bounds
+    propagation of every capacity sum and of ``objective >= best + 1`` to a
+    fixpoint, then branch on the first of the smallest unfixed domains,
+    smallest quantity first. A node is counted on entry, failed or not. A
+    measure of how hard the instance is for a search of that shape."""
+    n = len(values)
+    best: int | None = None
     nodes = 0
 
-    def dfs(i: int, value: int, room: list[int]) -> None:
+    def propagate(lo: list[int], hi: list[int]) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for w, cap in zip(weights, caps):
+                slack = cap - sum(w[i] * lo[i] for i in range(n))
+                if slack < 0:
+                    return False
+                for i in range(n):
+                    top = lo[i] + slack // w[i]
+                    if top < hi[i]:
+                        hi[i], changed = top, True
+            if best is not None:
+                room = sum(values[i] * hi[i] for i in range(n)) - (best + 1)
+                if room < 0:
+                    return False
+                for i in range(n):
+                    bottom = hi[i] - room // values[i]
+                    if bottom > lo[i]:
+                        lo[i], changed = bottom, True
+        return True
+
+    def dfs(lo: list[int], hi: list[int]) -> None:
         nonlocal best, nodes
         nodes += 1
-        bound = value
-        for j in range(i, n):
-            bound += values[j] * min([qmax] + [room[r] // weights[r][j] for r in rs])
-        if bound <= best:
+        if not propagate(lo, hi):
             return
-        if i == n:
-            best = value
+        pick, size = None, None
+        for i in range(n):
+            s = hi[i] - lo[i] + 1
+            if s > 1 and (size is None or s < size):
+                pick, size = i, s
+                if s == 2:
+                    break
+        if pick is None:
+            best = sum(v * q for v, q in zip(values, lo))
             return
-        for q in range(qmax + 1):
-            left = [room[r] - weights[r][i] * q for r in rs]
-            if min(left) < 0:
-                break
-            dfs(i + 1, value + values[i] * q, left)
+        for q in range(lo[pick], hi[pick] + 1):
+            lo2, hi2 = lo[:], hi[:]
+            lo2[pick] = hi2[pick] = q
+            dfs(lo2, hi2)
 
-    dfs(0, 0, list(caps))
+    dfs([0] * n, [qmax] * n)
     return nodes

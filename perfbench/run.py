@@ -24,7 +24,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKER = HERE / "worker.py"
-SETUP_PROBES = 8  # fresh processes timing set-up before the workload, and again after
+SETUP_PROBES = 4  # fresh processes timing set-up before the workload, and again after
 DEADLINE_S = 170  # the whole run, however slow the machine
 
 

@@ -374,8 +374,8 @@ def per_layer(run: Run) -> dict[str, float]:
     for layer in LAYERS:
         key = "instance" if layer == "bench" else layer
         m[f"self_s.{layer}"] = median([s.get(key, 0.0) for s in selfs])
-    m["trace.overhead_s"] = (median([r["traced"]["phases"]["instance_s"] for r in recs])
-                             - median([r["phases"]["instance_s"] for r in recs]))
+    m["trace.overhead_s"] = median([r["traced"]["phases"]["instance_s"] - r["phases"]["instance_s"]
+                                    for r in recs])
     m["trace.spans"] = prefix_mean([len(s) for s in inst_spans])
     phases = phase_metrics(run)
     for k in ("compile_s", "emit_s", "solve_s", "emit_bytes", "error_rate", "samples"):

@@ -271,10 +271,11 @@ class OptKnapsack(Workload):
     items = 8
     resources = 2
     qmax = 3
-    # Instances are drawn until a reference branch-and-bound of the same
-    # shape needs this many nodes (the middle fifth of the distribution), so
-    # that the per-instance median does not swing with the seed.
-    hardness = (1700, 2200)
+    # Instances are drawn until the reference's branch-and-bound, which
+    # searches the way a default CP engine does, needs this many nodes
+    # (about the middle seventh of the distribution), so that the
+    # per-instance median does not swing with the seed.
+    hardness = (320, 380)
 
     def generate(self, rng):
         n, lo, hi = self.items, *self.hardness
