@@ -10,6 +10,7 @@ every expression node carries a type annotation.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, DiagnosticSink, SourceSpan
@@ -60,6 +61,7 @@ from .nodes import (
     VOmit,
     VReal,
     VSym,
+    children,
     transform,
 )
 
@@ -507,6 +509,12 @@ class _Analyzer:
                     for enum in self.data.enums.values():
                         if name in enum.values:
                             return EnumRef(enum.name, name, enum.ordinal(name), span=node.span)
+            # Types are written into the result, so it must share no node
+            # with the caller's tree.  ``transform`` rebuilds every node whose
+            # children changed but hands a childless node over as itself:
+            # copying those makes every node of the result a new one.
+            if next(children(node), None) is None:
+                return copy(node)
             return node
 
         typed = transform(e, rewrite)
@@ -618,7 +626,7 @@ class _Analyzer:
 
     def _assign_types(self, e: Expr, cls: ClassDef, loops: list[str]) -> None:
         """Bottom-up type computation; indices are typed before their paths."""
-        for c in _children_of(e):
+        for c in children(e):
             if c.ty is None:
                 self._assign_types(c, cls, loops)
         if e.ty is not None:
@@ -821,12 +829,6 @@ class _Analyzer:
             self.err(f"'{where}' expects true or false", asg)
         elif isinstance(attr.type, SetType):
             self.err(f"set attribute '{where}' cannot be assigned from data", asg)
-
-
-def _children_of(e: Expr):
-    from .nodes import children
-
-    return children(e)
 
 
 # ---------------------------------------------------------------------------

@@ -333,8 +333,7 @@ def _bench_one(path: Path, time_limit: float) -> dict:
     try:
         tm, fm, _ = load_problem(str(path), [])
         source_tokens = count_tokens(path.read_text(encoding="utf-8"))
-        model, _ = parse_model(path.read_text(encoding="utf-8"), str(path))
-        for imp in model.imports:
+        for imp in tm.model.imports:
             source_tokens += count_tokens((path.parent / imp).read_text(encoding="utf-8"))
         row["variables"] = sum(v.element_count for v in fm.variables)
         row["constraints"] = len(fm.constraints)

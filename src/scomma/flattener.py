@@ -45,6 +45,7 @@ from .ir import (
     flatness_violations,
 )
 from .nodes import (
+    ArrayLit,
     Attribute,
     BinOp,
     BoolLit,
@@ -74,14 +75,15 @@ from .nodes import (
     RealType,
     Ref,
     RefPart,
+    SetLit,
     SetType,
+    UnOp,
     VBool,
     VInt,
     VList,
     VObj,
     VOmit,
     VReal,
-    children,
     transform,
 )
 from .printer import render_expr
@@ -89,7 +91,10 @@ from .printer import render_expr
 
 @dataclass
 class PassTrace:
-    """Instrumentation: (pass name, node count before, node count after)."""
+    """Instrumentation: (pass name, node count before, node count after).
+
+    Counts are exact; each pass boundary is counted once, so a pass's
+    ``before`` is the previous pass's ``after``."""
 
     steps: list[tuple[str, int, int]] = field(default_factory=list)
 
@@ -122,43 +127,51 @@ class FlattenState:
     expanded: bool = False
 
 
-def _count_expr(e: Expr) -> int:
-    return 1 + sum(_count_expr(c) for c in children(e))
+def _count_nodes(roots) -> int:
+    """Number of items and expression nodes in and under ``roots``.
 
-
-def _count_item(item: Item) -> int:
-    if isinstance(item, Constraint):
-        return 1 + _count_expr(item.expr)
-    if isinstance(item, GlobalCall):
-        return 1 + sum(_count_expr(a) for a in item.args)
-    if isinstance(item, Objective):
-        return 1 + _count_expr(item.expr)
-    if isinstance(item, Forall):
-        n = 1 + sum(_count_item(i) for i in item.body)
-        if isinstance(item.range, IntRange):
-            n += _count_expr(item.range.lo) + _count_expr(item.range.hi)
-        return n
-    if isinstance(item, IfElse):
-        n = 1 + _count_expr(item.cond) + sum(_count_item(i) for i in item.then_items)
-        if item.else_items is not None:
-            n += sum(_count_item(i) for i in item.else_items)
-        return n
-    return 1
+    Iterative, so the depth of a tree is no limit."""
+    stack = list(roots)
+    push, extend = stack.append, stack.extend
+    n = 0
+    while stack:
+        node = stack.pop()
+        n += 1
+        t = type(node)
+        if t is BinOp:
+            push(node.left)
+            push(node.right)
+        elif t is Ref:
+            for part in node.parts:
+                extend(part.indices)
+        elif t is Constraint or t is Objective:
+            push(node.expr)
+        elif t is UnOp:
+            push(node.operand)
+        elif t is Call or t is GlobalCall:
+            extend(node.args)
+        elif t is SetLit or t is ArrayLit:
+            extend(node.elems)
+        elif t is Forall:
+            extend(node.body)
+            if isinstance(node.range, IntRange):
+                push(node.range.lo)
+                push(node.range.hi)
+        elif t is IfElse:
+            push(node.cond)
+            extend(node.then_items)
+            if node.else_items is not None:
+                extend(node.else_items)
+    return n
 
 
 def node_count(state: FlattenState) -> int:
     if state.expanded:
-        return (
-            len(state.variables)
-            + len(state.tables)
-            + sum(_count_item(i) for i in state.items)
-        )
-    total = 0
-    for cls in state.classes.values():
-        total += len(cls.attributes)
-        for zone in cls.zones:
-            total += sum(_count_item(i) for i in zone.items)
-    return total
+        return len(state.variables) + len(state.tables) + _count_nodes(state.items)
+    return sum(
+        len(cls.attributes) + _count_nodes(i for zone in cls.zones for i in zone.items)
+        for cls in state.classes.values()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,43 +194,50 @@ def fold_expr(e: Expr, tables: dict[str, Table] | None = None) -> Expr:
     not this compiler's job, and keeping them preserves source shape.
     """
     tables = tables or {}
+    return transform(e, lambda node: _fold(node, tables))
 
-    def fold(node: Expr) -> Expr:
-        if isinstance(node, BinOp) and node.op in ("+", "-", "*", "/"):
-            l, r = node.left, node.right
-            if isinstance(l, (IntLit, RealLit)) and isinstance(r, (IntLit, RealLit)):
-                a, b = l.value, r.value
-                if node.op == "+":
-                    return _literal(a + b)
-                if node.op == "-":
-                    return _literal(a - b)
-                if node.op == "*":
-                    return _literal(a * b)
-                if b != 0:
-                    if isinstance(a, int) and isinstance(b, int):
-                        if a % b == 0:
-                            return _literal(a // b)
-                        return node  # inexact: leave for the evaluator to reject
-                    return _literal(a / b)
-                return node
-        if isinstance(node, Ref) and len(node.parts) == 1:
-            part = node.parts[0]
-            table = tables.get(part.name)
-            if (
-                table is not None
-                and part.indices
-                and all(isinstance(i, IntLit) for i in part.indices)
-            ):
-                idx = tuple(i.value for i in part.indices)
-                try:
-                    return _literal(table.lookup(idx))
-                except IndexError:
-                    raise FlattenError(
-                        f"constant index {list(idx)} outside the bounds of '{part.name}'"
-                    ) from None
-        return node
 
-    return transform(e, fold)
+def _substitute_and_fold(e: Expr, repl, tables: dict[str, Table]) -> Expr:
+    """``fold_expr(transform(e, repl), tables)`` in one traversal: ``repl``
+    decides on a node from the node alone, and folding is bottom-up."""
+    return transform(e, lambda node: _fold(repl(node), tables))
+
+
+def _fold(node: Expr, tables: dict[str, Table]) -> Expr:
+    """``node`` with its children already folded, folded itself."""
+    if isinstance(node, BinOp) and node.op in ("+", "-", "*", "/"):
+        l, r = node.left, node.right
+        if isinstance(l, (IntLit, RealLit)) and isinstance(r, (IntLit, RealLit)):
+            a, b = l.value, r.value
+            if node.op == "+":
+                return _literal(a + b)
+            if node.op == "-":
+                return _literal(a - b)
+            if node.op == "*":
+                return _literal(a * b)
+            if b != 0:
+                if isinstance(a, int) and isinstance(b, int):
+                    if a % b == 0:
+                        return _literal(a // b)
+                    return node  # inexact: leave for the evaluator to reject
+                return _literal(a / b)
+            return node
+    if isinstance(node, Ref) and len(node.parts) == 1:
+        part = node.parts[0]
+        table = tables.get(part.name)
+        if (
+            table is not None
+            and part.indices
+            and all(isinstance(i, IntLit) for i in part.indices)
+        ):
+            idx = tuple(i.value for i in part.indices)
+            try:
+                return _literal(table.lookup(idx))
+            except IndexError:
+                raise FlattenError(
+                    f"constant index {list(idx)} outside the bounds of '{part.name}'"
+                ) from None
+    return node
 
 
 def _fold_to_int(e: Expr, state: FlattenState, what: str, pass_name: str) -> int:
@@ -441,7 +461,7 @@ def substitute_data(state: FlattenState) -> FlattenState:
                 return _literal(state.const_scalars[node.simple_name])
             return node
 
-        return fold_expr(transform(e, repl), state.const_tables)
+        return _substitute_and_fold(e, repl, state.const_tables)
 
     # resolve constant names inside attribute shapes and domains
     for name, cls in state.classes.items():
@@ -596,7 +616,7 @@ def _subst_loop_var(item: Item, var: str, value: int) -> Item:
         return node
 
     def sub_expr(e: Expr) -> Expr:
-        return fold_expr(transform(e, repl))
+        return _substitute_and_fold(e, repl, {})
 
     if isinstance(item, Constraint):
         return Constraint(sub_expr(item.expr), span=item.span)
@@ -931,7 +951,7 @@ class _Expander:
                 return self.resolve_ref(node, inst)
             return node
 
-        return fold_expr(transform(e, repl), self.state.const_tables)
+        return _substitute_and_fold(e, repl, self.state.const_tables)
 
     def resolve_ref(self, ref: Ref, inst: _Instance) -> Expr:
         parts = ref.parts
@@ -1276,18 +1296,19 @@ def build_flat_model(state: FlattenState) -> FlatModel:
     return fm
 
 
-def flatten(tm: TypedModel, data=None) -> tuple[FlatModel, PassTrace]:
-    """Run the full six-pass pipeline.  ``data`` is accepted for signature
-    symmetry; the analyzed model already carries its data tables."""
+def flatten(tm: TypedModel) -> tuple[FlatModel, PassTrace]:
+    """Run the full six-pass pipeline."""
     state = state_from_typed_model(tm)
     trace = PassTrace()
+    before = node_count(state)
     for name, pass_fn in PIPELINE:
-        before = node_count(state)
         try:
             state = pass_fn(state)
         except FlattenError:
             raise
         except Exception as exc:  # defensive: attach the pass name
             raise FlattenError(str(exc), name) from exc
-        trace.record(name, before, node_count(state))
+        after = node_count(state)
+        trace.record(name, before, after)
+        before = after
     return build_flat_model(state), trace

@@ -152,28 +152,56 @@ def transform(e: Expr, fn) -> Expr:
     """Rebuild ``e`` bottom-up, applying ``fn`` to every node.
 
     ``fn`` receives a node whose children are already transformed and returns
-    a replacement node (possibly the same one).
+    a replacement node (possibly the same one).  A node whose children all
+    come back as the very same objects reaches ``fn`` as itself, so only the
+    paths above a change are rebuilt and untouched subtrees are shared
+    between the input and the result.  A node may therefore belong to
+    several trees and must not be mutated once built.
     """
-    if isinstance(e, BinOp):
-        e2: Expr = BinOp(e.op, transform(e.left, fn), transform(e.right, fn), span=e.span)
-    elif isinstance(e, UnOp):
-        e2 = UnOp(e.op, transform(e.operand, fn), span=e.span)
-    elif isinstance(e, Call):
-        e2 = Call(e.name, tuple(transform(a, fn) for a in e.args), span=e.span)
-    elif isinstance(e, SetLit):
-        e2 = SetLit(tuple(transform(a, fn) for a in e.elems), span=e.span)
-    elif isinstance(e, ArrayLit):
-        e2 = ArrayLit(tuple(transform(a, fn) for a in e.elems), span=e.span)
-    elif isinstance(e, Ref):
-        e2 = Ref(
-            tuple(
-                RefPart(p.name, tuple(transform(i, fn) for i in p.indices)) for p in e.parts
-            ),
-            span=e.span,
-        )
-    else:
-        e2 = e
-    return fn(e2)
+    t = type(e)
+    if t is BinOp:
+        left = transform(e.left, fn)
+        right = transform(e.right, fn)
+        if left is not e.left or right is not e.right:
+            e = BinOp(e.op, left, right, span=e.span)
+    elif t is Ref:
+        parts = None
+        for k, p in enumerate(e.parts):
+            indices = _transform_all(p.indices, fn)
+            if indices is not p.indices:
+                if parts is None:
+                    parts = list(e.parts[:k])
+                parts.append(RefPart(p.name, indices))
+            elif parts is not None:
+                parts.append(p)
+        if parts is not None:
+            e = Ref(tuple(parts), span=e.span)
+    elif t is UnOp:
+        operand = transform(e.operand, fn)
+        if operand is not e.operand:
+            e = UnOp(e.op, operand, span=e.span)
+    elif t is Call:
+        args = _transform_all(e.args, fn)
+        if args is not e.args:
+            e = Call(e.name, args, span=e.span)
+    elif t is SetLit or t is ArrayLit:
+        elems = _transform_all(e.elems, fn)
+        if elems is not e.elems:
+            e = t(elems, span=e.span)
+    return fn(e)
+
+
+def _transform_all(exprs: tuple[Expr, ...], fn) -> tuple[Expr, ...]:
+    """``transform`` of each of ``exprs``; ``exprs`` itself when none changed."""
+    out = None
+    for k, a in enumerate(exprs):
+        a2 = transform(a, fn)
+        if out is not None:
+            out.append(a2)
+        elif a2 is not a:
+            out = list(exprs[:k])
+            out.append(a2)
+    return exprs if out is None else tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ class SearchConfig:
     value_order: str = VALUE_MIN
     solution_limit: int | None = None
     time_limit: float | None = None
-    seed: int | None = None  # reserved: built-in strategies are deterministic
 
     def __post_init__(self) -> None:
         if self.solution_limit is not None and self.solution_limit < 1:
@@ -860,6 +859,7 @@ class Search:
         self._best: int | None = None
         self._minimize = True
         self._bounding = False
+        self._bool_vars = {v.name for v in space.fm.variables if v.base == BOOL}
 
     def __iter__(self):
         return self.run()
@@ -947,10 +947,9 @@ class Search:
     def _solution(self) -> Solution | None:
         space = self.space
         values: dict = {}
-        bool_vars = {v.name for v in space.fm.variables if v.base == BOOL}
         for name, idx, c in space.decision_cells:
             v = space.cell_value(c)
-            values[(name, idx)] = bool(v) if name in bool_vars else v
+            values[(name, idx)] = bool(v) if name in self._bool_vars else v
         sol = Solution(values)
         ok, _ = check_solution(space.fm, sol)  # the solver never trusts itself
         if not ok:

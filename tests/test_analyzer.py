@@ -1,9 +1,20 @@
+import pytest
 
 from conftest import analyze_ok, compile_corpus, parse_data_ok, parse_ok
 from scomma.analyzer import BOOL_T, analyze, linearize_inheritance
 from scomma.cli import corpus_dir
 from scomma.diagnostics import DiagnosticSink
-from scomma.nodes import Constraint, EnumType, Forall, IfElse, walk
+from scomma.nodes import (
+    Constraint,
+    DomainInterval,
+    EnumType,
+    Forall,
+    GlobalCall,
+    IfElse,
+    IntRange,
+    Objective,
+    walk,
+)
 
 
 def analyze_err(model_text, data_text=None):
@@ -225,3 +236,47 @@ class TestStability:
         _, d1 = analyze(model)
         _, d2 = analyze(parse_ok(bad))
         assert [x.render() for x in d1] == [x.render() for x in d2]
+
+    @pytest.mark.parametrize("name", ["queens-10", "stable", "sudoku"])
+    def test_input_model_is_not_typed_in_place(self, name):
+        model = parse_ok((corpus_dir() / f"{name}.scm").read_text())
+        data = None
+        for imp in model.imports:
+            part = parse_data_ok((corpus_dir() / imp).read_text())
+            data = part if data is None else data.merged_with(part)[0]
+        analyze_ok(model, data)
+        exprs = list(_model_exprs(model))
+        assert exprs
+        assert [node for e in exprs for node in walk(e) if node.ty is not None] == []
+
+
+def _model_exprs(model):
+    """Every expression of a parsed model: attribute shapes and domains, and
+    the expressions of all constraint-zone items."""
+
+    def of_items(items):
+        for item in items:
+            if isinstance(item, (Constraint, Objective)):
+                yield item.expr
+            elif isinstance(item, GlobalCall):
+                yield from item.args
+            elif isinstance(item, Forall):
+                if isinstance(item.range, IntRange):
+                    yield item.range.lo
+                    yield item.range.hi
+                yield from of_items(item.body)
+            elif isinstance(item, IfElse):
+                yield item.cond
+                yield from of_items(item.then_items)
+                yield from of_items(item.else_items or ())
+
+    for cls in model.classes:
+        for attr in cls.attributes:
+            yield from attr.shape
+            if isinstance(attr.domain, DomainInterval):
+                yield attr.domain.lo
+                yield attr.domain.hi
+            elif attr.domain is not None:
+                yield from attr.domain.elems
+        for zone in cls.zones:
+            yield from of_items(zone.items)

@@ -11,13 +11,14 @@ from scomma.flattener import (
     PIPELINE,
     conditional_formula,
     flatten,
+    fold_expr,
     normalize_expr,
     state_from_typed_model,
     substitute_data,
     substitute_enums,
 )
 from scomma.ir import IntInterval, flatness_violations
-from scomma.nodes import Constraint, IfElse, IntLit
+from scomma.nodes import Constraint, IfElse, IntLit, Ref, transform
 from scomma.parser import parse_expression
 from scomma.printer import render_expr
 
@@ -70,6 +71,31 @@ class TestStableGolden:
     def test_trace_lists_all_six_passes_in_order(self):
         _tm, _fm, trace = compile_corpus("stable")
         assert [s[0] for s in trace.steps] == [name for name, _ in PIPELINE]
+
+    @pytest.mark.parametrize(
+        "name, steps",
+        [
+            ("stable", [
+                ("substitute_enums", 58, 66),
+                ("substitute_data", 66, 66),
+                ("unroll_loops", 66, 966),
+                ("expand_composition", 966, 672),
+                ("remove_conditionals", 672, 672),
+                ("normalize_logic", 672, 672),
+            ]),
+            ("queens-10", [
+                ("substitute_enums", 35, 35),
+                ("substitute_data", 35, 35),
+                ("unroll_loops", 35, 991),
+                ("expand_composition", 991, 991),
+                ("remove_conditionals", 991, 991),
+                ("normalize_logic", 991, 991),
+            ]),
+        ],
+    )
+    def test_trace_node_counts_are_exact(self, name, steps):
+        _tm, _fm, trace = compile_corpus(name)
+        assert trace.steps == steps
 
     def test_flatness_machine_check(self, stable):
         _tm, fm = stable
@@ -214,6 +240,7 @@ class TestExpandComposition:
         with pytest.raises(FlattenError) as exc:
             flatten(tm)
         assert "collides" in str(exc.value)
+        assert str(exc.value).count("[expand_composition]") == 1
 
     def test_variable_index_into_per_object_array_rejected(self):
         model = parse_ok(
@@ -368,6 +395,33 @@ class TestNormalizeLogic:
             for bits in itertools.product([False, True], repeat=len(atoms)):
                 asg = {(name, ()): v for name, v in zip(atoms, bits)}
                 assert eval_expr(e, asg) == eval_expr(normalized, asg)
+
+
+class TestTransform:
+    def test_identity_fn_returns_the_same_object(self):
+        e = expr("q[i] <> q[j] + (j - i) and not (cardinality(s) in {1, 2})")
+        assert transform(e, lambda node: node) is e
+        assert fold_expr(e) is e
+
+    def test_one_leaf_change_rebuilds_only_the_spine(self):
+        e = expr("(a + b) * c[d + 1]")
+
+        def repl(node):
+            if isinstance(node, Ref) and node.simple_name == "d":
+                return IntLit(2)
+            return node
+
+        out = transform(e, repl)
+        assert render_expr(out) == "(a+b)*c[2+1]"
+        assert render_expr(e) == "(a+b)*c[d+1]"
+        # rebuilt: the path from the root down to the changed leaf
+        old_index, new_index = e.right.parts[0].indices[0], out.right.parts[0].indices[0]
+        assert out is not e
+        assert out.right is not e.right
+        assert new_index is not old_index
+        # shared: everything off that path
+        assert out.left is e.left
+        assert new_index.right is old_index.right
 
 
 class TestDeterminism:
