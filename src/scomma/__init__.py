@@ -7,7 +7,7 @@ finite-domain engine.
 """
 
 from .analyzer import TypedModel, analyze, linearize_inheritance
-from .backend import apply_rewrites, compile_to_target, direct_emit, emit, find_target, list_targets
+from .backend import apply_rewrites, compile_to_target, emit, find_target, list_targets
 from .errors import (
     BackendError,
     ContractError,
@@ -37,7 +37,6 @@ __all__ = [
     "compile_to_target",
     "ContractError",
     "DataFile",
-    "direct_emit",
     "Domain",
     "emit",
     "EvalError",

@@ -5,7 +5,6 @@ from .engine import (
     apply_rewrites,
     compile_to_target,
     constructs_present,
-    direct_emit,
     emit,
     find_target,
     list_targets,
@@ -18,7 +17,6 @@ __all__ = [
     "apply_rewrites",
     "compile_to_target",
     "constructs_present",
-    "direct_emit",
     "emit",
     "find_target",
     "list_targets",

@@ -37,7 +37,7 @@ from ..nodes import (
     SetLit,
     UnOp,
 )
-from ..printer import ATOM_PREC, UNARY_PREC, op_precedence, render_real
+from ..printer import UNARY_PREC, needs_parens, operand_precs, render_real
 from .descriptor import (
     BackendDescriptor,
     Cond,
@@ -51,28 +51,11 @@ from .rules import rule_named
 
 MISSING = object()
 
-_RIGHT_ASSOC = {"->", "<-", "<->"}
-_NON_ASSOC = {"<", ">", "<=", ">=", "=", "<>", "in", "subset", "superset"}
-
 
 @dataclass
 class _LazyExpr:
     expr: Expr
     parent_prec: int
-
-
-def _expr_prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return op_precedence(e.op)
-    if isinstance(e, UnOp):
-        return UNARY_PREC - 1  # unary binds loosest of the tight group
-    if isinstance(e, (IntLit, RealLit)) and e.value < 0:
-        return UNARY_PREC - 1
-    return ATOM_PREC
-
-
-def _needs_parens(e: Expr, parent_prec: int) -> bool:
-    return _expr_prec(e) < parent_prec
 
 
 def _expr_node(e: Expr, opmap: dict[str, str]) -> dict:
@@ -92,13 +75,7 @@ def _expr_node(e: Expr, opmap: dict[str, str]) -> dict:
             "indices": [_LazyExpr(i, -1) for i in part.indices],
         }
     if isinstance(e, BinOp):
-        prec = op_precedence(e.op)
-        if e.op in _RIGHT_ASSOC:
-            lp, rp = prec + 1, prec
-        elif e.op in _NON_ASSOC:
-            lp, rp = prec + 1, prec + 1
-        else:
-            lp, rp = prec, prec + 1
+        lp, rp = operand_precs(e)
         return {
             "__concept__": "BinOp",
             "op": opmap.get(e.op, e.op),
@@ -292,7 +269,7 @@ class _Renderer:
         if isinstance(value, _LazyExpr):
             node = _expr_node(value.expr, self.bd.opmap)
             text = self._node(node, stack)
-            if _needs_parens(value.expr, value.parent_prec):
+            if needs_parens(value.expr, value.parent_prec):
                 return f"({text})"
             return text
         if isinstance(value, dict):
@@ -341,10 +318,13 @@ def _check_supported(fm: FlatModel, bd: BackendDescriptor) -> None:
 
 
 def apply_rewrites(fm: FlatModel, rewrites: list[tuple[str, tuple]]) -> FlatModel:
-    """Run the named registry rules in order, revalidating flatness after each."""
+    """Run the named registry rules in order, revalidating flatness after
+    each rule that returned a new model."""
     for name, params in rewrites:
-        rule = rule_named(name)
-        fm = rule(fm, params)
+        rewritten = rule_named(name)(fm, params)
+        if rewritten is fm:
+            continue
+        fm = rewritten
         problems = flatness_violations(fm)
         if problems:
             raise BackendError(f"rewrite '{name}' broke the model: {'; '.join(problems)}")
@@ -368,15 +348,12 @@ def emit(fm: FlatModel, bd: BackendDescriptor) -> str:
     return text
 
 
-def direct_emit(fm: FlatModel, bd: BackendDescriptor) -> str:
-    """Emission without the rewrite stage: fails loudly when the model uses a
-    construct the target declared unsupported, naming the fixing rule."""
-    return emit(fm, bd)
-
-
 def compile_to_target(fm: FlatModel, bd: BackendDescriptor, no_rewrites: bool = False) -> str:
+    """``bd``'s rewrites, then emission.  With ``no_rewrites`` the model is
+    emitted as it is, which fails loudly when it uses a construct the target
+    declared unsupported, naming the fixing rule."""
     if no_rewrites:
-        return direct_emit(fm, bd)
+        return emit(fm, bd)
     return emit(apply_rewrites(fm, bd.rewrites), bd)
 
 

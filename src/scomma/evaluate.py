@@ -14,6 +14,7 @@ from typing import Mapping
 from .errors import ContractError, EvalError, OutOfBoundsError
 from .ir import BOOL, FlatModel, INT, Solution, Table
 from .nodes import (
+    ARITH_OPS,
     ArrayLit,
     BinOp,
     BoolLit,
@@ -44,6 +45,31 @@ def eval_expr(expr: Expr, asg, tables: Mapping[str, Table] | None = None):
     absolute tolerance of 1e-9.
     """
     return _Evaluator(_as_mapping(asg), tables or {}).eval(expr)
+
+
+def arith(e: BinOp, a, b):
+    """The value of ``e``, one of ``+ - * /``, given its operand values.
+
+    Integer division must be exact; a non-number operand, division by zero
+    and inexact integer division raise ``EvalError``.
+    """
+    op = e.op
+    for v in (a, b):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise EvalError(f"'{op}' applied to a non-number")
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if b == 0:
+        raise EvalError(f"division by zero in {render_expr(e)}")
+    if isinstance(a, int) and isinstance(b, int):
+        if a % b:
+            raise EvalError(f"inexact integer division {a}/{b} in {render_expr(e)}")
+        return a // b
+    return a / b
 
 
 @dataclass
@@ -205,25 +231,8 @@ class _Evaluator:
             return b
         a = self.eval(e.left)
         b = self.eval(e.right)
-        if op in ("+", "-", "*", "/"):
-            for v in (a, b):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise EvalError(f"'{op}' applied to a non-number")
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if b == 0:
-                raise EvalError(f"division by zero in {render_expr(e)}")
-            if isinstance(a, int) and isinstance(b, int):
-                if a % b:
-                    raise EvalError(
-                        f"inexact integer division {a}/{b} in {render_expr(e)}"
-                    )
-                return a // b
-            return a / b
+        if op in ARITH_OPS:
+            return arith(e, a, b)
         if op in ("<", ">", "<=", ">=", "=", "<>"):
             if isinstance(a, frozenset) or isinstance(b, frozenset):
                 if not (isinstance(a, frozenset) and isinstance(b, frozenset)):

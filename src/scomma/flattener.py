@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .analyzer import TypedModel, positionalize
-from .errors import FlattenError
+from .errors import EvalError, FlattenError
+from .evaluate import arith
 from .ir import (
     BOOL,
     Domain,
@@ -45,6 +46,7 @@ from .ir import (
     flatness_violations,
 )
 from .nodes import (
+    ARITH_OPS,
     ArrayLit,
     Attribute,
     BinOp,
@@ -84,6 +86,7 @@ from .nodes import (
     VObj,
     VOmit,
     VReal,
+    map_item,
     transform,
 )
 from .printer import render_expr
@@ -204,24 +207,17 @@ def _substitute_and_fold(e: Expr, repl, tables: dict[str, Table]) -> Expr:
 
 
 def _fold(node: Expr, tables: dict[str, Table]) -> Expr:
-    """``node`` with its children already folded, folded itself."""
-    if isinstance(node, BinOp) and node.op in ("+", "-", "*", "/"):
+    """``node`` with its children already folded, folded itself.
+
+    Arithmetic is the evaluator's; what it rejects (division by zero,
+    inexact integer division) stays unfolded for it to reject at run time."""
+    if isinstance(node, BinOp) and node.op in ARITH_OPS:
         l, r = node.left, node.right
         if isinstance(l, (IntLit, RealLit)) and isinstance(r, (IntLit, RealLit)):
-            a, b = l.value, r.value
-            if node.op == "+":
-                return _literal(a + b)
-            if node.op == "-":
-                return _literal(a - b)
-            if node.op == "*":
-                return _literal(a * b)
-            if b != 0:
-                if isinstance(a, int) and isinstance(b, int):
-                    if a % b == 0:
-                        return _literal(a // b)
-                    return node  # inexact: leave for the evaluator to reject
-                return _literal(a / b)
-            return node
+            try:
+                return _literal(arith(node, l.value, r.value))
+            except EvalError:
+                return node
     if isinstance(node, Ref) and len(node.parts) == 1:
         part = node.parts[0]
         table = tables.get(part.name)
@@ -247,34 +243,12 @@ def _fold_to_int(e: Expr, state: FlattenState, what: str, pass_name: str) -> int
     raise FlattenError(f"{what} '{render_expr(e)}' is not a constant integer", pass_name)
 
 
-def _map_zone_exprs(state: FlattenState, fn) -> None:
-    """Apply ``fn`` to every expression in every zone of every class."""
-
-    def map_item(item: Item) -> Item:
-        if isinstance(item, Constraint):
-            return Constraint(fn(item.expr), span=item.span)
-        if isinstance(item, GlobalCall):
-            return GlobalCall(item.name, tuple(fn(a) for a in item.args), span=item.span)
-        if isinstance(item, Objective):
-            return Objective(item.kind, fn(item.expr), span=item.span)
-        if isinstance(item, Forall):
-            rng = item.range
-            if isinstance(rng, IntRange):
-                rng = IntRange(fn(rng.lo), fn(rng.hi))
-            return Forall(item.var, rng, tuple(map_item(i) for i in item.body), span=item.span)
-        if isinstance(item, IfElse):
-            else_items = (
-                tuple(map_item(i) for i in item.else_items)
-                if item.else_items is not None
-                else None
-            )
-            return IfElse(fn(item.cond), tuple(map_item(i) for i in item.then_items),
-                          else_items, span=item.span)
-        return item
-
+def _rebuild_zones(state: FlattenState, fn) -> None:
+    """Replace each item of every zone of every class by the items ``fn``
+    returns for it."""
     for name, cls in state.classes.items():
         zones = tuple(
-            ConstraintZone(z.name, tuple(map_item(i) for i in z.items), span=z.span)
+            ConstraintZone(z.name, tuple(out for i in z.items for out in fn(i)), span=z.span)
             for z in cls.zones
         )
         state.classes[name] = ClassDef(cls.name, None, cls.attributes, zones, span=cls.span)
@@ -358,14 +332,10 @@ def substitute_enums(state: FlattenState) -> FlattenState:
                           else_items, span=item.span)
         return item
 
-    for name, cls in state.classes.items():
-        zones = tuple(
-            ConstraintZone(z.name, tuple(map_range(i) for i in z.items), span=z.span)
-            for z in cls.zones
-        )
-        state.classes[name] = ClassDef(cls.name, None, cls.attributes, zones, span=cls.span)
-
-    _map_zone_exprs(state, sub_expr)
+    # all loop ranges first, then all expressions: the order in which enums
+    # are first used is the order of ``enum_types`` in the emitted text
+    _rebuild_zones(state, lambda item: (map_range(item),))
+    _rebuild_zones(state, lambda item: (map_item(item, sub_expr),))
 
     def sub_value(v: DataValue) -> DataValue:
         from .nodes import VSym
@@ -476,7 +446,7 @@ def substitute_data(state: FlattenState) -> FlattenState:
             attrs.append(Attribute(a.name, a.type, shape, domain, a.enum_tag, span=a.span))
         state.classes[name] = ClassDef(cls.name, None, tuple(attrs), cls.zones, span=cls.span)
 
-    _map_zone_exprs(state, sub_expr)
+    _rebuild_zones(state, lambda item: (map_item(item, sub_expr),))
     state.binding = _build_binding(state)
     return state
 
@@ -615,36 +585,7 @@ def _subst_loop_var(item: Item, var: str, value: int) -> Item:
                 return lit
         return node
 
-    def sub_expr(e: Expr) -> Expr:
-        return _substitute_and_fold(e, repl, {})
-
-    if isinstance(item, Constraint):
-        return Constraint(sub_expr(item.expr), span=item.span)
-    if isinstance(item, GlobalCall):
-        return GlobalCall(item.name, tuple(sub_expr(a) for a in item.args), span=item.span)
-    if isinstance(item, Objective):
-        return Objective(item.kind, sub_expr(item.expr), span=item.span)
-    if isinstance(item, Forall):
-        rng = item.range
-        if isinstance(rng, IntRange):
-            rng = IntRange(sub_expr(rng.lo), sub_expr(rng.hi))
-        return Forall(
-            item.var, rng, tuple(_subst_loop_var(i, var, value) for i in item.body),
-            span=item.span,
-        )
-    if isinstance(item, IfElse):
-        else_items = (
-            tuple(_subst_loop_var(i, var, value) for i in item.else_items)
-            if item.else_items is not None
-            else None
-        )
-        return IfElse(
-            sub_expr(item.cond),
-            tuple(_subst_loop_var(i, var, value) for i in item.then_items),
-            else_items,
-            span=item.span,
-        )
-    return item
+    return map_item(item, lambda e: _substitute_and_fold(e, repl, {}))
 
 
 def _unroll_item(item: Item, state: FlattenState) -> list[Item]:
@@ -673,16 +614,7 @@ def _unroll_item(item: Item, state: FlattenState) -> list[Item]:
 
 
 def unroll_loops(state: FlattenState) -> FlattenState:
-    for name, cls in state.classes.items():
-        zones = tuple(
-            ConstraintZone(
-                z.name,
-                tuple(out for it in z.items for out in _unroll_item(it, state)),
-                span=z.span,
-            )
-            for z in cls.zones
-        )
-        state.classes[name] = ClassDef(cls.name, None, cls.attributes, zones, span=cls.span)
+    _rebuild_zones(state, lambda item: _unroll_item(item, state))
     return state
 
 
@@ -1085,33 +1017,12 @@ class _Expander:
     # -- items ---------------------------------------------------------------------
 
     def instantiate_item(self, item: Item, inst: _Instance) -> Item:
-        if isinstance(item, Constraint):
-            return Constraint(self.resolve_expr(item.expr, inst), span=item.span)
-        if isinstance(item, GlobalCall):
-            return GlobalCall(
-                item.name,
-                tuple(self.resolve_expr(a, inst) for a in item.args),
-                span=item.span,
+        if isinstance(item, Forall):
+            raise FlattenError(
+                "unexpected Forall during expansion (loops must be unrolled first)",
+                "expand_composition",
             )
-        if isinstance(item, Objective):
-            return Objective(item.kind, self.resolve_expr(item.expr, inst), span=item.span)
-        if isinstance(item, IfElse):
-            else_items = (
-                tuple(self.instantiate_item(i, inst) for i in item.else_items)
-                if item.else_items is not None
-                else None
-            )
-            return IfElse(
-                self.resolve_expr(item.cond, inst),
-                tuple(self.instantiate_item(i, inst) for i in item.then_items),
-                else_items,
-                span=item.span,
-            )
-        raise FlattenError(
-            f"unexpected {type(item).__name__} during expansion (loops must be"
-            " unrolled first)",
-            "expand_composition",
-        )
+        return map_item(item, lambda e: self.resolve_expr(e, inst))
 
 
 def _base_of(attr: Attribute) -> str:
@@ -1224,20 +1135,7 @@ def normalize_expr(e: Expr) -> Expr:
 
 
 def normalize_logic(state: FlattenState) -> FlattenState:
-    items: list[Item] = []
-    for item in state.items:
-        if isinstance(item, Constraint):
-            items.append(Constraint(normalize_expr(item.expr), span=item.span))
-        elif isinstance(item, Objective):
-            items.append(Objective(item.kind, normalize_expr(item.expr), span=item.span))
-        elif isinstance(item, GlobalCall):
-            items.append(
-                GlobalCall(item.name, tuple(normalize_expr(a) for a in item.args),
-                           span=item.span)
-            )
-        else:
-            items.append(item)
-    state.items = items
+    state.items = [map_item(item, normalize_expr) for item in state.items]
     return state
 
 

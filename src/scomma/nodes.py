@@ -142,10 +142,14 @@ def children(e: Expr) -> Iterator[Expr]:
 
 
 def walk(e: Expr) -> Iterator[Expr]:
-    """All nodes of ``e``, pre-order."""
-    yield e
-    for c in children(e):
-        yield from walk(c)
+    """All nodes of ``e``, pre-order.
+
+    Iterative, so the depth of a tree is no limit."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(tuple(children(node))))
 
 
 def transform(e: Expr, fn) -> Expr:
@@ -167,7 +171,7 @@ def transform(e: Expr, fn) -> Expr:
     elif t is Ref:
         parts = None
         for k, p in enumerate(e.parts):
-            indices = _transform_all(p.indices, fn)
+            indices = _map_all(transform, p.indices, fn)
             if indices is not p.indices:
                 if parts is None:
                     parts = list(e.parts[:k])
@@ -181,27 +185,74 @@ def transform(e: Expr, fn) -> Expr:
         if operand is not e.operand:
             e = UnOp(e.op, operand, span=e.span)
     elif t is Call:
-        args = _transform_all(e.args, fn)
+        args = _map_all(transform, e.args, fn)
         if args is not e.args:
             e = Call(e.name, args, span=e.span)
     elif t is SetLit or t is ArrayLit:
-        elems = _transform_all(e.elems, fn)
+        elems = _map_all(transform, e.elems, fn)
         if elems is not e.elems:
             e = t(elems, span=e.span)
     return fn(e)
 
 
-def _transform_all(exprs: tuple[Expr, ...], fn) -> tuple[Expr, ...]:
-    """``transform`` of each of ``exprs``; ``exprs`` itself when none changed."""
+def _map_all(f, xs: tuple, fn) -> tuple:
+    """``f(x, fn)`` for each of ``xs``; ``xs`` itself when none changed."""
     out = None
-    for k, a in enumerate(exprs):
-        a2 = transform(a, fn)
+    for k, x in enumerate(xs):
+        x2 = f(x, fn)
         if out is not None:
-            out.append(a2)
-        elif a2 is not a:
-            out = list(exprs[:k])
-            out.append(a2)
-    return exprs if out is None else tuple(out)
+            out.append(x2)
+        elif x2 is not x:
+            out = list(xs[:k])
+            out.append(x2)
+    return xs if out is None else tuple(out)
+
+
+def map_item(item: Item, fn) -> Item:
+    """``item`` with ``fn`` applied to each expression it holds.
+
+    The expressions are constraint and objective bodies, global-call
+    arguments, ``IntRange`` loop bounds and ``if`` conditions; ``Forall``
+    bodies and ``IfElse`` branches are mapped item by item.  Like
+    ``transform``, an item whose expressions and sub-items all come back as
+    the very same objects is returned as itself.  An ``else`` branch is
+    mapped before its condition and ``then`` branch, the order in which the
+    passes record first uses of enums and tables.
+    """
+    t = type(item)
+    if t is Constraint:
+        expr = fn(item.expr)
+        return item if expr is item.expr else Constraint(expr, span=item.span)
+    if t is GlobalCall:
+        args = _map_all(_apply, item.args, fn)
+        return item if args is item.args else GlobalCall(item.name, args, span=item.span)
+    if t is Objective:
+        expr = fn(item.expr)
+        return item if expr is item.expr else Objective(item.kind, expr, span=item.span)
+    if t is Forall:
+        rng = item.range
+        if type(rng) is IntRange:
+            lo, hi = fn(rng.lo), fn(rng.hi)
+            if lo is not rng.lo or hi is not rng.hi:
+                rng = IntRange(lo, hi)
+        body = _map_all(map_item, item.body, fn)
+        if rng is item.range and body is item.body:
+            return item
+        return Forall(item.var, rng, body, span=item.span)
+    if t is IfElse:
+        else_items = item.else_items
+        if else_items is not None:
+            else_items = _map_all(map_item, else_items, fn)
+        cond = fn(item.cond)
+        then_items = _map_all(map_item, item.then_items, fn)
+        if cond is item.cond and then_items is item.then_items and else_items is item.else_items:
+            return item
+        return IfElse(cond, then_items, else_items, span=item.span)
+    return item
+
+
+def _apply(x, fn):
+    return fn(x)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ SETOP_PREC = 5
 ADD_PREC = 6
 MUL_PREC = 7
 UNARY_PREC = 8
-ATOM_PREC = 9
 
 _BIN_PREC = {
     "->": IMPL_PREC, "<-": IMPL_PREC, "<->": IMPL_PREC,
@@ -78,8 +77,28 @@ _SPACED = {
 }
 
 
-def op_precedence(op: str) -> int:
-    return _BIN_PREC[op]
+def operand_precs(e: Expr) -> tuple[int, int]:
+    """The parent precedences the operands of the binary ``e`` are rendered
+    at: arrows group to the right, comparisons do not chain, the rest group
+    to the left."""
+    prec = _BIN_PREC[e.op]
+    if e.op in _RIGHT_ASSOC:
+        return prec + 1, prec
+    if prec in _NON_ASSOC_PREC:
+        return prec + 1, prec + 1
+    return prec, prec + 1
+
+
+def needs_parens(e: Expr, parent_prec: int) -> bool:
+    """Whether ``e`` is parenthesized where its parent renders it at
+    ``parent_prec``.  Unary expressions and negative literals bind just below
+    the unary operators, so ``-(-x)`` and ``x*(-1)`` keep their parentheses."""
+    t = type(e)
+    if t is BinOp:
+        return _BIN_PREC[e.op] < parent_prec
+    if t is UnOp or ((t is IntLit or t is RealLit) and e.value < 0):
+        return parent_prec >= UNARY_PREC
+    return False
 
 
 def render_real(value: float) -> str:
@@ -91,11 +110,15 @@ def render_expr(e: Expr) -> str:
 
 
 def _render(e: Expr, parent_prec: int) -> str:
+    text = _text(e)
+    return f"({text})" if needs_parens(e, parent_prec) else text
+
+
+def _text(e: Expr) -> str:
     if isinstance(e, IntLit):
-        return str(e.value) if e.value >= 0 or parent_prec < UNARY_PREC else f"({e.value})"
+        return str(e.value)
     if isinstance(e, RealLit):
-        s = render_real(e.value)
-        return s if e.value >= 0 or parent_prec < UNARY_PREC else f"({s})"
+        return render_real(e.value)
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"
     if isinstance(e, EnumRef):
@@ -114,16 +137,11 @@ def _render(e: Expr, parent_prec: int) -> str:
         return "{" + ",".join(_render(a, -1) for a in e.elems) + "}"
     if isinstance(e, UnOp):
         inner = _render(e.operand, UNARY_PREC)
-        text = f"not {inner}" if e.op == "not" else f"-{inner}"
-        return f"({text})" if parent_prec >= UNARY_PREC else text
+        return f"not {inner}" if e.op == "not" else f"-{inner}"
     if isinstance(e, BinOp):
-        prec = _BIN_PREC[e.op]
-        right_assoc = e.op in _RIGHT_ASSOC
-        left = _render(e.left, prec + 1 if right_assoc or prec in _NON_ASSOC_PREC else prec)
-        right = _render(e.right, prec if right_assoc else prec + 1)
+        lp, rp = operand_precs(e)
         op = f" {e.op} " if e.op in _SPACED else e.op
-        text = f"{left}{op}{right}"
-        return f"({text})" if prec < parent_prec else text
+        return f"{_render(e.left, lp)}{op}{_render(e.right, rp)}"
     raise TypeError(f"cannot render {type(e).__name__}")
 
 

@@ -1,17 +1,20 @@
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import CORPUS_NAMES, FIXTURES, compile_corpus, compile_text
 from scomma.backend import (
     apply_rewrites,
     compile_to_target,
-    direct_emit,
     emit,
+    engine,
     find_target,
     list_targets,
     parse_descriptor,
 )
 from scomma.backend.rules import (
+    REGISTRY,
     decompose_set_matrix,
     int_bounds_widen,
     rename_reserved_words,
@@ -19,7 +22,8 @@ from scomma.backend.rules import (
 )
 from scomma.errors import BackendError
 from scomma.interp import flat_solution_set
-from scomma.ir import FlatModel
+from scomma.ir import FlatConstraint, FlatModel
+from scomma.nodes import simple_ref
 from scomma.printer import render_expr
 
 
@@ -153,6 +157,30 @@ class TestRewriteRules:
             tuple(sorted(s)) for s in flat_solution_set(fm)
         }
 
+    def test_rules_that_change_nothing_skip_the_flatness_check(self, stable, monkeypatch):
+        _tm, fm = stable
+        calls = []
+        check = engine.flatness_violations
+        monkeypatch.setattr(engine, "flatness_violations", lambda m: calls.append(m) or check(m))
+        rules = [("decompose_set_matrix", ()), ("rename_reserved_words", ("nosuchname",))]
+        assert apply_rewrites(fm, rules) is fm
+        assert calls == []
+        out = apply_rewrites(setmat_model(), [("decompose_set_matrix", ())])
+        assert calls == [out]
+
+    def test_rule_that_breaks_the_model_is_rejected(self, stable, monkeypatch):
+        _tm, fm = stable
+
+        def break_model(fm, params):
+            extra = FlatConstraint(simple_ref("nowhere"), "test")
+            return replace(fm, constraints=[*fm.constraints, extra])
+
+        monkeypatch.setitem(REGISTRY, "break_model", break_model)
+        with pytest.raises(BackendError) as exc:
+            apply_rewrites(fm, [("break_model", ())])
+        assert "rewrite 'break_model' broke the model" in str(exc.value)
+        assert "unknown name 'nowhere'" in str(exc.value)
+
     def test_unknown_rule_name(self, stable):
         _tm, fm = stable
         with pytest.raises(BackendError):
@@ -186,17 +214,18 @@ class TestEmission:
         assert jtext.startswith("package comma.solverFiles.gecodej;")
         assert jtext.rstrip().endswith("}")
 
-    def test_direct_emit_equals_emit_for_flat(self, stable):
+    def test_no_rewrites_equals_emit_for_flat(self, stable):
         _tm, fm = stable
         flat = find_target("flat")
-        assert direct_emit(fm, flat) == emit(fm, flat)
+        assert compile_to_target(fm, flat, no_rewrites=True) == emit(fm, flat)
 
-    def test_clp_direct_emit_rejects_set_matrix_naming_fix(self):
+    def test_clp_emit_rejects_set_matrix_naming_fix(self):
         fm = setmat_model()
         clp = find_target("clp")
-        with pytest.raises(BackendError) as exc:
-            direct_emit(fm, clp)
-        assert "decompose_set_matrix" in str(exc.value)
+        for run in (lambda: emit(fm, clp), lambda: compile_to_target(fm, clp, no_rewrites=True)):
+            with pytest.raises(BackendError) as exc:
+                run()
+            assert "decompose_set_matrix" in str(exc.value)
 
     def test_clp_full_pipeline_handles_set_matrix(self):
         fm = setmat_model()

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import compile_corpus, compile_text, parse_data_ok, parse_ok
 from scomma.analyzer import analyze
-from scomma.errors import FlattenError
+from scomma.errors import EvalError, FlattenError
 from scomma.evaluate import eval_expr
 from scomma.flattener import (
     PIPELINE,
@@ -18,7 +18,7 @@ from scomma.flattener import (
     substitute_enums,
 )
 from scomma.ir import IntInterval, flatness_violations
-from scomma.nodes import Constraint, IfElse, IntLit, Ref, transform
+from scomma.nodes import BinOp, Constraint, IfElse, IntLit, RealLit, Ref, transform
 from scomma.parser import parse_expression
 from scomma.printer import render_expr
 
@@ -422,6 +422,29 @@ class TestTransform:
         # shared: everything off that path
         assert out.left is e.left
         assert new_index.right is old_index.right
+
+
+class TestFold:
+    def test_literal_arithmetic_agrees_with_the_evaluator(self):
+        values = [IntLit(v) for v in (-7, -2, 0, 1, 3, 6)]
+        values += [RealLit(v) for v in (-1.5, 0.0, 0.25, 2.0)]
+        for op in ("+", "-", "*", "/"):
+            for a, b in itertools.product(values, repeat=2):
+                e = BinOp(op, a, b)
+                folded = fold_expr(e)
+                try:
+                    value = eval_expr(e, {})
+                except EvalError:
+                    assert folded is e, render_expr(e)
+                    continue
+                assert isinstance(folded, (IntLit, RealLit)), render_expr(e)
+                assert type(folded.value) is type(value) and folded.value == value
+
+    def test_inexact_and_zero_division_stay_unfolded(self):
+        for text in ("7/2", "1/0", "1.5/0"):
+            e = expr(text)
+            assert fold_expr(e) is e
+        assert render_expr(fold_expr(expr("x + 7/2 + 6/3"))) == "x+7/2+2"
 
 
 class TestDeterminism:
