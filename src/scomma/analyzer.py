@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, DiagnosticSink, SourceSpan
 from .errors import EvalError
+from .evaluate import arith
 from .nodes import (
     ArrayLit,
     Assignment,
@@ -185,16 +186,6 @@ def positionalize(
     return cells, None
 
 
-class _Env:
-    """Lexical environment for zone type checking: loop variables shadow
-    attributes, which shadow data constants, which shadow enum values."""
-
-    def __init__(self, analyzer: "_Analyzer", cls: ClassDef):
-        self.analyzer = analyzer
-        self.cls = cls
-        self.loops: list[str] = []
-
-
 class _Analyzer:
     def __init__(self, model: Model, data: DataFile):
         self.model = model
@@ -358,17 +349,7 @@ class _Analyzer:
             if a is None or b is None:
                 return None
             try:
-                if e.op == "+":
-                    return a + b
-                if e.op == "-":
-                    return a - b
-                if e.op == "*":
-                    return a * b
-                if isinstance(a, int) and isinstance(b, int):
-                    if b == 0 or a % b:
-                        return None
-                    return a // b
-                return a / b if b else None
+                return arith(e, a, b)
             except EvalError:
                 return None
         return None
@@ -379,6 +360,12 @@ class _Analyzer:
                 owner = f"{cls.name}.{attr.name}"
                 for bound in attr.shape:
                     self.shape_size(bound, owner)
+                if isinstance(attr.type, ObjectType) and len(attr.shape) > 1:
+                    self.err(
+                        f"object array '{owner}' has {len(attr.shape)} dimensions;"
+                        " an object array takes one",
+                        attr,
+                    )
                 dom = attr.domain
                 if isinstance(dom, DomainInterval):
                     lo = self._const_eval(dom.lo)

@@ -78,9 +78,6 @@ class Foreach:
     separator: str = ""
 
 
-Fragment = object  # Lit | FieldRef | Cond | Foreach
-
-
 @dataclass
 class BackendDescriptor:
     name: str

@@ -20,6 +20,7 @@ from ..ir import (
     INT,
     IntInterval,
     SET,
+    iter_indices,
 )
 from ..nodes import BinOp, Expr, IntLit, Ref, RefPart, transform
 from ..printer import render_expr
@@ -172,7 +173,7 @@ def int_bounds_widen(fm: FlatModel, params: tuple = ()) -> FlatModel:
         old = v.domain
         wide = IntInterval(min(lo, old.lo), max(hi, old.hi))
         variables.append(replace(v, domain=wide))
-        for idx in v.element_indices():
+        for idx in iter_indices(v.shape):
             ref = Ref((RefPart(v.name, tuple(IntLit(i) for i in idx)),))
             extra.append(FlatConstraint(BinOp(">=", ref, IntLit(old.lo)), "int_bounds_widen"))
             extra.append(FlatConstraint(BinOp("<=", ref, IntLit(old.hi)), "int_bounds_widen"))

@@ -48,7 +48,3 @@ class UnsupportedModelError(ScommaError):
     def __init__(self, constructs: list[str]):
         self.constructs = list(constructs)
         super().__init__("unsupported constructs: " + ", ".join(self.constructs))
-
-
-class InfeasibleError(ScommaError):
-    """Optimization found no solution at all."""

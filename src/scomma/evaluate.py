@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ContractError, EvalError, OutOfBoundsError
-from .ir import BOOL, FlatModel, INT, Solution, Table
+from .ir import BOOL, FlatModel, INT, Solution, Table, iter_indices
 from .nodes import (
     ARITH_OPS,
     ArrayLit,
@@ -92,7 +92,7 @@ def check_solution(fm: FlatModel, sol: Solution) -> tuple[bool, list[Violation]]
     for var in fm.variables:
         if var.base not in (INT, BOOL):
             continue
-        for idx in var.element_indices():
+        for idx in iter_indices(var.shape):
             key = (var.name, idx)
             if key not in sol.values:
                 raise ContractError(

@@ -28,25 +28,23 @@ from .ir import (
 from .lexer import EOF, INT as INT_TOK, REAL as REAL_TOK
 from .parser import ParseAbort, TokenCursor
 
-_SECTIONS = ("variables", "constraints", "objective", "enum-types", "constant-arrays")
-
 
 class _FlatParser(TokenCursor):
     def parse(self, name: str) -> FlatModel | None:
         fm = FlatModel(name=name)
         pending_types: list[tuple[FlatVar, str]] = []
+        entries = {
+            "variables": lambda: self._variable_line(fm, pending_types),
+            "constraints": lambda: self._constraint(fm),
+            "enum-types": lambda: self._enum_type(fm),
+            "constant-arrays": lambda: self._table(fm),
+        }
         section = self._expect_section()
         while section is not None:
-            if section == "variables":
-                section = self._variables(fm, pending_types)
-            elif section == "constraints":
-                section = self._constraints(fm)
-            elif section == "objective":
+            if section == "objective":
                 section = self._objective(fm)
-            elif section == "enum-types":
-                section = self._enum_types(fm)
             else:
-                section = self._tables(fm)
+                section = self._entries(entries[section])
         for var, type_name in pending_types:
             if type_name in fm.enum_types:
                 var.enum_tag = type_name
@@ -107,9 +105,10 @@ class _FlatParser(TokenCursor):
             return None
         return self._at_section()
 
-    # -- sections ----------------------------------------------------------------
-
-    def _variables(self, fm: FlatModel, pending: list) -> str | None:
+    def _entries(self, entry) -> str | None:
+        """Parse entries with ``entry`` up to the next section header, which
+        is consumed and returned (None at the end).  A bad entry is reported
+        and skipped."""
         while True:
             section = self._next_or_section()
             if section is not None:
@@ -119,9 +118,11 @@ class _FlatParser(TokenCursor):
                 return None
             before = self.pos
             try:
-                self._variable_line(fm, pending)
+                entry()
             except ParseAbort:
                 self.recover_top_level(before)
+
+    # -- sections ----------------------------------------------------------------
 
     def _variable_line(self, fm: FlatModel, pending: list) -> None:
         base = None
@@ -196,21 +197,10 @@ class _FlatParser(TokenCursor):
             return RealInterval(float(lo), float(hi))
         return IntInterval(lo, hi)
 
-    def _constraints(self, fm: FlatModel) -> str | None:
-        while True:
-            section = self._next_or_section()
-            if section is not None:
-                self._consume_section_header(section)
-                return section
-            if self.cur.kind == EOF:
-                return None
-            before = self.pos
-            try:
-                expr = self.parse_expression()
-                self.expect_symbol(";", "constraint")
-                fm.constraints.append(FlatConstraint(expr))
-            except ParseAbort:
-                self.recover_top_level(before)
+    def _constraint(self, fm: FlatModel) -> None:
+        expr = self.parse_expression()
+        self.expect_symbol(";", "constraint")
+        fm.constraints.append(FlatConstraint(expr))
 
     def _objective(self, fm: FlatModel) -> str | None:
         kind_tok = self.cur
@@ -225,60 +215,38 @@ class _FlatParser(TokenCursor):
             self._consume_section_header(section)
         return section
 
-    def _enum_types(self, fm: FlatModel) -> str | None:
-        while True:
-            section = self._next_or_section()
-            if section is not None:
-                self._consume_section_header(section)
-                return section
-            if self.cur.kind == EOF:
-                return None
-            before = self.pos
-            try:
-                name = self.expect_ident("enum name").text
-                self.expect_symbol(":=", "enum table")
-                self.expect_symbol("{", "enum table")
-                values = [self.expect_ident("enum value").text]
-                while self.accept_symbol(","):
-                    values.append(self.expect_ident("enum value").text)
-                self.expect_symbol("}", "enum table")
-                self.expect_symbol(";", "enum table")
-                fm.enum_types[name] = tuple(values)
-            except ParseAbort:
-                self.recover_top_level(before)
+    def _enum_type(self, fm: FlatModel) -> None:
+        name = self.expect_ident("enum name").text
+        self.expect_symbol(":=", "enum table")
+        self.expect_symbol("{", "enum table")
+        values = [self.expect_ident("enum value").text]
+        while self.accept_symbol(","):
+            values.append(self.expect_ident("enum value").text)
+        self.expect_symbol("}", "enum table")
+        self.expect_symbol(";", "enum table")
+        fm.enum_types[name] = tuple(values)
 
-    def _tables(self, fm: FlatModel) -> str | None:
-        while True:
-            section = self._next_or_section()
-            if section is not None:
-                self._consume_section_header(section)
-                return section
-            if self.cur.kind == EOF:
-                return None
-            before = self.pos
-            try:
-                name = self.expect_ident("constant array name").text
-                self.expect_symbol(":=", "constant array")
-                self.expect_symbol("[", "constant array")
-                if self.at_symbol("["):
-                    rows = [self._row()]
-                    while self.accept_symbol(","):
-                        rows.append(self._row())
-                    self.expect_symbol("]", "constant array")
-                    cols = len(rows[0])
-                    if any(len(r) != cols for r in rows):
-                        raise self.fail(f"ragged rows in constant array '{name}'")
-                    values = tuple(v for row in rows for v in row)
-                    fm.tables[name] = Table(name, (len(rows), cols), values)
-                else:
-                    values = [self._number("table value")]
-                    while self.accept_symbol(","):
-                        values.append(self._number("table value"))
-                    self.expect_symbol("]", "constant array")
-                    fm.tables[name] = Table(name, (len(values),), tuple(values))
-                self.expect_symbol(";", "constant array")
-            except ParseAbort:
-                self.recover_top_level(before)
+    def _table(self, fm: FlatModel) -> None:
+        name = self.expect_ident("constant array name").text
+        self.expect_symbol(":=", "constant array")
+        self.expect_symbol("[", "constant array")
+        if self.at_symbol("["):
+            rows = [self._row()]
+            while self.accept_symbol(","):
+                rows.append(self._row())
+            self.expect_symbol("]", "constant array")
+            cols = len(rows[0])
+            if any(len(r) != cols for r in rows):
+                raise self.fail(f"ragged rows in constant array '{name}'")
+            values = tuple(v for row in rows for v in row)
+            fm.tables[name] = Table(name, (len(rows), cols), values)
+        else:
+            values = [self._number("table value")]
+            while self.accept_symbol(","):
+                values.append(self._number("table value"))
+            self.expect_symbol("]", "constant array")
+            fm.tables[name] = Table(name, (len(values),), tuple(values))
+        self.expect_symbol(";", "constant array")
 
     def _row(self) -> list:
         self.expect_symbol("[", "table row")

@@ -44,6 +44,7 @@ from .ir import (
     SET,
     Table,
     flatness_violations,
+    iter_indices,
 )
 from .nodes import (
     ARITH_OPS,
@@ -451,6 +452,9 @@ def substitute_data(state: FlattenState) -> FlattenState:
     return state
 
 
+_PRIMITIVE_TYPES = (IntType, RealType, BoolType, SetType)
+
+
 def _layout_list(value: VList, dims: tuple[int, ...], what: str) -> list[DataValue]:
     """Row-major cell layout of a positional (possibly nested) array literal."""
     if not dims:
@@ -477,7 +481,7 @@ def _build_binding(state: FlattenState) -> dict:
     def fresh(cls: ClassDef) -> dict:
         out: dict = {}
         for a in cls.attributes:
-            if isinstance(a.type, (IntType, RealType, BoolType, SetType)):
+            if isinstance(a.type, _PRIMITIVE_TYPES):
                 out[a.name] = {}  # index tuple -> constant value
             else:
                 target = state.classes[a.type.name]
@@ -526,7 +530,7 @@ def _attr_dims(attr: Attribute, state: FlattenState) -> tuple[int, ...]:
 def _bind_value(slot_owner, attr: Attribute, value: DataValue, state: FlattenState, where: str) -> None:
     if isinstance(value, VOmit):
         return
-    primitive = isinstance(attr.type, (IntType, RealType, BoolType, SetType))
+    primitive = isinstance(attr.type, _PRIMITIVE_TYPES)
     if not attr.shape:
         if primitive:
             slot_owner[attr.name][()] = _plain(value, where)
@@ -536,26 +540,14 @@ def _bind_value(slot_owner, attr: Attribute, value: DataValue, state: FlattenSta
     dims = _attr_dims(attr, state)
     if not isinstance(value, VList):
         raise FlattenError(f"{where}: array attribute needs an array literal", "substitute_data")
-    cells, problem = positionalize(value, dims[0], None)
-    if problem:
-        raise FlattenError(f"{where}: {problem}", "substitute_data")
-    for i, cell in enumerate(cells, start=1):
+    for idx, cell in zip(iter_indices(dims), _layout_list(value, dims, where)):
         if isinstance(cell, VOmit):
             continue
-        if len(dims) == 2:
-            if not isinstance(cell, VList):
-                raise FlattenError(f"{where}[{i}]: expected a row literal", "substitute_data")
-            row, problem = positionalize(cell, dims[1], None)
-            if problem:
-                raise FlattenError(f"{where}[{i}]: {problem}", "substitute_data")
-            for j, v in enumerate(row, start=1):
-                if isinstance(v, VOmit):
-                    continue
-                slot_owner[attr.name][(i, j)] = _plain(v, f"{where}[{i},{j}]")
-        elif primitive:
-            slot_owner[attr.name][(i,)] = _plain(cell, f"{where}[{i}]")
+        cell_where = f"{where}[{','.join(map(str, idx))}]"
+        if primitive:
+            slot_owner[attr.name][idx] = _plain(cell, cell_where)
         else:
-            _bind_object(slot_owner[attr.name][i - 1], attr, cell, state, f"{where}[{i}]")
+            _bind_object(slot_owner[attr.name][idx[0] - 1], attr, cell, state, cell_where)
 
 
 def _bind_object(obj_binding: dict, attr: Attribute, value: DataValue, state: FlattenState, where: str) -> None:
@@ -624,50 +616,38 @@ def unroll_loops(state: FlattenState) -> FlattenState:
 
 
 @dataclass
-class _SlotConst:
-    value: object
+class _SlotScalar:
+    """A primitive scalar: a literal, or a reference to a flat variable or
+    to one element of a flat array variable."""
+
+    expr: Expr
 
 
 @dataclass
-class _SlotScalarVar:
-    name: str
+class _SlotArray:
+    """A primitive array: the flat array variable ``name``, or the constant
+    ``table`` of that name when every cell is assigned."""
 
-
-@dataclass
-class _SlotGroupedVar:
-    name: str
-    index: int
-
-
-@dataclass
-class _SlotArrayVar:
     name: str
     dims: tuple[int, ...]
-
-
-@dataclass
-class _SlotTable:
-    table: Table
+    table: Table | None
 
 
 @dataclass
 class _Instance:
+    """An expanded object; it is also the slot of an object attribute."""
+
     cls: ClassDef
     slots: dict[str, object]
     label: str
 
 
 @dataclass
-class _SlotObj:
-    inst: _Instance
-
-
-@dataclass
 class _SlotObjArray:
     insts: list[_Instance]
-    # attr name -> ("var", flat name) | ("table", Table): targets reachable
-    # through a variable object index
-    grouped: dict[str, tuple[str, object]]
+    # scalar primitive attribute -> its values across the array: the target
+    # of a reference through a variable object index
+    grouped: dict[str, _SlotArray]
 
 
 class _Expander:
@@ -764,24 +744,30 @@ class _Expander:
 
     # -- object expansion -----------------------------------------------------------
 
-    def expand_object(self, cls: ClassDef, prefix: str, binding: dict, label: str) -> _Instance:
-        slots: dict[str, object] = {}
+    def expand_object(
+        self, cls: ClassDef, prefix: str, binding: dict, label: str, slots: dict | None = None
+    ) -> _Instance:
+        """Expand one object; ``slots`` holds those of its slots that already
+        exist (an array element's share of the array's grouped attributes)."""
+        slots = {} if slots is None else slots
         for attr in cls.attributes:
+            if attr.name in slots:
+                continue
             owner = f"{label}.{attr.name}" if label else attr.name
-            if isinstance(attr.type, (IntType, RealType, BoolType, SetType)):
+            if isinstance(attr.type, _PRIMITIVE_TYPES):
                 slots[attr.name] = self._expand_primitive(
-                    prefix + attr.name, attr, binding[attr.name], owner
+                    prefix + attr.name, attr, _attr_dims(attr, self.state), binding[attr.name],
+                    owner,
                 )
             elif attr.shape:
                 slots[attr.name] = self._expand_object_array(
                     prefix, attr, binding[attr.name], owner
                 )
             else:
-                child_cls = self.state.classes[attr.type.name]
-                inst = self.expand_object(
-                    child_cls, prefix + attr.name + "_", binding[attr.name], owner
+                slots[attr.name] = self.expand_object(
+                    self.state.classes[attr.type.name], prefix + attr.name + "_",
+                    binding[attr.name], owner,
                 )
-                slots[attr.name] = _SlotObj(inst)
         instance = _Instance(cls, slots, label)
         for zone in cls.zones:
             origin = f"{label or cls.name}:{zone.name}"
@@ -789,90 +775,47 @@ class _Expander:
                 self.add_item(self.instantiate_item(item, instance), origin)
         return instance
 
-    def _expand_primitive(self, name: str, attr: Attribute, cells: dict, owner: str):
-        if not attr.shape:
+    def _expand_primitive(
+        self, name: str, attr: Attribute, dims: tuple[int, ...], cells: dict, owner: str
+    ):
+        if not dims:
             if () in cells:
-                return _SlotConst(cells[()])
+                return _SlotScalar(_literal(cells[()]))
             self.make_var(name, attr, (), owner)
-            return _SlotScalarVar(name)
-        dims = _attr_dims(attr, self.state)
-        total = 1
-        for d in dims:
-            total *= d
-        indices = list(_iter_indices(dims))
-        if len(cells) == total:
-            values = tuple(cells[i] for i in indices)
+            return _SlotScalar(Ref((RefPart(name),)))
+        indices = list(iter_indices(dims))
+        if len(cells) == len(indices):
             self.claim(name)
-            return _SlotTable(Table(name, dims, values))
+            return _SlotArray(name, dims, Table(name, dims, tuple(cells[i] for i in indices)))
         var = self.make_var(name, attr, dims, owner)
         for idx in indices:
             if idx in cells:
                 self.pin(var, idx, cells[idx], owner)
-        return _SlotArrayVar(name, dims)
+        return _SlotArray(name, dims, None)
 
     def _expand_object_array(self, prefix: str, attr: Attribute, bindings: list, owner: str):
-        child_cls = self.state.classes[attr.type.name]
-        n = len(bindings)
-        grouped: dict[str, tuple[str, object]] = {}
-        grouped_slots: dict[str, list] = {}
-        for child_attr in child_cls.attributes:
-            if not isinstance(child_attr.type, (IntType, RealType, BoolType, SetType)):
+        """Each scalar primitive attribute of the elements becomes one flat
+        array over the elements (grouped), then each element is expanded."""
+        cls = self.state.classes[attr.type.name]
+        grouped: dict[str, _SlotArray] = {}
+        elem_slots: list[dict] = [{} for _ in bindings]
+        for a in cls.attributes:
+            if a.shape or not isinstance(a.type, _PRIMITIVE_TYPES):
                 continue
-            if child_attr.shape:
-                continue
-            gname = prefix + attr.name + "_" + child_attr.name
-            cells = [bindings[i][child_attr.name].get(()) for i in range(n)]
-            gowner = f"{owner}.{child_attr.name}"
-            if all(c is not None for c in cells):
-                self.claim(gname)
-                table = Table(gname, (n,), tuple(cells))
-                grouped[child_attr.name] = ("table", table)
-                grouped_slots[child_attr.name] = [_SlotConst(c) for c in cells]
-            else:
-                var = self.make_var(gname, child_attr, (n,), gowner)
-                for i, c in enumerate(cells, start=1):
-                    if c is not None:
-                        self.pin(var, (i,), c, gowner)
-                grouped[child_attr.name] = ("var", gname)
-                grouped_slots[child_attr.name] = [
-                    _SlotGroupedVar(gname, i) if cells[i - 1] is None else _SlotConst(cells[i - 1])
-                    for i in range(1, n + 1)
-                ]
-        insts: list[_Instance] = []
-        for i in range(1, n + 1):
-            child_prefix = f"{prefix}{attr.name}_{i}_"
-            child_label = f"{owner}[{i}]"
-            slots: dict[str, object] = {}
-            for child_attr in child_cls.attributes:
-                cowner = f"{child_label}.{child_attr.name}"
-                if child_attr.name in grouped_slots:
-                    slots[child_attr.name] = grouped_slots[child_attr.name][i - 1]
-                elif isinstance(child_attr.type, (IntType, RealType, BoolType, SetType)):
-                    slots[child_attr.name] = self._expand_primitive(
-                        child_prefix + child_attr.name,
-                        child_attr,
-                        bindings[i - 1][child_attr.name],
-                        cowner,
-                    )
-                elif child_attr.shape:
-                    slots[child_attr.name] = self._expand_object_array(
-                        child_prefix, child_attr, bindings[i - 1][child_attr.name], cowner
-                    )
-                else:
-                    grand_cls = self.state.classes[child_attr.type.name]
-                    inst = self.expand_object(
-                        grand_cls,
-                        child_prefix + child_attr.name + "_",
-                        bindings[i - 1][child_attr.name],
-                        cowner,
-                    )
-                    slots[child_attr.name] = _SlotObj(inst)
-            instance = _Instance(child_cls, slots, child_label)
-            insts.append(instance)
-            for zone in child_cls.zones:
-                origin = f"{child_label}:{zone.name}"
-                for item in zone.items:
-                    self.add_item(self.instantiate_item(item, instance), origin)
+            cells = {(i,): b[a.name][()] for i, b in enumerate(bindings, 1) if () in b[a.name]}
+            array = self._expand_primitive(
+                f"{prefix}{attr.name}_{a.name}", a, (len(bindings),), cells, f"{owner}.{a.name}"
+            )
+            grouped[a.name] = array
+            for i, slots in enumerate(elem_slots, 1):
+                value = cells.get((i,))
+                slots[a.name] = _SlotScalar(
+                    Ref((RefPart(array.name, (IntLit(i),)),)) if value is None else _literal(value)
+                )
+        insts = [
+            self.expand_object(cls, f"{prefix}{attr.name}_{i}_", b, f"{owner}[{i}]", slots)
+            for i, (b, slots) in enumerate(zip(bindings, elem_slots), 1)
+        ]
         return _SlotObjArray(insts, grouped)
 
     # -- reference resolution -----------------------------------------------------
@@ -886,23 +829,23 @@ class _Expander:
         return _substitute_and_fold(e, repl, self.state.const_tables)
 
     def resolve_ref(self, ref: Ref, inst: _Instance) -> Expr:
+        """``ref`` as a flat expression; its indices are already folded."""
         parts = ref.parts
         slot = inst.slots.get(parts[0].name)
         if slot is None:
             table = self.state.const_tables.get(parts[0].name)
             if table is not None and len(parts) == 1:
-                return self._primitive_ref(_SlotTable(table), parts[0], ref)
+                return self._primitive_ref(_SlotArray(table.name, table.shape, table), parts[0], ref)
             raise FlattenError(
                 f"unresolved reference '{render_expr(ref)}' in '{inst.label or inst.cls.name}'",
                 "expand_composition",
             )
         k = 0
-        while k < len(parts):
+        while True:
             part = parts[k]
             last = k == len(parts) - 1
-            indices = tuple(fold_expr(i, self.state.const_tables) for i in part.indices)
-            if isinstance(slot, _SlotObj):
-                if indices:
+            if isinstance(slot, _Instance):
+                if part.indices:
                     raise FlattenError(
                         f"scalar object '{part.name}' indexed in '{render_expr(ref)}'",
                         "expand_composition",
@@ -912,93 +855,73 @@ class _Expander:
                         f"object '{part.name}' used as a value in '{render_expr(ref)}'",
                         "expand_composition",
                     )
-                slot = slot.inst.slots.get(parts[k + 1].name)
-                if slot is None:
-                    raise FlattenError(
-                        f"unresolved reference '{render_expr(ref)}'", "expand_composition"
-                    )
-                k += 1
-                continue
-            if isinstance(slot, _SlotObjArray):
-                if len(indices) != 1:
+                obj = slot
+            elif isinstance(slot, _SlotObjArray):
+                if len(part.indices) != 1:
                     raise FlattenError(
                         f"object array '{part.name}' needs one index in"
                         f" '{render_expr(ref)}'",
                         "expand_composition",
                     )
-                idx = indices[0]
-                if isinstance(idx, IntLit):
-                    if not (1 <= idx.value <= len(slot.insts)):
-                        raise FlattenError(
-                            f"object index {idx.value} outside 1..{len(slot.insts)} in"
-                            f" '{render_expr(ref)}'",
-                            "expand_composition",
-                        )
-                    if last:
-                        raise FlattenError(
-                            f"object '{part.name}[{idx.value}]' used as a value in"
-                            f" '{render_expr(ref)}'",
-                            "expand_composition",
-                        )
-                    inst2 = slot.insts[idx.value - 1]
-                    slot = inst2.slots.get(parts[k + 1].name)
-                    if slot is None:
-                        raise FlattenError(
-                            f"unresolved reference '{render_expr(ref)}'", "expand_composition"
-                        )
-                    k += 1
-                    continue
-                # variable object index: only a grouped scalar target survives
-                if not last and k + 1 == len(parts) - 1 and not parts[k + 1].indices:
-                    target = slot.grouped.get(parts[k + 1].name)
-                    if target is not None:
-                        kind, payload = target
-                        if kind == "table":
-                            self.register_table(payload)
-                            name = payload.name
-                        else:
-                            name = payload
-                        return Ref((RefPart(name, (idx,)),), span=ref.span)
+                idx = part.indices[0]
+                if not isinstance(idx, IntLit):
+                    # variable object index: only a grouped scalar target survives
+                    if k + 2 == len(parts) and not parts[k + 1].indices:
+                        target = slot.grouped.get(parts[k + 1].name)
+                        if target is not None:
+                            return self._primitive_ref(target, RefPart(target.name, (idx,)), ref)
+                    raise FlattenError(
+                        f"variable index into object array '{part.name}' in"
+                        f" '{render_expr(ref)}': the target attribute is expanded"
+                        " per object, so the index must be constant",
+                        "expand_composition",
+                    )
+                if not (1 <= idx.value <= len(slot.insts)):
+                    raise FlattenError(
+                        f"object index {idx.value} outside 1..{len(slot.insts)} in"
+                        f" '{render_expr(ref)}'",
+                        "expand_composition",
+                    )
+                if last:
+                    raise FlattenError(
+                        f"object '{part.name}[{idx.value}]' used as a value in"
+                        f" '{render_expr(ref)}'",
+                        "expand_composition",
+                    )
+                obj = slot.insts[idx.value - 1]
+            else:
+                return self._primitive_ref(slot, part, ref)
+            k += 1
+            slot = obj.slots.get(parts[k].name)
+            if slot is None:
                 raise FlattenError(
-                    f"variable index into object array '{part.name}' in"
-                    f" '{render_expr(ref)}': the target attribute is expanded"
-                    " per object, so the index must be constant",
-                    "expand_composition",
+                    f"unresolved reference '{render_expr(ref)}'", "expand_composition"
                 )
-            return self._primitive_ref(slot, RefPart(part.name, indices), ref)
-        raise AssertionError("unreachable")
 
     def _primitive_ref(self, slot, part: RefPart, ref: Ref) -> Expr:
-        if isinstance(slot, _SlotConst):
+        if isinstance(slot, _SlotScalar):
             if part.indices:
                 raise FlattenError(
                     f"scalar '{part.name}' indexed in '{render_expr(ref)}'",
                     "expand_composition",
                 )
-            return _literal(slot.value)
-        if isinstance(slot, _SlotScalarVar):
-            return Ref((RefPart(slot.name),), span=ref.span)
-        if isinstance(slot, _SlotGroupedVar):
-            return Ref((RefPart(slot.name, (IntLit(slot.index),)),), span=ref.span)
-        if isinstance(slot, _SlotArrayVar):
-            self._check_index_arity(part, slot.dims, ref)
-            return Ref((RefPart(slot.name, part.indices),), span=ref.span)
-        if isinstance(slot, _SlotTable):
-            table = slot.table
-            if part.indices and all(isinstance(i, IntLit) for i in part.indices):
-                idx = tuple(i.value for i in part.indices)
-                try:
-                    return _literal(table.lookup(idx))
-                except IndexError:
-                    raise FlattenError(
-                        f"constant index {list(idx)} outside bounds of '{table.name}'"
-                        f" in '{render_expr(ref)}'",
-                        "expand_composition",
-                    ) from None
-            self._check_index_arity(part, table.shape, ref)
+            e = slot.expr
+            return Ref(e.parts, span=ref.span) if isinstance(e, Ref) else e
+        table = slot.table
+        if table is not None and part.indices and all(isinstance(i, IntLit) for i in part.indices):
+            idx = tuple(i.value for i in part.indices)
+            try:
+                return _literal(table.lookup(idx))
+            except IndexError:
+                raise FlattenError(
+                    f"constant index {list(idx)} outside bounds of '{table.name}'"
+                    f" in '{render_expr(ref)}'",
+                    "expand_composition",
+                ) from None
+        self._check_index_arity(part, slot.dims, ref)
+        if table is not None:
             self.register_table(table)
-            return Ref((RefPart(table.name, part.indices),), span=ref.span)
-        raise AssertionError(f"unexpected slot {type(slot).__name__}")
+        return Ref((RefPart(slot.name, part.indices),), span=ref.span)
 
     def _check_index_arity(self, part: RefPart, dims: tuple[int, ...], ref: Ref) -> None:
         if part.indices and len(part.indices) != len(dims):
@@ -1035,16 +958,6 @@ def _base_of(attr: Attribute) -> str:
     if isinstance(attr.type, SetType):
         return SET
     raise AssertionError("object attribute has no base type")
-
-
-def _iter_indices(dims: tuple[int, ...]):
-    if len(dims) == 1:
-        for i in range(1, dims[0] + 1):
-            yield (i,)
-    else:
-        for i in range(1, dims[0] + 1):
-            for j in range(1, dims[1] + 1):
-                yield (i, j)
 
 
 def expand_composition(state: FlattenState) -> FlattenState:

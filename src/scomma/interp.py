@@ -25,6 +25,7 @@ from .ir import (
     REAL,
     SET,
     Solution,
+    iter_indices,
 )
 from .nodes import (
     ArrayLit,
@@ -105,7 +106,7 @@ def enumerate_flat(fm: FlatModel) -> list[Solution]:
     domains: list[list] = []
     for var in fm.variables:
         dom = _element_domain(var)
-        for idx in var.element_indices():
+        for idx in iter_indices(var.shape):
             keys.append((var.name, idx))
             domains.append(dom)
     solutions: list[Solution] = []
@@ -357,7 +358,7 @@ class ModelInterpreter:
                         self.slots.append(slot)
                 else:
                     dims = entry["dims"]
-                    for idx in _indices(dims):
+                    for idx in iter_indices(dims):
                         if idx not in entry["cells"]:
                             slot = _DecSlot((flat_name, idx), self._domain_values(attr))
                             entry["cells"][idx] = slot
@@ -385,7 +386,7 @@ class ModelInterpreter:
                         if isinstance(child_entry, dict):
                             dims = child_entry["dims"]
                             flat_name = child_prefix + child_attr.name
-                            for idx in _indices(dims):
+                            for idx in iter_indices(dims):
                                 if idx not in child_entry["cells"]:
                                     slot = _DecSlot(
                                         (flat_name, idx), self._domain_values(child_attr)
@@ -508,7 +509,7 @@ class ModelInterpreter:
             target, dims = self._locate_array(e, obj, loops, env)
             if isinstance(target, list):  # constant array
                 return list(target)
-            return [self._cell_value(target, idx, env) for idx in _indices(dims)]
+            return [self._cell_value(target, idx, env) for idx in iter_indices(dims)]
         raise EvalError("alldifferent argument must be an array")
 
     def _cell_value(self, entry: dict, idx: tuple, env: dict):
@@ -675,15 +676,3 @@ class ModelInterpreter:
         if not isinstance(row, list) or not (1 <= idx[1] <= len(row)):
             raise EvalError(f"index {list(idx)} out of range for '{name}'")
         return row[idx[1] - 1]
-
-
-def _indices(dims):
-    if dims is None:
-        return [()]
-    if len(dims) == 1:
-        return [(i,) for i in range(1, dims[0] + 1)]
-    return [(i, j) for i in range(1, dims[0] + 1) for j in range(1, dims[1] + 1)]
-
-
-def interp_solution_set(tm: TypedModel) -> set[frozenset]:
-    return ModelInterpreter(tm).solution_set()

@@ -10,6 +10,7 @@ enum label tables needed to render solutions, and an optional objective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterator, Union
 
 from . import nodes
@@ -79,6 +80,12 @@ class IntSet:
 Domain = Union[IntInterval, RealInterval, IntSet]
 
 
+def iter_indices(dims: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """All 1-based index tuples of an array of shape ``dims``, row-major;
+    just ``()`` for a scalar shape."""
+    return product(*(range(1, d + 1) for d in dims))
+
+
 @dataclass
 class FlatVar:
     """One flat decision variable (scalar, array, or matrix).
@@ -106,18 +113,6 @@ class FlatVar:
         for d in self.shape:
             n *= d
         return n
-
-    def element_indices(self) -> Iterator[tuple[int, ...]]:
-        """All 1-based element index tuples, row-major; ``()`` for scalars."""
-        if not self.shape:
-            yield ()
-        elif len(self.shape) == 1:
-            for i in range(1, self.shape[0] + 1):
-                yield (i,)
-        else:
-            for i in range(1, self.shape[0] + 1):
-                for j in range(1, self.shape[1] + 1):
-                    yield (i, j)
 
     @property
     def type_label(self) -> str:
@@ -274,9 +269,6 @@ class Solution:
             [self.values[(var.name, (i, j))] for j in range(1, var.shape[1] + 1)]
             for i in range(1, var.shape[0] + 1)
         ]
-
-    def restrict(self, names: set[str]) -> Solution:
-        return Solution({k: v for k, v in self.values.items() if k[0] in names})
 
     def as_frozen(self) -> frozenset:
         return frozenset(self.values.items())

@@ -19,10 +19,6 @@ from .diagnostics import SourceSpan
 # ---------------------------------------------------------------------------
 
 ARITH_OPS = ("+", "-", "*", "/")
-CMP_OPS = ("<", ">", "<=", ">=", "=", "<>")
-LOGIC_OPS = ("and", "or", "xor", "->", "<-", "<->")
-SET_VALUE_OPS = ("union", "diff", "symdiff", "intersection")
-SET_REL_OPS = ("in", "subset", "superset")
 
 
 @dataclass

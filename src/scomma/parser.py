@@ -69,9 +69,6 @@ from .nodes import (
     VSym,
 )
 
-MODEL_EXTENSION = ".scm"
-DATA_EXTENSION = ".dat"
-
 
 class ParseAbort(Exception):
     """Internal: unwinds to the nearest recovery point after a diagnostic."""

@@ -25,6 +25,7 @@ from .ir import (
     REAL,
     SET,
     Solution,
+    iter_indices,
 )
 from .nodes import (
     ArrayLit,
@@ -256,7 +257,7 @@ class SolverSpace:
                 holes = set(range(lo, hi + 1)) - set(dom.members)
             else:
                 lo, hi, holes = dom.lo, dom.hi, None
-            for idx in var.element_indices():
+            for idx in iter_indices(var.shape):
                 cell = self.new_cell(lo, hi, holes)
                 self._cells_by_key[(var.name, idx)] = cell
                 self.decision_cells.append((var.name, idx, cell))
@@ -345,7 +346,7 @@ class SolverSpace:
             name = e.parts[0].name
             var = self.fm.var_named(name)
             if var is not None:
-                return [self._cells_by_key[(name, idx)] for idx in var.element_indices()]
+                return [self._cells_by_key[(name, idx)] for idx in iter_indices(var.shape)]
             table = self.fm.tables.get(name)
             if table is not None:
                 return [self.const_cell(int(v)) for v in table.values]
@@ -438,7 +439,7 @@ class SolverSpace:
             raise UnsupportedModelError([f"reference '{render_expr(e)}'"])
         flat_index = self._flat_index_cell(part.indices, shape)
         if var is not None:
-            elems = [self._cells_by_key[(part.name, idx)] for idx in var.element_indices()]
+            elems = [self._cells_by_key[(part.name, idx)] for idx in iter_indices(var.shape)]
             lo = min(self.cell_min(c) for c in elems)
             hi = max(self.cell_max(c) for c in elems)
             z = self.new_cell(lo, hi)

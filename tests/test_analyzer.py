@@ -67,6 +67,10 @@ class TestStructure:
     def test_empty_domain_is_analyzer_error(self):
         errors = analyze_err("class A { int x in [1,0]; }")
         assert any("empty" in e.message for e in errors)
+        analyze_ok(parse_ok("class A { int x in [1, 8/2]; }"))
+        for bound in ("7/2", "1/0"):
+            errors = analyze_err(f"class A {{ int x in [1, {bound}]; }}")
+            assert [e.message for e in errors] == ["domain bounds of 'A.x' must be constant"]
 
     def test_unknown_type(self):
         errors = analyze_err("class A { Widget w; }")

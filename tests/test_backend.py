@@ -13,6 +13,7 @@ from scomma.backend import (
     list_targets,
     parse_descriptor,
 )
+from scomma.backend.descriptor import CONCEPT_FIELDS
 from scomma.backend.rules import (
     REGISTRY,
     decompose_set_matrix,
@@ -271,6 +272,26 @@ class TestEmission:
         _tm, fm, _ = compile_corpus(name)
         bd = find_target(target)
         assert compile_to_target(fm, bd) == compile_to_target(fm, bd)
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_concept_views_expose_exactly_the_declared_fields(self, name):
+        # descriptor.CONCEPT_FIELDS is what templates are checked against;
+        # the engine builds the views they render.  Both encode the schema.
+        _tm, fm, _ = compile_corpus(name)
+        seen = set()
+        stack = [engine._problem_node(fm, {})]
+        while stack:
+            value = stack.pop()
+            if isinstance(value, engine._LazyExpr):
+                value = engine._expr_node(value.expr, {})
+            if isinstance(value, list):
+                stack.extend(value)
+            elif isinstance(value, dict):
+                concept = value["__concept__"]
+                seen.add(concept)
+                assert set(value) - {"__concept__"} == CONCEPT_FIELDS[concept], concept
+                stack.extend(value.values())
+        assert {"Problem", "Variable", "Constraint", "IntLit"} <= seen
 
 
 class TestTargetDiscovery:

@@ -45,6 +45,15 @@ class TestCompile:
         assert code == 1
         assert "nowhere.dat" in err
 
+    def test_object_matrix_rejected(self, tmp_path, capsys):
+        model = tmp_path / "m.scm"
+        model.write_text("class A { P p[2,3]; }\nclass P { int x in [0,3]; }")
+        code, _, err = run(capsys, "compile", str(model), "--emit-flat",
+                           "--out", str(tmp_path / "m.fsc"))
+        assert code == 1
+        errors = [line for line in err.splitlines() if ": error:" in line]
+        assert len(errors) == 1 and "'A.p'" in errors[0], err
+
     def test_diagnostics_format_file_line_col(self, tmp_path, capsys):
         model = tmp_path / "bad.scm"
         model.write_text("class A {\n  int x in ;\n}")

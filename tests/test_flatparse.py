@@ -70,3 +70,30 @@ def test_real_model_round_trips():
     assert again is not None, [d.render() for d in diags]
     assert again.variables[0].domain == fm.variables[0].domain
     assert [c.expr for c in again.constraints] == [c.expr for c in fm.constraints]
+
+
+def test_each_bad_entry_gives_one_diagnostic():
+    text = """
+    variables:
+
+      int x in [0,5];
+      int y in 0..5;
+      int z in [0,5];
+
+    constraints:
+
+      x < ;
+      x < z;
+
+    enum-types:
+
+      color := red;
+      shade := {dark};
+    """
+    fm, diags = parse_flat(text)
+    assert fm is None
+    assert [(d.span.line, d.message) for d in diags] == [
+        (5, "expected '[' in domain, found '0'"),
+        (10, "expected expression, found ';'"),
+        (15, "expected '{' in enum table, found 'red'"),
+    ]

@@ -12,9 +12,10 @@ import hashlib
 
 import pytest
 
-from conftest import CORPUS_NAMES, compile_corpus
+from conftest import CORPUS_NAMES, analyze_ok, compile_corpus, parse_data_ok, parse_ok
 from scomma.backend import compile_to_target, find_target
-from scomma.flattener import PIPELINE
+from scomma.flattener import PIPELINE, flatten
+from scomma.nodes import Ref, walk
 
 GOLDEN = {
     "golfers": (
@@ -104,3 +105,74 @@ def test_corpus_emission_and_trace_are_pinned(name):
     for target, digest in digests.items():
         text = compile_to_target(fm, find_target(target))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, target
+
+
+# Composition expansion beyond the corpus: grouped attributes of an object
+# array, fully assigned (the table ``p_w``, read through the variable index
+# ``k``) and partly assigned (``p_x``, whose assigned ``p[1].x`` folds to 3);
+# a scalar object inside an element (``p_2_e_cyl``); an object array inside
+# an element (``p_1_q_y[2]``) with a zone of its own; and an element's
+# array attribute assigned in full (the table ``p_1_t``).
+OBJECT_MODEL = """
+class Main {
+  P p[2];
+  int k in [1, 2];
+
+  constraint main {
+    p[k].w + p[k].x >= 6;
+    p[1].x + p[2].x <= 10;
+    p[1].t[k] <> p[2].e.cyl;
+    p[1].q[2].y <> p[1].q[1].y;
+    p[2].q[1].y = p[k].w - 4;
+  }
+}
+
+class P {
+  int w;
+  int x in [0, 9];
+  Engine e;
+  Q q[2];
+  int t[2];
+
+  constraint inner {
+    e.cyl <= q[1].y + x;
+  }
+}
+
+class Engine {
+  int cyl in [1, 4];
+}
+
+class Q {
+  int y in [0, 5];
+
+  constraint bound {
+    y <= 4;
+  }
+}
+"""
+
+OBJECT_DATA = "P Main.p := [{5, 3, {2}, _, [1, 2]}, {7, _, _, [{1}, _], [2, 1]}];"
+
+OBJECT_GOLDEN = (
+    [(60, 60), (60, 60), (60, 60), (60, 83), (83, 83), (83, 83)],
+    {
+        "clp": "4ac10103875f7010360553d9d25fda7c17ee8896b2583267e67e981f9e2229f2",
+        "flat": "9b0aa58d052dc1f92160b21ecc67efc1e1948c4c20e51d124cd2bb096d14e335",
+        "gecodej": "094c08c27a1a6264431a8a48521cb08658e90b33e96c54f423cf7f4f0b980f47",
+    },
+)
+
+
+def test_object_model_emission_and_trace_are_pinned():
+    counts, digests = OBJECT_GOLDEN
+    tm = analyze_ok(parse_ok(OBJECT_MODEL), parse_data_ok(OBJECT_DATA))
+    fm, trace = flatten(tm)
+    assert trace.steps == [(p, b, a) for (p, _), (b, a) in zip(PIPELINE, counts)]
+    for target, digest in digests.items():
+        text = compile_to_target(fm, find_target(target))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, target
+    # resolved references keep the source span of the reference they replace
+    refs = [n for c in fm.constraints if c.origin != "data"
+            for n in walk(c.expr) if isinstance(n, Ref)]
+    assert refs and all(r.span is not None for r in refs)
