@@ -89,9 +89,8 @@ class BackendDescriptor:
     rewrites: list[tuple[str, tuple]] = field(default_factory=list)
     unsupported: list[tuple[str, str]] = field(default_factory=list)
     source: str = "<descriptor>"
-
-    def template_for(self, concept: str) -> list | None:
-        return self.templates.get(concept)
+    # the templates compiled by the engine on the first emit, then reused
+    _render: object = field(default=None, init=False, repr=False, compare=False)
 
 
 class _DescriptorParser(TokenCursor):

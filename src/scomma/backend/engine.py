@@ -1,8 +1,14 @@
 """Template rendering and target emission.
 
-Emission walks descriptor templates against wrapper nodes built from the flat
-model.  Expression children are rendered through the per-node-kind templates;
-the engine inserts minimal parentheses using the modeling language's operator
+A descriptor's templates are compiled into closures on its first ``emit`` and
+cached with it.  A field resolves on the node being rendered, and in a foreach
+body on the loop item first, then on the enclosing frames, across template
+boundaries; the scope is a linked ``(frame, parent)`` chain.  Where that rule
+fixes the answer the field is read directly: a head at a template's top level
+from the template's own node, the innermost loop variable from the item.
+
+Expression children are rendered through the per-node-kind templates; the
+engine inserts minimal parentheses using the modeling language's operator
 precedence, so templates never need to reason about grouping (they may add
 their own parens for target-language safety).
 """
@@ -10,115 +16,86 @@ their own parens for target-language safety).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from ..errors import BackendError
-from ..ir import (
-    FlatModel,
-    FlatVar,
-    IntSet,
-    REAL,
-    RealInterval,
-    SET,
-    Table,
-    flatness_violations,
-)
-from ..nodes import (
-    ArrayLit,
-    BinOp,
-    BoolLit,
-    Call,
-    Expr,
-    IntLit,
-    RealLit,
-    Ref,
-    SetLit,
-    UnOp,
-)
+from ..ir import FlatModel, FlatVar, IntSet, REAL, SET, Table, flatness_violations
+from ..nodes import BoolLit, Expr, Ref
 from ..printer import UNARY_PREC, needs_parens, operand_precs, render_real
 from .descriptor import (
-    BackendDescriptor,
-    Cond,
-    DESCRIPTOR_EXTENSION,
-    FieldRef,
-    Foreach,
-    Lit,
+    BackendDescriptor, CONCEPT_FIELDS, Cond, DESCRIPTOR_EXTENSION, FieldRef, Lit,
     parse_descriptor,
 )
 from .rules import rule_named
 
 MISSING = object()
+_NOT_FOUND = object()  # no frame in the scope defines the field
 
 
-@dataclass
-class _LazyExpr:
-    expr: Expr
-    parent_prec: int
+# concept -> field -> getter(expr, opmap): the fields each expression concept
+# exposes to templates.  Compiled templates read them straight off the Expr;
+# ``_expr_view`` builds the dict view from the same table.  An expression-valued
+# field is the pair ``(expr, prec)``: the expression and the precedence its
+# parent renders it at.
+EXPR_FIELDS: dict[str, dict] = {
+    "IntLit": {"value": lambda e, om: str(e.value)},
+    "RealLit": {"value": lambda e, om: render_real(e.value)},
+    "TrueLit": {},
+    "FalseLit": {},
+    "Ref": {"name": lambda e, om: e.parts[0].name},
+    "IndexedRef": {
+        "name": lambda e, om: e.parts[0].name,
+        "indices": lambda e, om: [(x, -1) for x in e.parts[0].indices],
+    },
+    "BinOp": {
+        "op": lambda e, om: om.get(e.op, e.op),
+        "left": lambda e, om: (e.left, operand_precs(e)[0]),
+        "right": lambda e, om: (e.right, operand_precs(e)[1]),
+    },
+    "UnOp": {
+        "op": lambda e, om: om.get(e.op, "not " if e.op == "not" else "-"),
+        "operand": lambda e, om: (e.operand, UNARY_PREC),
+    },
+    "Call": {
+        "name": lambda e, om: e.name,
+        "args": lambda e, om: [(x, -1) for x in e.args],
+    },
+    "ArrayLit": {"elems": lambda e, om: [(x, -1) for x in e.elems]},
+    "SetLit": {"elems": lambda e, om: [(x, -1) for x in e.elems]},
+}
 
 
-def _expr_node(e: Expr, opmap: dict[str, str]) -> dict:
-    if isinstance(e, IntLit):
-        return {"__concept__": "IntLit", "value": str(e.value)}
-    if isinstance(e, RealLit):
-        return {"__concept__": "RealLit", "value": render_real(e.value)}
-    if isinstance(e, BoolLit):
-        return {"__concept__": "TrueLit" if e.value else "FalseLit"}
-    if isinstance(e, Ref):
-        part = e.parts[0]
-        if not part.indices:
-            return {"__concept__": "Ref", "name": part.name}
-        return {
-            "__concept__": "IndexedRef",
-            "name": part.name,
-            "indices": [_LazyExpr(i, -1) for i in part.indices],
-        }
-    if isinstance(e, BinOp):
-        lp, rp = operand_precs(e)
-        return {
-            "__concept__": "BinOp",
-            "op": opmap.get(e.op, e.op),
-            "left": _LazyExpr(e.left, lp),
-            "right": _LazyExpr(e.right, rp),
-        }
-    if isinstance(e, UnOp):
-        raw = "not " if e.op == "not" else "-"
-        return {
-            "__concept__": "UnOp",
-            "op": opmap.get(e.op, raw),
-            "operand": _LazyExpr(e.operand, UNARY_PREC),
-        }
-    if isinstance(e, Call):
-        return {
-            "__concept__": "Call",
-            "name": e.name,
-            "args": [_LazyExpr(a, -1) for a in e.args],
-        }
-    if isinstance(e, ArrayLit):
-        return {"__concept__": "ArrayLit", "elems": [_LazyExpr(x, -1) for x in e.elems]}
-    if isinstance(e, SetLit):
-        return {"__concept__": "SetLit", "elems": [_LazyExpr(x, -1) for x in e.elems]}
-    raise BackendError(f"cannot render expression node {type(e).__name__}")
+def _expr_concept(e: Expr) -> str:
+    """The concept of ``e``: its node class name, except for references
+    (``Ref``/``IndexedRef``) and booleans (``TrueLit``/``FalseLit``)."""
+    t = type(e)
+    if t is Ref:
+        return "IndexedRef" if e.parts[0].indices else "Ref"
+    if t is BoolLit:
+        return "TrueLit" if e.value else "FalseLit"
+    if t.__name__ not in EXPR_FIELDS:
+        raise BackendError(f"cannot render expression node {t.__name__}")
+    return t.__name__
+
+
+def _expr_view(e: Expr, opmap: dict[str, str]) -> dict:
+    concept = _expr_concept(e)
+    fields = EXPR_FIELDS[concept]
+    return {"__concept__": concept, **{name: get(e, opmap) for name, get in fields.items()}}
+
+
+def _num_text(v) -> str:
+    return render_real(v) if isinstance(v, float) else str(v)
 
 
 def _domain_node(var: FlatVar) -> dict:
     d = var.domain
     if isinstance(d, IntSet):
-        return {
-            "__concept__": "Domain",
-            "lo": str(min(d.members)),
-            "hi": str(max(d.members)),
-            "values": [str(v) for v in d.members],
-        }
-    if isinstance(d, RealInterval):
-        return {
-            "__concept__": "Domain",
-            "lo": render_real(d.lo),
-            "hi": render_real(d.hi),
-            "values": MISSING,
-        }
-    return {"__concept__": "Domain", "lo": str(d.lo), "hi": str(d.hi), "values": MISSING}
+        lo, hi, values = min(d.members), max(d.members), [str(v) for v in d.members]
+    else:
+        lo, hi, values = d.lo, d.hi, MISSING
+    return {"__concept__": "Domain", "lo": _num_text(lo), "hi": _num_text(hi), "values": values}
 
 
 def _variable_node(var: FlatVar) -> dict:
@@ -141,46 +118,29 @@ def _variable_node(var: FlatVar) -> dict:
     }
 
 
-def _num_text(v) -> str:
-    return render_real(v) if isinstance(v, float) else str(v)
-
-
 def _table_node(t: Table) -> dict:
-    if len(t.shape) == 2:
-        rows = [
-            {"__concept__": "Row", "values": [_num_text(v) for v in row]}
-            for row in t.rows()
-        ]
-        return {
-            "__concept__": "ConstArray",
-            "name": t.name,
-            "values": MISSING,
-            "rows": rows,
-            "row": str(t.shape[0]),
-            "col": str(t.shape[1]),
-        }
+    matrix = len(t.shape) == 2
     return {
         "__concept__": "ConstArray",
         "name": t.name,
-        "values": [_num_text(v) for v in t.values],
-        "rows": MISSING,
+        "values": MISSING if matrix else [_num_text(v) for v in t.values],
+        "rows": [
+            {"__concept__": "Row", "values": [_num_text(v) for v in row]}
+            for row in t.rows()
+        ] if matrix else MISSING,
         "row": str(t.shape[0]),
-        "col": MISSING,
+        "col": str(t.shape[1]) if matrix else MISSING,
     }
 
 
-def _problem_node(fm: FlatModel, opmap: dict[str, str]) -> dict:
+def _problem_node(fm: FlatModel) -> dict:
     return {
         "__concept__": "Problem",
         "name": fm.name,
         "variables": [_variable_node(v) for v in fm.variables],
         "constraints": [
-            {
-                "__concept__": "Constraint",
-                "expr": _LazyExpr(c.expr, -1),
-                "index": str(i),
-                "origin": c.origin,
-            }
+            {"__concept__": "Constraint", "expr": (c.expr, -1), "index": str(i),
+             "origin": c.origin}
             for i, c in enumerate(fm.constraints)
         ],
         "enums": [
@@ -188,104 +148,144 @@ def _problem_node(fm: FlatModel, opmap: dict[str, str]) -> dict:
             for name, values in fm.enum_types.items()
         ],
         "tables": [_table_node(t) for t in fm.tables.values()],
-        "objective": (
-            {
-                "__concept__": "Objective",
-                "kind": fm.objective.kind,
-                "expr": _LazyExpr(fm.objective.expr, -1),
-            }
-            if fm.objective is not None
-            else MISSING
-        ),
+        "objective": MISSING if fm.objective is None else {
+            "__concept__": "Objective", "kind": fm.objective.kind,
+            "expr": (fm.objective.expr, -1),
+        },
     }
 
 
-class _Renderer:
-    def __init__(self, bd: BackendDescriptor):
-        self.bd = bd
+def _find(head: str, scope, opmap: dict[str, str]):
+    """The value of ``head`` in the innermost frame that defines it.  A
+    foreach frame is ``(item, parent, var)``: ``var`` names the item, and an
+    item that is a node shows its own fields.  Every node view defines
+    ``__concept__``, so ``_find("__concept__", ...)`` names the concept of
+    the innermost node."""
+    while scope is not None:
+        frame = scope[0]
+        if len(scope) == 3:
+            if head == scope[2]:
+                return frame
+        elif type(frame) is not dict:
+            frame = _expr_view(frame, opmap)
+        if type(frame) is dict and head in frame:
+            return frame[head]
+        scope = scope[1]
+    return _NOT_FOUND
 
-    def render(self, frags: list, stack: list) -> str:
-        return "".join(self._frag(f, stack) for f in frags)
 
-    def _frag(self, frag, stack: list) -> str:
-        if isinstance(frag, Lit):
-            return frag.text
-        if isinstance(frag, FieldRef):
-            value = self._lookup(frag.path, stack)
-            if value is MISSING:
-                concept = stack[-1].get("__concept__", "?")
-                raise BackendError(
-                    f"field '{'.'.join(frag.path)}' is not defined on {concept}"
-                )
-            return self._value(value, stack)
-        if isinstance(frag, Cond):
-            value = self._lookup(frag.path, stack, tolerant=True)
-            defined = value is not MISSING and (not isinstance(value, list) or bool(value))
-            if defined:
-                return self.render(frag.then, stack)
-            if frag.els is not None:
-                return self.render(frag.els, stack)
-            return ""
-        if isinstance(frag, Foreach):
-            value = self._lookup(frag.path, stack)
-            if not isinstance(value, list):
-                raise BackendError(f"'{'.'.join(frag.path)}' is not a list")
-            pieces = []
-            for item in value:
-                frame = {"__concept__": stack[-1].get("__concept__", "?"), frag.var: item}
-                if isinstance(item, dict):
-                    frame = dict(item)
-                    frame[frag.var] = item
-                pieces.append(self.render(frag.body, stack + [frame]))
-            return frag.separator.join(pieces)
-        raise AssertionError(f"unknown fragment {type(frag).__name__}")
-
-    def _lookup(self, path: tuple[str, ...], stack: list, tolerant: bool = False):
-        value = MISSING
-        for frame in reversed(stack):
-            if path[0] in frame:
-                value = frame[path[0]]
-                break
-        else:
-            if not tolerant:
-                concept = stack[-1].get("__concept__", "?")
-                raise BackendError(f"unknown field '{path[0]}' on {concept}")
+def _walk(value, path: tuple[str, ...], tolerant: bool, opmap: dict[str, str]):
+    """Follow the segments after the head of ``path``."""
+    for seg in path[1:]:
+        if value is MISSING:
             return MISSING
-        for seg in path[1:]:
-            if value is MISSING:
+        if type(value) is tuple:
+            value = _expr_view(value[0], opmap)
+        if type(value) is not dict or seg not in value:
+            if tolerant:
                 return MISSING
-            if isinstance(value, _LazyExpr):
-                value = _expr_node(value.expr, self.bd.opmap)
-            if not isinstance(value, dict) or seg not in value:
-                if tolerant:
-                    return MISSING
-                raise BackendError(f"'{'.'.join(path)}': no field '{seg}'")
-            value = value[seg]
-        return value
+            raise BackendError(f"'{'.'.join(path)}': no field '{seg}'")
+        value = value[seg]
+    return value
 
-    def _value(self, value, stack: list) -> str:
-        if isinstance(value, str):
+
+def _compile(bd: BackendDescriptor):
+    """``bd``'s templates as closures over a scope; returns the function that
+    renders a Problem node with the header and footer."""
+    opmap = bd.opmap
+
+    def absent(concept: str):
+        def fail(scope):
+            raise BackendError(f"descriptor '{bd.name}' has no template for concept '{concept}'")
+        return fail
+
+    def value_text(value, scope) -> str:
+        t = type(value)
+        if t is str:
             return value
-        if isinstance(value, _LazyExpr):
-            node = _expr_node(value.expr, self.bd.opmap)
-            text = self._node(node, stack)
-            if needs_parens(value.expr, value.parent_prec):
-                return f"({text})"
-            return text
-        if isinstance(value, dict):
-            return self._node(value, stack)
-        if isinstance(value, list):
+        if t is tuple:
+            e, prec = value
+            text = templates[_expr_concept(e)]((e, scope))
+            return f"({text})" if needs_parens(e, prec) else text
+        if t is dict:
+            return templates[value["__concept__"]]((value, scope))
+        if t is list:
             raise BackendError("a list field must be rendered with foreach")
         return str(value)
 
-    def _node(self, node: dict, stack: list) -> str:
-        concept = node["__concept__"]
-        template = self.bd.template_for(concept)
-        if template is None:
-            raise BackendError(
-                f"descriptor '{self.bd.name}' has no template for concept '{concept}'"
-            )
-        return self.render(template, stack + [node])
+    def sequence(frags: list, concept: str | None, var: str | None):
+        """Fragments at the top level of a template for ``concept``, or in a
+        foreach body over ``var``."""
+        parts = [fragment(f, concept, var) for f in frags]
+        if len(parts) == 1:
+            return parts[0]
+        return lambda scope: "".join([part(scope) for part in parts])
+
+    def fragment(frag, concept: str | None, var: str | None):
+        if isinstance(frag, Lit):
+            return lambda scope, text=frag.text: text
+        path, segs = frag.path, len(frag.path) > 1
+        head = path[0]
+        get = EXPR_FIELDS.get(concept, {}).get(head)
+        if head == var:
+            read = lambda scope: scope[0]  # noqa: E731
+        elif get is not None:
+            read = lambda scope: get(scope[0], opmap)  # noqa: E731
+        elif head in CONCEPT_FIELDS.get(concept, ()):
+            read = lambda scope: scope[0][head]  # noqa: E731
+        else:
+            read = lambda scope: _find(head, scope, opmap)  # noqa: E731
+
+        def resolve(value, scope):
+            if value is _NOT_FOUND:
+                concept_here = _find("__concept__", scope, opmap)
+                raise BackendError(f"unknown field '{head}' on {concept_here}")
+            return _walk(value, path, False, opmap)
+
+        if isinstance(frag, FieldRef):
+            def field_text(scope) -> str:
+                value = read(scope)
+                if segs or value is _NOT_FOUND:
+                    value = resolve(value, scope)
+                if value is MISSING:
+                    concept_here = _find("__concept__", scope, opmap)
+                    raise BackendError(f"field '{'.'.join(path)}' is not defined on {concept_here}")
+                return value_text(value, scope)
+
+            return field_text
+        if isinstance(frag, Cond):
+            then, els = sequence(frag.then, concept, var), sequence(frag.els or [], concept, var)
+
+            def cond(scope) -> str:
+                value = read(scope)
+                if segs and value is not _NOT_FOUND:
+                    value = _walk(value, path, True, opmap)
+                if value is _NOT_FOUND or value is MISSING or value == []:
+                    return els(scope)
+                return then(scope)
+
+            return cond
+        body, loop_var, separator = sequence(frag.body, None, frag.var), frag.var, frag.separator
+
+        def foreach(scope) -> str:
+            items = read(scope)
+            if segs or items is _NOT_FOUND:
+                items = resolve(items, scope)
+            if type(items) is not list:
+                raise BackendError(f"'{'.'.join(path)}' is not a list")
+            return separator.join([body((item, scope, loop_var)) for item in items])
+
+        return foreach
+
+    templates = {c: sequence(bd.templates[c], c, None) if c in bd.templates else absent(c)
+                 for c in CONCEPT_FIELDS}
+    header, footer = sequence(bd.header, "Problem", None), sequence(bd.footer, "Problem", None)
+
+    def render(problem: dict) -> str:
+        scope = (problem, None)
+        return header(scope) + templates["Problem"](scope) + footer(scope)
+
+    return render
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +335,9 @@ def emit(fm: FlatModel, bd: BackendDescriptor) -> str:
     """Render ``fm`` through the descriptor's templates.  The model is
     expected to have been rewritten with ``bd.rewrites`` already."""
     _check_supported(fm, bd)
-    renderer = _Renderer(bd)
-    problem = _problem_node(fm, bd.opmap)
-    stack = [problem]
-    text = (
-        renderer.render(bd.header, stack)
-        + renderer._node(problem, [])
-        + renderer.render(bd.footer, stack)
-    )
+    if bd._render is None:
+        bd._render = _compile(bd)
+    text = bd._render(_problem_node(fm))
     if not text.endswith("\n"):
         text += "\n"
     return text

@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from .analyzer import TypedModel, analyze
-from .backend import compile_to_target, find_target, list_targets
+from .backend import BackendDescriptor, compile_to_target, find_target, list_targets
 from .backend.engine import load_descriptor_file
 from .diagnostics import Diagnostic
 from .errors import BackendError, ContractError, FlattenError, ScommaError, UnsupportedModelError
@@ -328,7 +328,7 @@ def cmd_check(args) -> int:
     return EXIT_NO_SOLUTION
 
 
-def _bench_one(path: Path, time_limit: float) -> dict:
+def _bench_one(path: Path, targets: list[BackendDescriptor], time_limit: float) -> dict:
     row: dict = {"name": path.stem, "status": "ok", "note": ""}
     try:
         tm, fm, _ = load_problem(str(path), [])
@@ -338,9 +338,10 @@ def _bench_one(path: Path, time_limit: float) -> dict:
         row["variables"] = sum(v.element_count for v in fm.variables)
         row["constraints"] = len(fm.constraints)
         row["tokens_source"] = source_tokens
-        targets, _ = list_targets()
         for bd in targets:
+            t0 = time.perf_counter()
             text = compile_to_target(fm, bd)
+            row[f"emit_s_{bd.name}"] = round(time.perf_counter() - t0, 6)
             row[f"tokens_{bd.name}"] = count_tokens(text)
         t0 = time.perf_counter()
         try:
@@ -374,8 +375,9 @@ def cmd_bench(args) -> int:
     if not corpus.is_dir():
         print(f"error: '{corpus}' is not a directory", file=sys.stderr)
         return EXIT_USAGE
+    targets, _ = list_targets()
     rows = [
-        _bench_one(path, args.time_limit) for path in sorted(corpus.glob("*.scm"))
+        _bench_one(path, targets, args.time_limit) for path in sorted(corpus.glob("*.scm"))
     ]
     columns = [
         "name", "status", "variables", "constraints", "tokens_source",

@@ -108,7 +108,8 @@ class _FlatParser(TokenCursor):
     def _entries(self, entry) -> str | None:
         """Parse entries with ``entry`` up to the next section header, which
         is consumed and returned (None at the end).  A bad entry is reported
-        and skipped."""
+        and skipped through its closing ';' (its braces and brackets close
+        nothing outside it), or up to a section header that comes first."""
         while True:
             section = self._next_or_section()
             if section is not None:
@@ -116,11 +117,12 @@ class _FlatParser(TokenCursor):
                 return section
             if self.cur.kind == EOF:
                 return None
-            before = self.pos
             try:
                 entry()
             except ParseAbort:
-                self.recover_top_level(before)
+                while self.cur.kind != EOF and self._at_section() is None:
+                    if self.advance().is_symbol(";"):
+                        break
 
     # -- sections ----------------------------------------------------------------
 

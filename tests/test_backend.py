@@ -273,17 +273,27 @@ class TestEmission:
         bd = find_target(target)
         assert compile_to_target(fm, bd) == compile_to_target(fm, bd)
 
+    def test_expression_accessor_table_is_the_declared_schema(self):
+        # engine.EXPR_FIELDS is the one definition of the expression views;
+        # the dict views below are built from it
+        assert set(CONCEPT_FIELDS) - set(engine.EXPR_FIELDS) == {
+            "Problem", "Variable", "ArrayShape", "Domain", "Constraint", "Objective",
+            "EnumType", "ConstArray", "Row",
+        }
+        for concept, fields in engine.EXPR_FIELDS.items():
+            assert set(fields) == CONCEPT_FIELDS[concept], concept
+
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_concept_views_expose_exactly_the_declared_fields(self, name):
         # descriptor.CONCEPT_FIELDS is what templates are checked against;
         # the engine builds the views they render.  Both encode the schema.
         _tm, fm, _ = compile_corpus(name)
         seen = set()
-        stack = [engine._problem_node(fm, {})]
+        stack = [engine._problem_node(fm)]
         while stack:
             value = stack.pop()
-            if isinstance(value, engine._LazyExpr):
-                value = engine._expr_node(value.expr, {})
+            if isinstance(value, tuple):  # an expression field: (expr, prec)
+                value = engine._expr_view(value[0], {})
             if isinstance(value, list):
                 stack.extend(value)
             elif isinstance(value, dict):
@@ -292,6 +302,147 @@ class TestEmission:
                 assert set(value) - {"__concept__"} == CONCEPT_FIELDS[concept], concept
                 stack.extend(value.values())
         assert {"Problem", "Variable", "Constraint", "IntLit"} <= seen
+
+
+# One small model for the render-time lookup rules: a variable with an
+# enumerated domain, an array with an interval domain (its ``values`` is not
+# defined), a parenthesised operand, and a set literal inside a constraint.
+RENDER_MODEL = """
+class R {
+  int x in {1, 3, 5};
+  int a[2] in [0, 4];
+  constraint c {
+    (x + a[1]) * a[2] <= 7;
+    a[1] <> a[2];
+    x in {1, 5};
+  }
+}
+"""
+
+# Templates that render constraints with no lookup of their own.
+EXPR_TEMPLATES = (
+    ' template Constraint : expr ; template IntLit : value ; template Ref : name ;'
+    ' template IndexedRef : name ;'
+)
+
+
+@pytest.fixture(scope="module")
+def render_fm():
+    _tm, fm = compile_text(RENDER_MODEL)
+    return fm
+
+
+def render(fm, templates: str) -> str:
+    bd, diags = parse_descriptor("target t; " + templates)
+    assert bd is not None, [d.render() for d in diags]
+    return emit(fm, bd)
+
+
+def render_error(fm, templates: str) -> str:
+    with pytest.raises(BackendError) as exc:
+        render(fm, templates)
+    return str(exc.value)
+
+
+class TestRenderSemantics:
+    """The lookup rule: a field resolves on the current node, and in a
+    foreach body on the loop item first, then on the enclosing frames, across
+    template boundaries.  Expected texts were recorded with the fragment
+    interpreter the compiled templates replaced."""
+
+    def test_foreach_body_falls_back_to_the_enclosing_node(self, render_fm):
+        text = render(render_fm, (
+            'template Problem : (foreach v in variables ? v "\\n") ;'
+            ' template Variable : name ":" domain ;'
+            ' template Domain : lo ".." hi'
+            '   (isDefined(values) ? (foreach v in values ? "|" v lo)) ;'
+        ))
+        assert text == "x:1..5|11|31|51\na:0..4\n"
+
+    def test_fallback_crosses_template_boundaries(self, render_fm):
+        # Domain -> Variable.name; SetLit -> BinOp -> Constraint -> Problem.name;
+        # IndexedRef's loop body -> IndexedRef.name and Constraint.index
+        text = render(render_fm, (
+            'template Problem : (foreach v in variables ? v "\\n")'
+            '   (foreach c in constraints ? c "\\n") ;'
+            ' template Variable : domain ;'
+            ' template Domain : (isDefined(values) ? (foreach v in values ? v "@" name)) ;'
+            ' template Constraint : expr ; template IntLit : value ; template Ref : name ;'
+            ' template IndexedRef : (foreach i in indices ? i "~" name "~" index) ;'
+            ' template BinOp : left op right ;'
+            ' template SetLit : "{" (foreach e in elems ? e "@" name separator ",") "}" ;'
+        ))
+        assert text == (
+            "1@x3@x5@x\n\n"
+            "(x+1~a~0)*2~a~0<=7\n1~a~1<>2~a~1\nxin{1@R,5@R}\n"
+        )
+
+    def test_loop_item_fields_and_shadowing(self, render_fm):
+        # the item's own fields are visible in the body; the loop variable
+        # shadows a field of the same name; an inner loop variable shadows an
+        # outer one, and an unshadowed outer one is still reachable
+        text = render(render_fm, (
+            'template Problem :'
+            ' (foreach v in variables ? name type ",") (foreach name in variables ? name.name ",")'
+            ' (foreach v in variables ?'
+            '   (isDefined(v.domain.values) ? (foreach v in v.domain.values ? v ",")) "/"'
+            '   (isDefined(v.domain.values) ? (foreach w in v.domain.values ? v.name w ","))'
+            '   ";") ;'
+        ))
+        assert text == "xint,aint,x,a,1,3,5,/x1,x3,x5,;/;\n"
+
+    def test_paths_through_expression_fields(self, render_fm):
+        # opmap spellings show through a path; a sub-expression reached by a
+        # path keeps the parentheses its parent operator needs
+        text = render(render_fm, (
+            'opmap "+" " plus ";'
+            ' template Problem : (foreach c in constraints ? c "\\n") ;'
+            ' template Constraint : expr "|" expr.left'
+            '   (isDefined(expr.left.left) ? "|" expr.left.left) ;'
+            ' template IntLit : value ; template Ref : name ; template IndexedRef : name ;'
+            ' template SetLit : "S" ;'
+            ' template BinOp : left op right (isDefined(left.op) ? "{" left.op "}") ;'
+        ))
+        assert text == (
+            "(x plus a)*a{ plus }<=7{*}|(x plus a)*a{ plus }|(x plus a)\n"
+            "a<>a|a\nxinS|x\n"
+        )
+
+    def test_is_defined_on_empty_lists_and_missing_fields(self, render_fm):
+        text = render(render_fm, (
+            'template Problem : (isDefined(variables) ? "V" : "v")'
+            ' (foreach v in variables ?'
+            '   (isDefined(enums) ? "E" : "e") (isDefined(wings) ? "W" : "w")'
+            '   (isDefined(v.array.col) ? "C" : "c") (isDefined(v.enum_tag) ? "T" : "t")'
+            '   (isDefined(v.domain.values) ? "D" : "d") ";") ;'
+        ))
+        assert text == "VewctD;ewctd;\n"
+
+    @pytest.mark.parametrize("templates, message", [
+        ('template Problem : (foreach v in variables ? v.enum_tag) ;',
+         "field 'v.enum_tag' is not defined on Variable"),
+        ('template Problem : objective ;', "field 'objective' is not defined on Problem"),
+        ('template Problem : (foreach v in variables ? wings) ;',
+         "unknown field 'wings' on Variable"),
+        ('template Problem : (foreach v in variables ? v) ; template Variable : domain ;'
+         ' template Domain : (isDefined(values) ? (foreach v in values ? wings)) ;',
+         "unknown field 'wings' on Domain"),
+        ('template Problem : (foreach v in variables ? v.wings) ;',
+         "'v.wings': no field 'wings'"),
+        ('template Problem : (foreach c in constraints ? c) ; template BinOp : left.op ;'
+         + EXPR_TEMPLATES,
+         "'left.op': no field 'op'"),
+        ('template Problem : (foreach v in name ? v) ;', "'name' is not a list"),
+        ('template Problem : (foreach v in variables ? (foreach d in v.domain.values ? d)) ;',
+         "'v.domain.values' is not a list"),
+        ('template Problem : variables ;', "a list field must be rendered with foreach"),
+        ('template Problem : (foreach v in variables ? v) ;',
+         "descriptor 't' has no template for concept 'Variable'"),
+        ('template Problem : (foreach c in constraints ? c) ;' + EXPR_TEMPLATES,
+         "descriptor 't' has no template for concept 'BinOp'"),
+    ])
+    def test_render_time_errors(self, render_fm, templates, message):
+        assert render_error(render_fm, templates) == message
 
 
 class TestTargetDiscovery:

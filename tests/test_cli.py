@@ -162,6 +162,10 @@ class TestBench:
         assert "emit-only" in golfers["note"]
         solved = [r for r in rows if r.get("solved")]
         assert len(solved) == 8
+        for r in rows:
+            for target in ("flat", "gecodej", "clp"):
+                assert r[f"emit_s_{target}"] >= 0 and f"tokens_{target}" in r
+        assert "emit_s" not in out.splitlines()[0]  # the console table is unchanged
 
     def test_empty_corpus_dir(self, tmp_path, capsys):
         empty = tmp_path / "corpus"

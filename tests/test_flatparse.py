@@ -97,3 +97,33 @@ def test_each_bad_entry_gives_one_diagnostic():
         (10, "expected expression, found ';'"),
         (15, "expected '{' in enum table, found 'red'"),
     ]
+
+
+def test_bad_entry_is_skipped_through_its_own_braces():
+    # recovery skips a bad entry through its closing ';', past the '}' of
+    # its own brace list, and resumes at the next entry; an entry missing
+    # its ';' is skipped up to the section header that follows it
+    text = """
+    variables:
+
+      int x in {0, y};
+      int z in [0,5];
+
+    constraints:
+
+      x < z
+
+    enum-types:
+
+      color := {red, 3};
+      shade := {dark, light};
+      tone := {4};
+    """
+    fm, diags = parse_flat(text)
+    assert fm is None
+    assert [(d.span.line, d.message) for d in diags] == [
+        (4, "expected an integer domain value"),
+        (11, "expected ';' in constraint, found 'enum'"),
+        (13, "expected identifier in enum value, found '3'"),
+        (15, "expected identifier in enum value, found '4'"),
+    ]

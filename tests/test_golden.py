@@ -176,3 +176,54 @@ def test_object_model_emission_and_trace_are_pinned():
     refs = [n for c in fm.constraints if c.origin != "data"
             for n in walk(c.expr) if isinstance(n, Ref)]
     assert refs and all(r.span is not None for r in refs)
+
+
+# Every expression concept and parenthesisation case the templates render:
+# real literals (one negative), true/false, `not` and negation, calls, an
+# array literal, set literals, negative literal operands (`x*(-1)`),
+# `-(-x)`, arrows grouping to the right, and a right operand of `-` that
+# needs its parentheses.
+EXPRESSION_MODEL = """
+class E {
+  real r in [0.5, 2.5];
+  int x in [-3, 3];
+  int y in [-3, 3];
+  bool b;
+  bool c;
+  int a[3] in [0, 4];
+  set of int s in [1, 3];
+
+  constraint z {
+    r * 2.0 <= 4.5;
+    r * (-1.5) >= -3.0;
+    b = true;
+    c <> false;
+    not b or c;
+    not (b and c);
+    -(-x) = y;
+    x * (-1) <= y;
+    -x + 2 >= -3;
+    b -> c -> b;
+    (b -> c) -> b;
+    alldifferent([x, y, a[1]]);
+    alldifferent(a);
+    x in {-1, 0, 2};
+    cardinality(s) = 2;
+    s = {1, 3};
+    x - (y - 1) <= 2;
+  }
+}
+"""
+
+EXPRESSION_DIGESTS = {
+    "clp": "77016ceda3aad6a335b585ddd67f8d154aae00ea7285c3d2fada8e2022347f94",
+    "flat": "489ecaaef06d49efd1c57da45bc2af8ab4ffad062492220618f2c4bdf256f2b1",
+    "gecodej": "c6a51adcbaa5fd115d3582eb275ba7799940f9088829ea922b71b5713705052a",
+}
+
+
+def test_expression_model_emission_is_pinned():
+    fm, _trace = flatten(analyze_ok(parse_ok(EXPRESSION_MODEL)))
+    for target, digest in EXPRESSION_DIGESTS.items():
+        text = compile_to_target(fm, find_target(target))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, target
