@@ -1,12 +1,13 @@
 """Brute-force oracles: flat-model enumeration and a direct model interpreter.
 
 The two sides are deliberately separate code paths.  ``enumerate_flat``
-walks the flat model's variables and re-evaluates flat constraints through
-:mod:`scomma.evaluate`.  ``ModelInterpreter`` never flattens anything: it
-executes the analyzed source model natively — loops iterate, conditionals
-branch, object paths are followed through an instance tree — and names its
-decision slots with the same prefix scheme the flattener uses so solution
-sets can be compared directly.
+walks the flat model's variables and checks each candidate against the flat
+constraints as :mod:`scomma.evaluate` compiles them, once per model.
+``ModelInterpreter`` never flattens anything: it executes the analyzed
+source model natively — loops iterate, conditionals branch, object paths are
+followed through an instance tree — and names its decision slots with the
+same prefix scheme the flattener uses so solution sets can be compared
+directly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .analyzer import TypedModel, positionalize
 from .errors import EvalError, UnsupportedModelError
-from .evaluate import eval_expr
+from .evaluate import compile_check
 from .ir import (
     BOOL,
     FlatModel,
@@ -110,11 +111,11 @@ def enumerate_flat(fm: FlatModel) -> list[Solution]:
             keys.append((var.name, idx))
             domains.append(dom)
     solutions: list[Solution] = []
-    exprs = [c.expr for c in fm.constraints]
+    _, constraints = compile_check(fm)
     for combo in itertools.product(*domains):
         asg = dict(zip(keys, combo))
-        if all(eval_expr(e, asg, fm.tables) for e in exprs):
-            solutions.append(Solution(dict(asg)))
+        if all(holds(asg) for holds in constraints):
+            solutions.append(Solution(asg))
     return solutions
 
 

@@ -133,13 +133,14 @@ class Table:
 
     def lookup(self, index: tuple[int, ...]):
         """1-based lookup; raises IndexError outside bounds."""
-        if len(index) != len(self.shape) or any(
-            not (1 <= i <= n) for i, n in zip(index, self.shape)
-        ):
+        if len(index) != len(self.shape):
             raise IndexError(index)
-        if len(self.shape) == 1:
-            return self.values[index[0] - 1]
-        return self.values[(index[0] - 1) * self.shape[1] + (index[1] - 1)]
+        offset = 0
+        for i, n in zip(index, self.shape):
+            if not 1 <= i <= n:
+                raise IndexError(index)
+            offset = offset * n + i - 1
+        return self.values[offset]
 
     def rows(self) -> list[tuple]:
         if len(self.shape) == 1:
@@ -171,6 +172,9 @@ class FlatModel:
     enum_types: dict[str, tuple[str, ...]] = field(default_factory=dict)
     tables: dict[str, Table] = field(default_factory=dict)
     objective: FlatObjective | None = None
+    # the solution check compiled by evaluate.compile_check on first use, then
+    # reused; a model is not changed in place once it has been checked
+    _check: object = field(default=None, init=False, repr=False, compare=False)
 
     def var_named(self, name: str) -> FlatVar | None:
         for v in self.variables:

@@ -140,6 +140,26 @@ class TestCheck:
         assert code == 3
         assert "violated: constraint" in out2
 
+    def test_out_of_domain_index_is_a_violation(self, tmp_path, capsys):
+        # man_wife[1] = 9 lies outside 1..5, so woman_husband[man_wife[1]]
+        # cannot be read; the domain violation is the answer, not an error
+        _, out, _ = run(capsys, "solve", str(corpus_dir() / "stable.scm"))
+        lines = [
+            "man_wife = [9, Helen, Wanda, Linda, Sally]" if l.startswith("man_wife") else l
+            for l in out.splitlines()
+        ]
+        solution = tmp_path / "bad.txt"
+        solution.write_text("\n".join(lines))
+        code, out2, err = run(capsys, "check", str(corpus_dir() / "stable.scm"),
+                              "--solution", str(solution))
+        assert code == 3
+        assert err == ""
+        violated = out2.splitlines()
+        assert violated[0] == ("violated: constraint -1: value 9 of 'man_wife[1]'"
+                               " lies outside its domain")
+        assert len(violated) > 1
+        assert all(l.startswith("violated: constraint ") for l in violated)
+
     def test_empty_model_empty_solution(self, tmp_path, capsys):
         model = tmp_path / "m.scm"
         model.write_text("class A {}")
