@@ -248,16 +248,11 @@ def parse_descriptor(
     text: str, filename: str = "<descriptor>"
 ) -> tuple[BackendDescriptor | None, list[Diagnostic]]:
     p = _DescriptorParser(text, filename)
-    try:
-        bd = p.parse()
-    except ParseAbort:
-        bd = None
+    bd = p.run(p.parse)
     if bd is not None:
         bd.source = filename
         _validate_fields(bd, p)
-    if p.sink.failed:
-        return None, p.sink.items
-    return bd, p.sink.items
+    return p.result(bd)
 
 
 def _validate_fields(bd: BackendDescriptor, p: _DescriptorParser) -> None:

@@ -25,8 +25,8 @@ from .errors import BackendError, ContractError, FlattenError, ScommaError, Unsu
 from .evaluate import check_solution
 from .flattener import flatten
 from .ir import FlatModel, FlatVar, SET, Solution
-from .lexer import count_tokens
-from .parser import parse_data, parse_model
+from .lexer import EOF, IDENT, INT, count_tokens
+from .parser import TokenCursor, parse_data, parse_model
 from .solver import (
     FIRST_FAIL,
     INPUT_ORDER,
@@ -151,7 +151,6 @@ def parse_solution_file(fm: FlatModel, text: str) -> Solution:
             raise ContractError(f"solution line {lineno}: expected 'name = value'")
         name, _, rhs = line.partition("=")
         name = name.strip()
-        rhs = rhs.strip()
         if name == "objective":
             continue
         var = vars_by_name.get(name)
@@ -182,46 +181,47 @@ def parse_solution_file(fm: FlatModel, text: str) -> Solution:
 
 
 def _parse_value(text: str, fm: FlatModel, var: FlatVar, lineno: int):
-    text = text.strip()
-    if text.startswith("["):
-        inner = text[1:-1] if text.endswith("]") else text[1:]
-        return [
-            _parse_value(part, fm, var, lineno) for part in _split_top(inner) if part.strip()
-        ]
-    if text.startswith("{"):
-        inner = text[1:-1] if text.endswith("}") else text[1:]
-        return frozenset(
-            int(part.strip()) for part in inner.split(",") if part.strip()
-        )
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    if var.enum_tag:
-        labels = fm.enum_types.get(var.enum_tag, ())
-        if text in labels:
-            return labels.index(text) + 1
-    raise ContractError(f"solution line {lineno}: cannot read value '{text}'")
+    """The value ``text`` gives ``var``: lists nested as deep as its shape,
+    of integers, ``true``/``false``, labels of its enum or ``{...}`` integer
+    sets.  Blank list and set entries are skipped."""
+    cur = TokenCursor(text, "<solution>")
+    labels = fm.enum_types.get(var.enum_tag, ()) if var.enum_tag else ()
 
+    def entries(closer: str, entry) -> list:
+        out = []
+        while not cur.accept_symbol(closer):
+            if not cur.accept_symbol(","):
+                out.append(entry())
+                if not cur.accept_symbol(","):
+                    cur.expect_symbol(closer, "value")
+                    break
+        return out
 
-def _split_top(text: str) -> list[str]:
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "[{":
-            depth += 1
-        elif ch in "]}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
+    def integer() -> int:
+        sign = -1 if cur.accept_symbol("-") else 1
+        if sign == 1:
+            cur.accept_symbol("+")
+        if cur.cur.kind != INT:
+            raise cur.fail(f"cannot read value {cur.describe(cur.cur)}")
+        return sign * cur.advance().value
+
+    def value(depth: int):
+        if depth and cur.accept_symbol("["):
+            return entries("]", lambda: value(depth - 1))
+        if cur.accept_symbol("{"):
+            return frozenset(entries("}", integer))
+        if cur.at_keyword("true", "false"):
+            return cur.advance().value
+        if cur.cur.kind == IDENT and cur.cur.text in labels:
+            return labels.index(cur.advance().text) + 1
+        return integer()
+
+    parsed = cur.run(value, len(var.shape))
+    if parsed is not None and cur.cur.kind != EOF:
+        cur.sink.error(f"unexpected {cur.describe(cur.cur)} after the value", cur.cur.span)
+    if cur.sink.failed:
+        raise ContractError(f"solution line {lineno}: {cur.sink.items[0].message}")
+    return parsed
 
 
 # ---------------------------------------------------------------------------

@@ -263,13 +263,8 @@ def parse_flat(
     text: str, filename: str = "<flat>", name: str = "flat"
 ) -> tuple[FlatModel | None, list[Diagnostic]]:
     p = _FlatParser(text, filename)
-    try:
-        fm = p.parse(name)
-    except ParseAbort:
-        fm = None
+    fm = p.run(p.parse, name)
     if fm is not None:
         for problem in flatness_violations(fm):
             p.sink.error(problem, p.tokens[0].span)
-    if p.sink.failed:
-        return None, p.sink.items
-    return fm, p.sink.items
+    return p.result(fm)

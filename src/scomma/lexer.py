@@ -1,13 +1,20 @@
-"""Hand-rolled lexer shared by the model, data, and descriptor parsers.
+"""The one scanner behind every text input: models, data files, ``.bd``
+descriptors and flat text read back.
 
-Also provides ``count_tokens``, the whitespace-independent size measure used
-by the benchmark report; it runs the same scanner in a lenient mode that
-never rejects its input (unknown characters become single-character tokens),
-so emitted target files in foreign syntaxes can be measured too.
+``scan`` matches one compiled master regex at each position (the ``re``
+module's "Writing a Tokenizer" recipe) and never rejects its input: an
+unknown character becomes a one-character SYMBOL token and an unterminated
+string a STRING token up to the end of its line.  It returns the tokens with
+the first such problem as a diagnostic.  ``tokenize`` raises that diagnostic
+as :class:`LexError`, the parsers' ``TokenCursor`` records it and parses on,
+and ``count_tokens`` (the whitespace-independent size measure of the
+benchmark report, which also measures emitted target files in foreign
+syntaxes) ignores it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, SourceSpan, error
@@ -30,7 +37,7 @@ KEYWORDS = frozenset(
     }
 )
 
-# Longest symbols first so maximal munch falls out of the scan order.
+# Longest symbols first so maximal munch falls out of the alternation order.
 SYMBOLS = (
     "<->", ":=", "->", "<-", "<=", ">=", "<>", "..",
     "{", "}", "[", "]", "(", ")", ",", ";", ":", ".",
@@ -38,9 +45,34 @@ SYMBOLS = (
 )
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+# One alternative per token class, tried in order at each position.  Digits
+# are ``\d`` (str.isdecimal); "1.5" is a real, "1..5" an int and a range.  A
+# name starts with a letter or with "_" and a word character; ``[^\W\d_]``
+# also admits numeric characters such as "²", which ``scan`` turns away.  A
+# backslash in a string escapes any character, a newline included, and a
+# string left open stops before the end of its line.
+_TOKEN = re.compile(
+    r"""
+      (?P<space>[ \t\r\n]+|//[^\n]*)
+    | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<name>(?:[^\W\d_]|_\w)\w*)
+    | (?P<string>"(?:[^"\\\n]|\\.)*(?:(?P<closed>")|\\)?)
+    | (?P<symbol>"""
+    + "|".join(map(re.escape, SYMBOLS))
+    + r""")
+    | (?P<other>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+# Token texts that are table entries share the table's string object.
+_SHARED = {s: s for s in (*SYMBOLS, *KEYWORDS)}
+_BOOLS = {"true": True, "false": False}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str
     text: str
@@ -60,125 +92,61 @@ class LexError(Exception):
         super().__init__(diagnostic.render())
 
 
-def tokenize(text: str, filename: str = "<input>", lenient: bool = False) -> list[Token]:
-    """Scan ``text`` into tokens, ending with an EOF token.
-
-    Strict mode raises :class:`LexError` on malformed input; lenient mode
-    turns anything unrecognized into a one-character SYMBOL token.
-    """
+def scan(text: str, filename: str = "<input>") -> tuple[list[Token], Diagnostic | None]:
+    """The tokens of ``text``, ending with an EOF token, and the diagnostic
+    for its first unknown character or unterminated string, if any."""
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def span(length: int, at_line: int, at_col: int) -> SourceSpan:
-        return SourceSpan(filename, at_line, at_col, max(length, 1))
-
-    def advance(count: int) -> None:
-        nonlocal pos, line, col
-        for _ in range(count):
-            if pos < n and text[pos] == "\n":
-                line += 1
-                col = 1
+    problem: Diagnostic | None = None
+    match = _TOKEN.match
+    line, line_start, pos = 1, 0, 0
+    while m := match(text, pos):
+        kind, raw = m.lastgroup, m[0]
+        if kind == "name" and not (raw[0].isalpha() or raw[0] == "_"):
+            kind, raw = "other", raw[0]
+        span_line, column = line, pos - line_start + 1
+        if "\n" in raw:  # whitespace, or a string with an escaped newline
+            line += raw.count("\n")
+            line_start = pos + raw.rindex("\n") + 1
+        pos += len(raw)
+        if kind == "space":
+            continue
+        span = SourceSpan(filename, span_line, column, len(raw))
+        if kind == "number":
+            tokens.append(
+                Token(INT, raw, int(raw), span) if raw.isdecimal()
+                else Token(REAL, raw, float(raw), span)
+            )
+        elif kind == "name":
+            if raw in KEYWORDS:
+                raw = _SHARED[raw]
+                tokens.append(Token(KEYWORD, raw, _BOOLS.get(raw, raw), span))
             else:
-                col += 1
-            pos += 1
+                tokens.append(Token(IDENT, raw, raw, span))
+        elif kind == "string":
+            closed = m["closed"] is not None
+            body = raw[1:-1] if closed else raw[1:]
+            value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
+            if not closed and problem is None:
+                problem = error("unterminated string literal", span)
+            tokens.append(Token(STRING, raw, value, span))
+        else:
+            raw = _SHARED.get(raw, raw)
+            if kind == "other" and problem is None:
+                problem = error(f"unexpected character {raw!r}", span)
+            tokens.append(Token(SYMBOL, raw, raw, span))
+    tokens.append(Token(EOF, "", None, SourceSpan(filename, line, pos - line_start + 1, 1)))
+    return tokens, problem
 
-    while pos < n:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "/" and pos + 1 < n and text[pos + 1] == "/":
-            while pos < n and text[pos] != "\n":
-                advance(1)
-            continue
-        tline, tcol = line, col
-        if ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                advance(1)
-            is_real = False
-            # "1.5" is a real literal, "1..5" is int followed by a range symbol
-            if pos + 1 < n and text[pos] == "." and text[pos + 1].isdigit():
-                is_real = True
-                advance(1)
-                while pos < n and text[pos].isdigit():
-                    advance(1)
-            if pos < n and text[pos] in "eE" and (
-                pos + 1 < n
-                and (text[pos + 1].isdigit() or (text[pos + 1] in "+-" and pos + 2 < n and text[pos + 2].isdigit()))
-            ):
-                is_real = True
-                advance(1)
-                if text[pos] in "+-":
-                    advance(1)
-                while pos < n and text[pos].isdigit():
-                    advance(1)
-            raw = text[start:pos]
-            if is_real:
-                tokens.append(Token(REAL, raw, float(raw), span(len(raw), tline, tcol)))
-            else:
-                tokens.append(Token(INT, raw, int(raw), span(len(raw), tline, tcol)))
-            continue
-        if ch.isalpha() or (ch == "_" and pos + 1 < n and (text[pos + 1].isalnum() or text[pos + 1] == "_")):
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                advance(1)
-            raw = text[start:pos]
-            kind = KEYWORD if raw in KEYWORDS else IDENT
-            value: object = raw
-            if raw == "true":
-                value = True
-            elif raw == "false":
-                value = False
-            tokens.append(Token(kind, raw, value, span(len(raw), tline, tcol)))
-            continue
-        if ch == '"':
-            start = pos
-            advance(1)
-            chunks: list[str] = []
-            closed = False
-            while pos < n:
-                c = text[pos]
-                if c == '"':
-                    advance(1)
-                    closed = True
-                    break
-                if c == "\\" and pos + 1 < n:
-                    esc = text[pos + 1]
-                    chunks.append(_ESCAPES.get(esc, esc))
-                    advance(2)
-                    continue
-                if c == "\n":
-                    break
-                chunks.append(c)
-                advance(1)
-            raw = text[start:pos]
-            if not closed and not lenient:
-                raise LexError(error("unterminated string literal", span(len(raw), tline, tcol)))
-            tokens.append(Token(STRING, raw, "".join(chunks), span(len(raw), tline, tcol)))
-            continue
-        matched = None
-        for sym in SYMBOLS:
-            if text.startswith(sym, pos):
-                matched = sym
-                break
-        if matched is not None:
-            advance(len(matched))
-            tokens.append(Token(SYMBOL, matched, matched, span(len(matched), tline, tcol)))
-            continue
-        if lenient:
-            advance(1)
-            tokens.append(Token(SYMBOL, ch, ch, span(1, tline, tcol)))
-            continue
-        raise LexError(error(f"unexpected character {ch!r}", span(1, tline, tcol)))
 
-    tokens.append(Token(EOF, "", None, SourceSpan(filename, line, col, 1)))
+def tokenize(text: str, filename: str = "<input>") -> list[Token]:
+    """Scan ``text`` into tokens, ending with an EOF token; raise
+    :class:`LexError` on its first unknown character or unterminated string."""
+    tokens, problem = scan(text, filename)
+    if problem is not None:
+        raise LexError(problem)
     return tokens
 
 
 def count_tokens(text: str) -> int:
     """Number of lexical tokens in ``text``, ignoring whitespace and comments."""
-    return len(tokenize(text, "<count>", lenient=True)) - 1
+    return len(scan(text, "<count>")[0]) - 1

@@ -5,23 +5,17 @@ on bad input.  Recovery is statement-level — after a syntax error the parser
 resynchronizes at the next ``;`` or ``}`` and keeps going, so one pass reports
 every malformed statement.
 
-Operator precedence, tightest first:
-
-    unary not / unary -          (right)
-    * /                          (left)
-    + -                          (left)
-    union diff symdiff intersection  (left)
-    < > <= >= = <> in subset superset  (non-associative)
-    and                          (left)
-    xor                          (left)
-    or                           (left)
-    -> <- <->                    (right)
+Binary expressions are parsed by one precedence-climbing loop (Pratt, "Top
+Down Operator Precedence", 1973) over ``printer.BINARY_OPS``, the table the
+printer and the backends render with; unary ``not`` and ``-`` bind tighter
+than every binary operator.  A parenthesis level costs two stack frames, so
+expressions nest over four hundred deep.
 """
 
 from __future__ import annotations
 
 from .diagnostics import Diagnostic, DiagnosticSink, SourceSpan
-from .lexer import EOF, IDENT, INT, KEYWORD, REAL, SYMBOL, LexError, Token, tokenize
+from .lexer import EOF, IDENT, INT, REAL, Token, scan
 from .nodes import (
     ArrayLit,
     Assignment,
@@ -68,29 +62,24 @@ from .nodes import (
     VReal,
     VSym,
 )
+from .printer import BINARY_OPS, UNARY_PREC
 
 
 class ParseAbort(Exception):
     """Internal: unwinds to the nearest recovery point after a diagnostic."""
 
 
-_CMP_TOKENS = {"<", ">", "<=", ">=", "=", "<>"}
-_SETOP_WORDS = {"union", "diff", "symdiff", "intersection"}
-_SETREL_WORDS = {"in", "subset", "superset"}
-
-
 class TokenCursor:
-    """Token stream navigation plus diagnostic plumbing, shared by all three
-    concrete parsers (model, data, backend descriptor)."""
+    """Token stream navigation plus diagnostic plumbing, shared by every
+    reader of scomma text: models, data, descriptors, flat text and the
+    values of a solution file."""
 
     def __init__(self, text: str, filename: str):
         self.sink = DiagnosticSink()
         self.filename = filename
-        try:
-            self.tokens = tokenize(text, filename)
-        except LexError as exc:
-            self.sink.items.append(exc.diagnostic)
-            self.tokens = tokenize(text, filename, lenient=True)
+        self.tokens, problem = scan(text, filename)
+        if problem is not None:
+            self.sink.items.append(problem)
         self.pos = 0
 
     # -- stream primitives ---------------------------------------------------
@@ -132,17 +121,32 @@ class TokenCursor:
         tok = self.accept_symbol(text)
         if tok is None:
             where = f" in {context}" if context else ""
-            raise self.fail(f"expected '{text}'{where}, found {self._describe(self.cur)}")
+            raise self.fail(f"expected '{text}'{where}, found {self.describe(self.cur)}")
         return tok
 
     def expect_ident(self, context: str = "") -> Token:
         if self.cur.kind == IDENT:
             return self.advance()
         where = f" in {context}" if context else ""
-        raise self.fail(f"expected identifier{where}, found {self._describe(self.cur)}")
+        raise self.fail(f"expected identifier{where}, found {self.describe(self.cur)}")
+
+    def run(self, parse, *args):
+        """``parse(*args)``, or None once it aborts on a reported error or
+        finds its input nested deeper than the stack allows."""
+        try:
+            return parse(*args)
+        except ParseAbort:
+            return None
+        except RecursionError:
+            self.sink.error("input nested too deeply", self.cur.span)
+            return None
+
+    def result(self, value):
+        """The ``(value_or_None, diagnostics)`` pair an entry point returns."""
+        return (None if self.sink.failed else value), self.sink.items
 
     @staticmethod
-    def _describe(tok: Token) -> str:
+    def describe(tok: Token) -> str:
         if tok.kind == EOF:
             return "end of file"
         return f"'{tok.text}'"
@@ -166,86 +170,33 @@ class TokenCursor:
 
     # -- shared expression grammar -------------------------------------------
 
-    def parse_expression(self) -> Expr:
-        return self._parse_implication()
-
-    def _parse_implication(self) -> Expr:
-        left = self._parse_or()
-        tok = self.cur
-        if tok.is_symbol("->", "<-", "<->"):
+    def parse_expression(self, min_prec: int = 0) -> Expr:
+        """An expression whose binary operators all bind at ``min_prec`` or
+        tighter.  An operator extends ``left`` only if ``left`` could be its
+        left operand unparenthesized: that stops comparisons from chaining."""
+        prefix: list[Token] = []
+        while self.at_keyword("not") or self.at_symbol("-"):
+            prefix.append(self.advance())
+        left = self._parse_primary()
+        for tok in reversed(prefix):  # "-" folds into a number literal
+            if tok.text == "not":
+                left = UnOp("not", left, span=tok.span)
+            elif isinstance(left, IntLit):
+                left = IntLit(-left.value, span=tok.span)
+            elif isinstance(left, RealLit):
+                left = RealLit(-left.value, span=tok.span)
+            else:
+                left = UnOp("neg", left, span=tok.span)
+        left_prec = UNARY_PREC
+        while True:
+            tok = self.cur
+            op = BINARY_OPS.get(tok.text)  # no name, number or string spells one
+            if op is None or op[0] < min_prec or op[1] > left_prec:
+                return left
             self.advance()
-            right = self._parse_implication()  # right-associative
-            return BinOp(tok.text, left, right, span=tok.span)
-        return left
-
-    def _parse_or(self) -> Expr:
-        left = self._parse_xor()
-        while self.at_keyword("or"):
-            tok = self.advance()
-            left = BinOp("or", left, self._parse_xor(), span=tok.span)
-        return left
-
-    def _parse_xor(self) -> Expr:
-        left = self._parse_and()
-        while self.at_keyword("xor"):
-            tok = self.advance()
-            left = BinOp("xor", left, self._parse_and(), span=tok.span)
-        return left
-
-    def _parse_and(self) -> Expr:
-        left = self._parse_comparison()
-        while self.at_keyword("and"):
-            tok = self.advance()
-            left = BinOp("and", left, self._parse_comparison(), span=tok.span)
-        return left
-
-    def _parse_comparison(self) -> Expr:
-        left = self._parse_setop()
-        tok = self.cur
-        if tok.kind == SYMBOL and tok.text in _CMP_TOKENS:
-            self.advance()
-            right = self._parse_setop()
-            return BinOp(tok.text, left, right, span=tok.span)
-        if tok.kind == KEYWORD and tok.text in _SETREL_WORDS:
-            self.advance()
-            right = self._parse_setop()
-            return BinOp(tok.text, left, right, span=tok.span)
-        return left
-
-    def _parse_setop(self) -> Expr:
-        left = self._parse_additive()
-        while self.cur.kind == KEYWORD and self.cur.text in _SETOP_WORDS:
-            tok = self.advance()
-            left = BinOp(tok.text, left, self._parse_additive(), span=tok.span)
-        return left
-
-    def _parse_additive(self) -> Expr:
-        left = self._parse_multiplicative()
-        while self.at_symbol("+", "-"):
-            tok = self.advance()
-            left = BinOp(tok.text, left, self._parse_multiplicative(), span=tok.span)
-        return left
-
-    def _parse_multiplicative(self) -> Expr:
-        left = self._parse_unary()
-        while self.at_symbol("*", "/"):
-            tok = self.advance()
-            left = BinOp(tok.text, left, self._parse_unary(), span=tok.span)
-        return left
-
-    def _parse_unary(self) -> Expr:
-        if self.at_keyword("not"):
-            tok = self.advance()
-            return UnOp("not", self._parse_unary(), span=tok.span)
-        if self.at_symbol("-"):
-            tok = self.advance()
-            operand = self._parse_unary()
-            if isinstance(operand, IntLit):
-                return IntLit(-operand.value, span=tok.span)
-            if isinstance(operand, RealLit):
-                return RealLit(-operand.value, span=tok.span)
-            return UnOp("neg", operand, span=tok.span)
-        return self._parse_primary()
+            right = self.parse_expression(op[2])
+            left = BinOp(tok.text, left, right, span=tok.span)
+            left_prec = op[0]
 
     def _parse_primary(self) -> Expr:
         tok = self.cur
@@ -277,7 +228,7 @@ class TokenCursor:
                 args = self._parse_expr_list(")")
                 return Call(name.text, tuple(args), span=name.span)
             return self._parse_ref()
-        raise self.fail(f"expected expression, found {self._describe(tok)}")
+        raise self.fail(f"expected expression, found {self.describe(tok)}")
 
     def _parse_expr_list(self, closer: str) -> list[Expr]:
         elems: list[Expr] = []
@@ -369,7 +320,7 @@ class ModelParser(TokenCursor):
                         classes.append(cls)
                 else:
                     raise self.fail(
-                        f"expected 'class' or 'import', found {self._describe(self.cur)}"
+                        f"expected 'class' or 'import', found {self.describe(self.cur)}"
                     )
             except ParseAbort:
                 self.recover_top_level(before)
@@ -683,7 +634,7 @@ class DataParser(TokenCursor):
         if tok.kind == IDENT:
             self.advance()
             return VSym(tok.text)
-        raise self.fail(f"expected a value, found {self._describe(tok)}")
+        raise self.fail(f"expected a value, found {self.describe(tok)}")
 
 
 # ---------------------------------------------------------------------------
@@ -693,35 +644,18 @@ class DataParser(TokenCursor):
 
 def parse_model(text: str, filename: str = "<model>") -> tuple[Model | None, list[Diagnostic]]:
     p = ModelParser(text, filename)
-    try:
-        model = p.parse()
-    except ParseAbort:
-        model = None
-    if p.sink.failed:
-        return None, p.sink.items
-    return model, p.sink.items
+    return p.result(p.run(p.parse))
 
 
 def parse_data(text: str, filename: str = "<data>") -> tuple[DataFile | None, list[Diagnostic]]:
     p = DataParser(text, filename)
-    try:
-        data = p.parse()
-    except ParseAbort:
-        data = None
-    if p.sink.failed:
-        return None, p.sink.items
-    return data, p.sink.items
+    return p.result(p.run(p.parse))
 
 
 def parse_expression(text: str, filename: str = "<expr>") -> tuple[Expr | None, list[Diagnostic]]:
     """Parse a single expression (used by tests and the solution checker)."""
     p = TokenCursor(text, filename)
-    try:
-        expr = p.parse_expression()
-        if p.cur.kind != EOF:
-            p.sink.error(f"trailing input after expression: '{p.cur.text}'", p.cur.span)
-    except ParseAbort:
-        expr = None
-    if p.sink.failed:
-        return None, p.sink.items
-    return expr, p.sink.items
+    expr = p.run(p.parse_expression)
+    if expr is not None and p.cur.kind != EOF:
+        p.sink.error(f"trailing input after expression: '{p.cur.text}'", p.cur.span)
+    return p.result(expr)

@@ -1,9 +1,11 @@
 """Pretty-printers for expressions and whole models.
 
 Expression rendering is the canonical text form: minimal parentheses by
-operator precedence, arithmetic and comparisons set tight (``x[1]+3<=y``),
-word operators and arrows spaced (``a -> b``).  The same precedence table
-drives parenthesization inside backend templates.
+operator precedence, arithmetic and comparisons set tight (``x[1]+3<=y``,
+except ``x< -1``, which would otherwise read as an arrow), word operators and
+arrows spaced (``a -> b``).  ``BINARY_OPS`` below is the language's one
+operator table: the parser's precedence-climbing loop reads it, and so does
+the parenthesization inside backend templates.
 """
 
 from __future__ import annotations
@@ -43,32 +45,31 @@ from .nodes import (
     UnOp,
 )
 
-IMPL_PREC = 0
-OR_PREC = 1
-XOR_PREC = 2
-AND_PREC = 3
-CMP_PREC = 4
-SETOP_PREC = 5
-ADD_PREC = 6
-MUL_PREC = 7
-UNARY_PREC = 8
+# The binary operators, one level per row from the loosest binding to the
+# tightest, each with its associativity: arrows group to the right,
+# comparisons do not chain, the rest group to the left.
+_LEVELS = (
+    ("right", ("->", "<-", "<->")),
+    ("left", ("or",)),
+    ("left", ("xor",)),
+    ("left", ("and",)),
+    ("none", ("<", ">", "<=", ">=", "=", "<>", "in", "subset", "superset")),
+    ("left", ("union", "diff", "symdiff", "intersection")),
+    ("left", ("+", "-")),
+    ("left", ("*", "/")),
+)
+UNARY_PREC = len(_LEVELS)  # unary not and -, tighter than every binary level
 
-_BIN_PREC = {
-    "->": IMPL_PREC, "<-": IMPL_PREC, "<->": IMPL_PREC,
-    "or": OR_PREC,
-    "xor": XOR_PREC,
-    "and": AND_PREC,
-    "<": CMP_PREC, ">": CMP_PREC, "<=": CMP_PREC, ">=": CMP_PREC,
-    "=": CMP_PREC, "<>": CMP_PREC, "in": CMP_PREC, "subset": CMP_PREC,
-    "superset": CMP_PREC,
-    "union": SETOP_PREC, "diff": SETOP_PREC, "symdiff": SETOP_PREC,
-    "intersection": SETOP_PREC,
-    "+": ADD_PREC, "-": ADD_PREC,
-    "*": MUL_PREC, "/": MUL_PREC,
+# How far above an operator's own precedence its (left, right) operand sits.
+_OPERAND_STEP = {"left": (0, 1), "right": (1, 0), "none": (1, 1)}
+
+# op -> (its precedence, the precedences its left and right operands are
+# rendered and parsed at)
+BINARY_OPS: dict[str, tuple[int, int, int]] = {
+    op: (prec, prec + _OPERAND_STEP[assoc][0], prec + _OPERAND_STEP[assoc][1])
+    for prec, (assoc, ops) in enumerate(_LEVELS)
+    for op in ops
 }
-
-_RIGHT_ASSOC = {"->", "<-", "<->"}
-_NON_ASSOC_PREC = (CMP_PREC,)
 
 # Operators rendered with surrounding spaces; the rest are set tight.
 _SPACED = {
@@ -79,14 +80,8 @@ _SPACED = {
 
 def operand_precs(e: Expr) -> tuple[int, int]:
     """The parent precedences the operands of the binary ``e`` are rendered
-    at: arrows group to the right, comparisons do not chain, the rest group
-    to the left."""
-    prec = _BIN_PREC[e.op]
-    if e.op in _RIGHT_ASSOC:
-        return prec + 1, prec
-    if prec in _NON_ASSOC_PREC:
-        return prec + 1, prec + 1
-    return prec, prec + 1
+    at."""
+    return BINARY_OPS[e.op][1:]
 
 
 def needs_parens(e: Expr, parent_prec: int) -> bool:
@@ -95,7 +90,7 @@ def needs_parens(e: Expr, parent_prec: int) -> bool:
     the unary operators, so ``-(-x)`` and ``x*(-1)`` keep their parentheses."""
     t = type(e)
     if t is BinOp:
-        return _BIN_PREC[e.op] < parent_prec
+        return BINARY_OPS[e.op][0] < parent_prec
     if t is UnOp or ((t is IntLit or t is RealLit) and e.value < 0):
         return parent_prec >= UNARY_PREC
     return False
@@ -141,7 +136,10 @@ def _text(e: Expr) -> str:
     if isinstance(e, BinOp):
         lp, rp = operand_precs(e)
         op = f" {e.op} " if e.op in _SPACED else e.op
-        return f"{_render(e.left, lp)}{op}{_render(e.right, rp)}"
+        right = _render(e.right, rp)
+        if op == "<" and right[0] == "-":  # "x<-1" reads as an arrow
+            op = "< "
+        return f"{_render(e.left, lp)}{op}{right}"
     raise TypeError(f"cannot render {type(e).__name__}")
 
 

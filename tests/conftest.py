@@ -3,6 +3,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from scomma.analyzer import analyze
 from scomma.cli import corpus_dir
@@ -76,3 +77,11 @@ CORPUS_NAMES = [
     "golfers", "ineq20", "packing", "production",
     "queens-10", "queens-18", "send", "stable", "sudoku",
 ]
+
+
+# Property tests run the same examples on every run and machine: no example
+# database, no wall-clock deadline, a bounded number of examples.
+settings.register_profile(
+    "scomma", derandomize=True, database=None, max_examples=300, deadline=None
+)
+settings.load_profile("scomma")

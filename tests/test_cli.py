@@ -72,6 +72,38 @@ class TestCompile:
                          "--out", str(tmp_path / "x.ecl"))
         assert code == 0
 
+    def test_non_decimal_digit_is_a_diagnostic(self, tmp_path, capsys):
+        model = tmp_path / "m.scm"
+        model.write_text("class A {\n  int x in [1, \u00b2];\n}")
+        code, _, err = run(capsys, "compile", str(model), "--emit-flat",
+                           "--out", str(tmp_path / "m.fsc"))
+        assert code == 1
+        assert f"{model}:2:16: error: unexpected character '\u00b2'" in err
+        assert "Traceback" not in err
+
+    def test_deeply_parenthesized_constraint(self, tmp_path, capsys):
+        depth = 250
+        model = tmp_path / "deep.scm"
+        model.write_text(
+            "class A {\n  int x in [0,3];\n  constraint c {\n    "
+            + "(" * depth + "x = 2" + ")" * depth + ";\n  }\n}\n"
+        )
+        code, _, _ = run(capsys, "compile", str(model), "--emit-flat",
+                         "--out", str(tmp_path / "deep.fsc"))
+        assert code == 0
+        code, out, _ = run(capsys, "solve", str(model))
+        assert code == 0
+        assert out.startswith("x = 2\n")
+
+    def test_nesting_past_the_stack_is_a_diagnostic(self, tmp_path, capsys):
+        depth = 5000
+        model = tmp_path / "deep.scm"
+        model.write_text("class A {\n  int x in [0,3];\n  constraint c {\n    "
+                         + "(" * depth + "x = 2" + ")" * depth + ";\n  }\n}\n")
+        code, _, err = run(capsys, "solve", str(model))
+        assert code == 1
+        assert "error: input nested too deeply" in err
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compile"])  # missing model argument
@@ -167,6 +199,31 @@ class TestCheck:
         solution.write_text("")
         code, out, _ = run(capsys, "check", str(model), "--solution", str(solution))
         assert code == 0
+
+
+    @pytest.mark.parametrize("line,message", [
+        ("s = [[{a}, {2}], [{1}, {2}]]", "cannot read value 'a'"),
+        ("s = [[{1}, {2}], [{1}, {2}]", "expected ']' in value, found end of file"),
+        ("s = [[{1}, {2}] [{1}, {2}]]", "expected ']' in value, found '['"),
+        ("s = [[[{1}], {2}], [{1}, {2}]]", "cannot read value '['"),
+        ("s = [[{1}, {2}], [{1}, {2}]] 3", "unexpected '3' after the value"),
+        ('s = [[{1}, {2}], [{1}, {"2}]]', "unterminated string literal"),
+    ])
+    def test_malformed_solution_value(self, tmp_path, capsys, line, message):
+        solution = tmp_path / "sol.txt"
+        solution.write_text(f"% a comment\n{line}\n")
+        code, _, err = run(capsys, "check", str(FIXTURES / "setmat.scm"),
+                           "--solution", str(solution))
+        assert code == 1
+        assert err == f"error: solution line 2: {message}\n"
+
+    def test_solution_values_keep_their_forms(self, tmp_path, capsys):
+        solution = tmp_path / "sol.txt"
+        solution.write_text("-----\n// note\ns = [[{1,}, {+2}], [, {1}, {2}]]\nobjective = 3\n")
+        code, out, err = run(capsys, "check", str(FIXTURES / "setmat.scm"),
+                             "--solution", str(solution))
+        assert (code, err) == (0, "")
+        assert "satisfies" in out
 
 
 class TestBench:

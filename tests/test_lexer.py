@@ -47,3 +47,28 @@ def test_spans_are_one_based():
     assert (tok.span.line, tok.span.column) == (1, 3)
     tok = tokenize("x\n  y")[1]
     assert (tok.span.line, tok.span.column) == (2, 3)
+
+
+def test_numeric_characters_that_are_not_decimal_digits_are_rejected():
+    # "²" and "½" are numeric but neither decimal digits nor letters
+    for text, col in (("int x in [1, ²];", 14), ("½", 1), ("1²", 2)):
+        with pytest.raises(LexError) as exc:
+            tokenize(text)
+        bad = text[col - 1]
+        assert exc.value.diagnostic.message == f"unexpected character {bad!r}"
+        assert exc.value.diagnostic.span.column == col
+    assert kinds("x² ٣") == [(IDENT, "x²"), (INT, "٣")]
+
+
+def test_escaped_newline_in_a_string_counts_as_a_line():
+    toks = tokenize('"a\\\nb" c')
+    assert toks[0].value == "a\nb"
+    assert (toks[1].span.line, toks[1].span.column) == (2, 4)
+
+
+def test_keyword_and_symbol_texts_are_the_table_strings():
+    from scomma.lexer import KEYWORDS, SYMBOLS
+
+    _, word, arrow, _, _ = tokenize("x and <-> y")
+    assert any(word.text is k for k in KEYWORDS)
+    assert any(arrow.text is s for s in SYMBOLS)

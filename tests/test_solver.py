@@ -47,15 +47,21 @@ def send_money_oracle():
 
 
 def queens_oracle(n):
-    count = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        if all(
-            abs(perm[i] - perm[j]) != j - i
-            for i in range(n)
-            for j in range(i + 1, n)
-        ):
-            count += 1
-    return count
+    """All placements of n non-attacking queens, as row tuples by column,
+    found by backtracking column by column."""
+    solutions = set()
+
+    def place(rows):
+        col = len(rows)
+        if col == n:
+            solutions.add(tuple(rows))
+            return
+        for row in range(1, n + 1):
+            if all(r != row and abs(r - row) != col - c for c, r in enumerate(rows)):
+                place(rows + [row])
+
+    place([])
+    return solutions
 
 
 STABLE_MAN_RANK = [
@@ -153,16 +159,20 @@ class TestSearch:
         assert got == {"s": 9, "e": 5, "n": 6, "d": 7, "m": 1, "o": 0, "r": 8, "y": 2}
 
     def test_ten_queens_full_enumeration(self):
-        assert queens_oracle(10) == 724
+        oracle = queens_oracle(10)
+        assert len(oracle) == 724
         _tm, fm, _ = compile_corpus("queens-10")
-        search = solve(build_space(fm))
-        assert sum(1 for _ in search) == 724
+        rows = [tuple(s.values[("q", (i,))] for i in range(1, 11))
+                for s in solve(build_space(fm))]
+        assert len(rows) == 724
+        assert set(rows) == oracle
 
     def test_five_queens_matches_both_oracles(self):
         tm, fm = corpus_with_data("queens-10", "queens-5.dat")
         search = solve(build_space(fm))
         solver_set = {tuple(s.values[("q", (i,))] for i in range(1, 6)) for s in search}
-        assert len(solver_set) == queens_oracle(5) == 10
+        assert solver_set == queens_oracle(5)
+        assert len(solver_set) == 10
         brute = {
             tuple(dict(fs)[("q", (i,))] for i in range(1, 6))
             for fs in flat_solution_set(fm)
