@@ -16,13 +16,16 @@ their own parens for target-language safety).
 from __future__ import annotations
 
 import os
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
 from ..errors import BackendError
 from ..ir import FlatModel, FlatVar, IntSet, REAL, SET, Table, flatness_violations
 from ..nodes import BoolLit, Expr, Ref
-from ..printer import UNARY_PREC, needs_parens, operand_precs, render_real
+from ..printer import (
+    BINARY_OPS, UNARY_PREC, join_tight, needs_parens, operand_precs, render_real,
+)
 from .descriptor import (
     BackendDescriptor, CONCEPT_FIELDS, Cond, DESCRIPTOR_EXTENSION, FieldRef, Lit,
     parse_descriptor,
@@ -193,6 +196,8 @@ def _compile(bd: BackendDescriptor):
     """``bd``'s templates as closures over a scope; returns the function that
     renders a Problem node with the header and footer."""
     opmap = bd.opmap
+    # operators whose text ends in "<": only there can join_tight add a space
+    spaced_before_minus = {op for op in BINARY_OPS if opmap.get(op, op).endswith("<")}
 
     def absent(concept: str):
         def fail(scope):
@@ -219,6 +224,14 @@ def _compile(bd: BackendDescriptor):
         parts = [fragment(f, concept, var) for f in frags]
         if len(parts) == 1:
             return parts[0]
+        if concept == "BinOp":  # the pieces join as the printer joins them
+            def binop(scope) -> str:
+                pieces = [part(scope) for part in parts]
+                if scope[0].op in spaced_before_minus:
+                    return reduce(join_tight, pieces, "")
+                return "".join(pieces)
+
+            return binop
         return lambda scope: "".join([part(scope) for part in parts])
 
     def fragment(frag, concept: str | None, var: str | None):

@@ -96,6 +96,15 @@ def needs_parens(e: Expr, parent_prec: int) -> bool:
     return False
 
 
+def join_tight(text: str, operand: str) -> str:
+    """``text`` followed by the operand text that comes after it, with a
+    space where ``text`` ends in ``<`` and ``operand`` starts with ``-``:
+    ``x<-1`` would read as the arrow ``x <- 1``."""
+    if text.endswith("<") and operand.startswith("-"):
+        return f"{text} {operand}"
+    return text + operand
+
+
 def render_real(value: float) -> str:
     return repr(value)
 
@@ -136,10 +145,7 @@ def _text(e: Expr) -> str:
     if isinstance(e, BinOp):
         lp, rp = operand_precs(e)
         op = f" {e.op} " if e.op in _SPACED else e.op
-        right = _render(e.right, rp)
-        if op == "<" and right[0] == "-":  # "x<-1" reads as an arrow
-            op = "< "
-        return f"{_render(e.left, lp)}{op}{right}"
+        return _render(e.left, lp) + join_tight(op, _render(e.right, rp))
     raise TypeError(f"cannot render {type(e).__name__}")
 
 

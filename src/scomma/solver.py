@@ -8,12 +8,22 @@ arithmetic and multiplication, domain consistency for element and the
 reified comparisons, pairwise-neq plus a union-size pigeonhole check for
 alldifferent); every solution the search emits is re-checked through the
 independent expression evaluator before it is handed to the caller.
+
+Each relation is one propagator class, read as ``x REL y + d``: ``_Le``,
+``_Ge``, ``_Eq`` and ``_Ne`` each define their filtering, the test for when
+the domains decide them, and their negation.  A strict comparison folds into
+the offset when the model is compiled, and a reified comparison runs either
+the relation or its negation.  Equal subexpressions share one cell: the key
+of a subexpression is its operator and the cells of its operands, which are
+compiled first.  The search keeps its open nodes on an explicit stack, so
+the depth of the tree is limited by memory, not by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ContractError, UnsupportedModelError
@@ -96,7 +106,7 @@ class SolverSpace:
         self.root_failed = False
         self.propagation_count = 0
         self._const_cells: dict[int, int] = {}
-        self._expr_cache: dict[str, int] = {}
+        self._shared: dict[tuple, int] = {}  # subexpression key -> its cell
         self._build()
 
     # -- cell primitives --------------------------------------------------------
@@ -135,10 +145,6 @@ class SolverSpace:
 
     def cell_value(self, c: int) -> int:
         return self.cell_min(c)
-
-    def cell_contains(self, c: int, v: int) -> bool:
-        off = v - self.base[c]
-        return off >= 0 and (self.mask[c] >> off) & 1 == 1
 
     def cell_values(self, c: int) -> list[int]:
         out = []
@@ -187,15 +193,6 @@ class SolverSpace:
             raise _Fail()
         self._set_mask(c, 1 << off)
 
-    def intersect_values(self, c: int, values) -> None:
-        keep = 0
-        b = self.base[c]
-        for v in values:
-            off = v - b
-            if off >= 0:
-                keep |= 1 << off
-        self._set_mask(c, self.mask[c] & keep)
-
     # -- propagation --------------------------------------------------------------
 
     def add_prop(self, prop) -> None:
@@ -217,8 +214,7 @@ class SolverSpace:
                 self.props[prop_id].run(self)
         except _Fail:
             self.queue.clear()
-            for i in range(len(self.queued)):
-                self.queued[i] = False
+            self.queued = [False] * len(self.queued)
             return False
         return True
 
@@ -291,27 +287,39 @@ class SolverSpace:
                     return (base[0], left.value)
         return None
 
-    def _cmp_sides(self, e: BinOp) -> tuple[int, int, int]:
-        """Cells and offset for `left REL right + d` comparisons."""
-        la = self._linear_atom(e.left)
-        ra = self._linear_atom(e.right)
-        if la is not None and ra is not None:
-            return (la[0], ra[0], ra[1] - la[1])
-        return (self._compile_int(e.left), self._compile_int(e.right), 0)
-
     def _is_boolish(self, e: Expr) -> bool:
         if isinstance(e, BoolLit):
             return True
         if isinstance(e, UnOp) and e.op == "not":
             return True
-        if isinstance(e, BinOp) and e.op in (
-            "and", "or", "xor", "->", "<", "<=", ">", ">=", "=", "<>",
-        ):
+        if isinstance(e, BinOp) and (e.op in _RELATIONS or e.op in _GATES):
             return True
         if isinstance(e, Ref):
             var = self.fm.var_named(e.parts[0].name)
             return var is not None and var.base == BOOL
         return False
+
+    def _relation(self, e: BinOp) -> tuple:
+        """The comparison ``e`` as ``(relation, x, y, d)``, read as
+        ``x REL y + d``; the tuple is also the key of its reified cell."""
+        rel, fold = _RELATIONS[e.op]
+        if self._is_boolish(e.left) or self._is_boolish(e.right):
+            return (rel, self._compile_bool(e.left), self._compile_bool(e.right), fold)
+        la = self._linear_atom(e.left)
+        ra = self._linear_atom(e.right)
+        if la is not None and ra is not None:
+            return (rel, la[0], ra[0], ra[1] - la[1] + fold)
+        return (rel, self._compile_int(e.left), self._compile_int(e.right), fold)
+
+    def _defined(self, key: tuple, lo: int, hi: int, prop) -> int:
+        """The cell of the subexpression ``key``: the one made for an equal
+        key before, else a new cell over [lo, hi] that the propagator
+        ``prop(cell)`` ties to its operands."""
+        cell = self._shared.get(key)
+        if cell is None:
+            cell = self._shared[key] = self.new_cell(lo, hi)
+            self.add_prop(prop(cell))
+        return cell
 
     # Root constraints: conjunctions split, comparisons posted directly,
     # everything else reified and forced true.
@@ -324,14 +332,9 @@ class SolverSpace:
             if not e.value:
                 raise _Fail()
             return
-        if isinstance(e, BinOp) and e.op in ("<", "<=", ">", ">=", "=", "<>"):
-            if self._is_boolish(e.left) or self._is_boolish(e.right):
-                x = self._compile_bool(e.left)
-                y = self._compile_bool(e.right)
-                d = 0
-            else:
-                x, y, d = self._cmp_sides(e)
-            self.add_prop(_Cmp(e.op, x, y, d))
+        if isinstance(e, BinOp) and e.op in _RELATIONS:
+            rel, x, y, d = self._relation(e)
+            self.add_prop(rel(x, y, d))
             return
         if isinstance(e, Call) and e.name == "alldifferent":
             self.add_prop(_AllDiff(self._array_cells(e.args[0])))
@@ -353,15 +356,6 @@ class SolverSpace:
         raise UnsupportedModelError([f"alldifferent argument '{render_expr(e)}'"])
 
     def _compile_int(self, e: Expr) -> int:
-        key = render_expr(e)
-        hit = self._expr_cache.get(key)
-        if hit is not None:
-            return hit
-        cell = self._compile_int_fresh(e)
-        self._expr_cache[key] = cell
-        return cell
-
-    def _compile_int_fresh(self, e: Expr) -> int:
         if isinstance(e, IntLit):
             return self.const_cell(e.value)
         if isinstance(e, RealLit):
@@ -370,9 +364,8 @@ class SolverSpace:
             return self._compile_ref(e)
         if isinstance(e, UnOp) and e.op == "neg":
             x = self._compile_int(e.operand)
-            z = self.new_cell(-self.cell_max(x), -self.cell_min(x))
-            self.add_prop(_Linear(z, ((-1, x),)))
-            return z
+            return self._defined(("neg", x), -self.cell_max(x), -self.cell_min(x),
+                                 lambda z: _Linear(z, ((-1, x),)))
         if isinstance(e, BinOp) and e.op in ("+", "-", "*", "/"):
             return self._compile_arith(e)
         # boolean-valued expression used as 0/1 integer is not part of the
@@ -389,30 +382,26 @@ class SolverSpace:
             x = self._compile_int(e.left)
             c = divisor.value
             lo, hi = sorted((self.cell_min(x) // c, self.cell_max(x) // c))
-            z = self.new_cell(lo, hi)
-            self.add_prop(_Linear(x, ((c, z),)))  # x = c*z, exactly
-            return z
+            # x = c*z, exactly
+            return self._defined(("/", x, c), lo, hi, lambda z: _Linear(x, ((c, z),)))
         x = self._compile_int(e.left)
         y = self._compile_int(e.right)
+        key = (e.op, x, y)
         xmin, xmax = self.cell_min(x), self.cell_max(x)
         ymin, ymax = self.cell_min(y), self.cell_max(y)
         if e.op == "+":
-            z = self.new_cell(xmin + ymin, xmax + ymax)
-            self.add_prop(_Linear(z, ((1, x), (1, y))))
-            return z
+            return self._defined(key, xmin + ymin, xmax + ymax,
+                                 lambda z: _Linear(z, ((1, x), (1, y))))
         if e.op == "-":
-            z = self.new_cell(xmin - ymax, xmax - ymin)
-            self.add_prop(_Linear(z, ((1, x), (-1, y))))
-            return z
+            return self._defined(key, xmin - ymax, xmax - ymin,
+                                 lambda z: _Linear(z, ((1, x), (-1, y))))
         products = [xmin * ymin, xmin * ymax, xmax * ymin, xmax * ymax]
-        z = self.new_cell(min(products), max(products))
-        if self.cell_fixed(x):
-            self.add_prop(_Linear(z, ((self.cell_value(x), y),)))
-        elif self.cell_fixed(y):
-            self.add_prop(_Linear(z, ((self.cell_value(y), x),)))
+        if self.cell_fixed(x) or self.cell_fixed(y):
+            k, v = (x, y) if self.cell_fixed(x) else (y, x)
+            prop = lambda z: _Linear(z, ((self.cell_value(k), v),))  # noqa: E731
         else:
-            self.add_prop(_Mul(z, x, y))
-        return z
+            prop = lambda z: _Mul(z, x, y)  # noqa: E731
+        return self._defined(key, min(products), max(products), prop)
 
     def _compile_ref(self, e: Ref) -> int:
         part = e.parts[0]
@@ -437,7 +426,14 @@ class SolverSpace:
         shape = var.shape if var is not None else (table.shape if table else None)
         if shape is None:
             raise UnsupportedModelError([f"reference '{render_expr(e)}'"])
-        flat_index = self._flat_index_cell(part.indices, shape)
+        if len(part.indices) != len(shape):
+            raise UnsupportedModelError(["partial matrix indexing"])
+        indices = [self._compile_int(i) for i in part.indices]
+        key = ("[]", part.name, *indices)
+        z = self._shared.get(key)
+        if z is not None:
+            return z
+        flat_index = self._flat_index_cell(indices, shape)
         if var is not None:
             elems = [self._cells_by_key[(part.name, idx)] for idx in iter_indices(var.shape)]
             lo = min(self.cell_min(c) for c in elems)
@@ -448,24 +444,18 @@ class SolverSpace:
             values = [int(v) for v in table.values]
             z = self.new_cell(min(values), max(values))
             self.add_prop(_ElementConst(z, flat_index, values))
+        self._shared[key] = z
         return z
 
-    def _flat_index_cell(self, indices: tuple[Expr, ...], shape: tuple[int, ...]) -> int:
-        """1-based position in row-major element order."""
-        if len(indices) != len(shape):
-            raise UnsupportedModelError(["partial matrix indexing"])
-        if len(shape) == 1:
-            cell = self._compile_int(indices[0])
+    def _flat_index_cell(self, indices: list[int], shape: tuple[int, ...]) -> int:
+        """1-based position in row-major element order of the index cells."""
+        for cell, size in zip(indices, shape):
             self.remove_below(cell, 1)
-            self.remove_above(cell, shape[0])
-            return cell
-        rows, cols = shape
-        r = self._compile_int(indices[0])
-        c = self._compile_int(indices[1])
-        self.remove_below(r, 1)
-        self.remove_above(r, rows)
-        self.remove_below(c, 1)
-        self.remove_above(c, cols)
+            self.remove_above(cell, size)
+        if len(shape) == 1:
+            return indices[0]
+        r, c = indices
+        cols = shape[1]
         lo = (self.cell_min(r) - 1) * cols + self.cell_min(c)
         hi = (self.cell_max(r) - 1) * cols + self.cell_max(c)
         z = self.new_cell(lo, hi)
@@ -473,15 +463,6 @@ class SolverSpace:
         return z
 
     def _compile_bool(self, e: Expr) -> int:
-        key = "B:" + render_expr(e)
-        hit = self._expr_cache.get(key)
-        if hit is not None:
-            return hit
-        cell = self._compile_bool_fresh(e)
-        self._expr_cache[key] = cell
-        return cell
-
-    def _compile_bool_fresh(self, e: Expr) -> int:
         if isinstance(e, BoolLit):
             return self.const_cell(1 if e.value else 0)
         if isinstance(e, Ref):
@@ -491,26 +472,13 @@ class SolverSpace:
             return cell
         if isinstance(e, UnOp) and e.op == "not":
             a = self._compile_bool(e.operand)
-            b = self.new_cell(0, 1)
-            self.add_prop(_Not(b, a))
-            return b
-        if isinstance(e, BinOp):
-            if e.op in ("<", "<=", ">", ">=", "=", "<>"):
-                if self._is_boolish(e.left) or self._is_boolish(e.right):
-                    x = self._compile_bool(e.left)
-                    y = self._compile_bool(e.right)
-                    d = 0
-                else:
-                    x, y, d = self._cmp_sides(e)
-                b = self.new_cell(0, 1)
-                self.add_prop(_ReifCmp(b, e.op, x, y, d))
-                return b
-            if e.op in ("and", "or", "xor", "->"):
-                a1 = self._compile_bool(e.left)
-                a2 = self._compile_bool(e.right)
-                b = self.new_cell(0, 1)
-                self.add_prop(_Gate(e.op, b, a1, a2))
-                return b
+            return self._defined(("not", a), 0, 1, lambda b: _Ne(b, a, 0))
+        if isinstance(e, BinOp) and e.op in _RELATIONS:
+            key = rel, x, y, d = self._relation(e)
+            return self._defined(key, 0, 1, lambda b: _ReifCmp(b, rel(x, y, d)))
+        if isinstance(e, BinOp) and e.op in _GATES:
+            key = (e.op, self._compile_bool(e.left), self._compile_bool(e.right))
+            return self._defined(key, 0, 1, lambda b: _Gate(b, *key))
         raise UnsupportedModelError([f"boolean expression '{render_expr(e)}'"])
 
 
@@ -519,51 +487,114 @@ class SolverSpace:
 # ---------------------------------------------------------------------------
 
 
-class _Cmp:
-    """Direct (non-reified) comparison: x REL (y + d)."""
+def _shift(mask: int, k: int) -> int:
+    """``mask`` moved up ``k`` places, or down when ``k`` is negative."""
+    return mask << k if k >= 0 else mask >> -k
 
-    def __init__(self, op: str, x: int, y: int, d: int = 0):
-        self.op = op
-        self.d = d
+
+class _Relation:
+    """``x REL y + d`` over two cells.  Each relation defines its filtering
+    (``run``), whether the current domains decide it (``entailed``: True,
+    False or None) and its ``negation``."""
+
+    def __init__(self, x: int, y: int, d: int = 0):
+        self.x, self.y, self.d = x, y, d
         self.cells = (x, y)
 
+
+class _Le(_Relation):
+    """x <= y + d, bounds consistent."""
+
     def run(self, s: SolverSpace) -> None:
-        x, y = self.cells
-        op = self.op
-        d = self.d
-        if op == "<":
-            s.remove_above(x, s.cell_max(y) + d - 1)
-            s.remove_below(y, s.cell_min(x) - d + 1)
-        elif op == "<=":
-            s.remove_above(x, s.cell_max(y) + d)
-            s.remove_below(y, s.cell_min(x) - d)
-        elif op == ">":
-            s.remove_below(x, s.cell_min(y) + d + 1)
-            s.remove_above(y, s.cell_max(x) - d - 1)
-        elif op == ">=":
-            s.remove_below(x, s.cell_min(y) + d)
-            s.remove_above(y, s.cell_max(x) - d)
-        elif op == "=":
-            _equalize(s, x, y, d)
-        else:  # <>
-            if s.cell_fixed(x):
-                s.remove_value(y, s.cell_value(x) - d)
-            elif s.cell_fixed(y):
-                s.remove_value(x, s.cell_value(y) + d)
+        x, y, d = self.x, self.y, self.d
+        s.remove_above(x, s.cell_max(y) + d)
+        s.remove_below(y, s.cell_min(x) - d)
+
+    def entailed(self, s: SolverSpace) -> bool | None:
+        if s.cell_max(self.x) <= s.cell_min(self.y) + self.d:
+            return True
+        if s.cell_min(self.x) > s.cell_max(self.y) + self.d:
+            return False
+        return None
+
+    def negation(self) -> _Relation:
+        return _Ge(self.x, self.y, self.d + 1)
+
+
+class _Ge(_Relation):
+    """x >= y + d, bounds consistent."""
+
+    def run(self, s: SolverSpace) -> None:
+        x, y, d = self.x, self.y, self.d
+        s.remove_below(x, s.cell_min(y) + d)
+        s.remove_above(y, s.cell_max(x) - d)
+
+    def entailed(self, s: SolverSpace) -> bool | None:
+        if s.cell_min(self.x) >= s.cell_max(self.y) + self.d:
+            return True
+        if s.cell_max(self.x) < s.cell_min(self.y) + self.d:
+            return False
+        return None
+
+    def negation(self) -> _Relation:
+        return _Le(self.x, self.y, self.d - 1)
+
+
+class _Eq(_Relation):
+    """x = y + d, domain consistent."""
+
+    def run(self, s: SolverSpace) -> None:
+        _equalize(s, self.x, self.y, self.d)
+
+    def entailed(self, s: SolverSpace) -> bool | None:
+        x, y, d = self.x, self.y, self.d
+        xmin, xmax = s.cell_min(x), s.cell_max(x)
+        ymin, ymax = s.cell_min(y) + d, s.cell_max(y) + d
+        if xmin == xmax == ymin == ymax:
+            return True
+        if xmax < ymin or ymax < xmin:
+            return False
+        if not s.mask[x] & _shift(s.mask[y], s.base[y] + d - s.base[x]):
+            return False
+        return None
+
+    def negation(self) -> _Relation:
+        return _Ne(self.x, self.y, self.d)
+
+
+class _Ne(_Relation):
+    """x <> y + d: once one side is fixed, its value leaves the other."""
+
+    def run(self, s: SolverSpace) -> None:
+        x, y, d = self.x, self.y, self.d
+        if s.cell_fixed(x):
+            s.remove_value(y, s.cell_value(x) - d)
+        elif s.cell_fixed(y):
+            s.remove_value(x, s.cell_value(y) + d)
+
+    def entailed(self, s: SolverSpace) -> bool | None:
+        equal = _Eq.entailed(self, s)
+        return None if equal is None else not equal
+
+    def negation(self) -> _Relation:
+        return _Eq(self.x, self.y, self.d)
+
+
+# operator -> (its relation, the offset a strict comparison folds in):
+# x < y + d is x <= y + (d-1), and x > y + d is x >= y + (d+1)
+_RELATIONS = {
+    "<": (_Le, -1), "<=": (_Le, 0), ">": (_Ge, 1), ">=": (_Ge, 0),
+    "=": (_Eq, 0), "<>": (_Ne, 0),
+}
+_GATES = ("and", "or", "xor", "->")
 
 
 def _equalize(s: SolverSpace, x: int, y: int, d: int = 0) -> None:
     """Constrain x = y + d by intersecting the shifted bitmasks."""
     shift = s.base[y] + d - s.base[x]
-    if shift >= 0:
-        common = s.mask[x] & (s.mask[y] << shift)
-    else:
-        common = s.mask[x] & (s.mask[y] >> -shift)
+    common = s.mask[x] & _shift(s.mask[y], shift)
     s._set_mask(x, common)
-    if shift >= 0:
-        s._set_mask(y, common >> shift)
-    else:
-        s._set_mask(y, common << -shift)
+    s._set_mask(y, _shift(common, -shift))
 
 
 class _Linear:
@@ -631,72 +662,28 @@ class _Mul:
 
 
 class _ReifCmp:
-    """b <-> (x op y + d) with two-way propagation and entailment detection."""
+    """b <-> rel: with b fixed, runs the relation or its negation; with b
+    free, fixes b once the domains decide the relation."""
 
-    def __init__(self, b: int, op: str, x: int, y: int, d: int = 0):
-        self.b, self.op, self.x, self.y, self.d = b, op, x, y, d
-        self._pos = _Cmp(op, x, y, d)
-        self._neg = _Cmp(_NEGATION[op], x, y, d)
-        self.cells = (b, x, y)
+    def __init__(self, b: int, rel: _Relation):
+        self.b, self.rel, self.neg = b, rel, rel.negation()
+        self.cells = (b,) + rel.cells
 
     def run(self, s: SolverSpace) -> None:
         b = self.b
         if s.cell_fixed(b):
-            (self._pos if s.cell_value(b) == 1 else self._neg).run(s)
+            (self.rel if s.cell_value(b) else self.neg).run(s)
             return
-        status = _entailment(s, self.op, self.x, self.y, self.d)
+        status = self.rel.entailed(s)
         if status is not None:
             s.assign(b, 1 if status else 0)
-
-
-_NEGATION = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "<>", "<>": "="}
-
-
-def _entailment(s: SolverSpace, op: str, x: int, y: int, d: int = 0):
-    """True/False when x REL (y + d) is decided by the current domains."""
-    xmin, xmax = s.cell_min(x), s.cell_max(x)
-    ymin, ymax = s.cell_min(y) + d, s.cell_max(y) + d
-    if op == "<":
-        if xmax < ymin:
-            return True
-        if xmin >= ymax:
-            return False
-    elif op == "<=":
-        if xmax <= ymin:
-            return True
-        if xmin > ymax:
-            return False
-    elif op == ">":
-        if xmin > ymax:
-            return True
-        if xmax <= ymin:
-            return False
-    elif op == ">=":
-        if xmin >= ymax:
-            return True
-        if xmax < ymin:
-            return False
-    elif op == "=":
-        if xmin == xmax == ymin == ymax:
-            return True
-        if xmax < ymin or ymax < xmin:
-            return False
-        shift = s.base[y] + d - s.base[x]
-        common = s.mask[x] & (s.mask[y] << shift if shift >= 0 else s.mask[y] >> -shift)
-        if common == 0:
-            return False
-    else:  # <>
-        eq = _entailment(s, "=", x, y, d)
-        if eq is not None:
-            return not eq
-    return None
 
 
 class _Gate:
     """b <-> (a1 op a2) over 0/1 cells for and/or/xor/->."""
 
-    def __init__(self, op: str, b: int, a1: int, a2: int):
-        self.op, self.b, self.a1, self.a2 = op, b, a1, a2
+    def __init__(self, b: int, op: str, a1: int, a2: int):
+        self.b, self.op, self.a1, self.a2 = b, op, a1, a2
         self.cells = (b, a1, a2)
 
     def run(self, s: SolverSpace) -> None:
@@ -751,18 +738,6 @@ class _Gate:
                     s.assign(a1, 0)
 
 
-class _Not:
-    def __init__(self, b: int, a: int):
-        self.b, self.a = b, a
-        self.cells = (b, a)
-
-    def run(self, s: SolverSpace) -> None:
-        if s.cell_fixed(self.a):
-            s.assign(self.b, 1 - s.cell_value(self.a))
-        if s.cell_fixed(self.b):
-            s.assign(self.a, 1 - s.cell_value(self.b))
-
-
 class _ElementVar:
     """z = elems[i] (i 1-based) over variable cells; domain consistent."""
 
@@ -774,17 +749,21 @@ class _ElementVar:
         z, i, elems = self.z, self.i, self.elems
         s.remove_below(i, 1)
         s.remove_above(i, len(elems))
-        feasible_z: set[int] = set()
-        for pos in s.cell_values(i):
-            c = elems[pos - 1]
-            if any(s.cell_contains(z, v) for v in s.cell_values(c)):
-                feasible_z.update(v for v in s.cell_values(c) if s.cell_contains(z, v))
-            else:
-                s.remove_value(i, pos)
-        s.intersect_values(z, feasible_z)
+        zmask, zbase, first = s.mask[z], s.base[z], s.base[i] - 1
+        index = s.mask[i]
+        keep_i = keep_z = 0
+        while index:
+            low = index & -index
+            index ^= low
+            c = elems[first + low.bit_length() - 1]
+            supported = zmask & _shift(s.mask[c], s.base[c] - zbase)
+            if supported:
+                keep_i |= low
+                keep_z |= supported
+        s._set_mask(i, keep_i)
+        s._set_mask(z, keep_z)
         if s.cell_fixed(i):
-            c = elems[s.cell_value(i) - 1]
-            _equalize(s, z, c)
+            _equalize(s, z, elems[s.cell_value(i) - 1])
 
 
 class _ElementConst:
@@ -795,17 +774,21 @@ class _ElementConst:
         self.cells = (z, i)
 
     def run(self, s: SolverSpace) -> None:
-        z, i = self.z, self.i
+        z, i, values = self.z, self.i, self.values
         s.remove_below(i, 1)
-        s.remove_above(i, len(self.values))
-        feasible = set()
-        for pos in s.cell_values(i):
-            v = self.values[pos - 1]
-            if s.cell_contains(z, v):
-                feasible.add(v)
-            else:
-                s.remove_value(i, pos)
-        s.intersect_values(z, feasible)
+        s.remove_above(i, len(values))
+        zmask, zbase, first = s.mask[z], s.base[z], s.base[i] - 1
+        index = s.mask[i]
+        keep_i = keep_z = 0
+        while index:
+            low = index & -index
+            index ^= low
+            off = values[first + low.bit_length() - 1] - zbase
+            if off >= 0 and zmask >> off & 1:
+                keep_i |= low
+                keep_z |= 1 << off
+        s._set_mask(i, keep_i)
+        s._set_mask(z, keep_z)
 
 
 class _AllDiff:
@@ -856,13 +839,20 @@ class Search:
         self.cfg = cfg or SearchConfig()
         self.stats = SolveStats()
         self.truncated = False
+        # Under branch-and-bound: the objective's sense, and the value of
+        # the best solution so far, which every later solution must beat.
+        self.sense: str | None = None
+        self.best: int | None = None
         self._deadline = None
-        self._best: int | None = None
-        self._minimize = True
-        self._bounding = False
         self._bool_vars = {v.name for v in space.fm.variables if v.base == BOOL}
 
     def __iter__(self):
+        return self.run()
+
+    def improving(self):
+        """Branch-and-bound: yields solutions, each with a better objective
+        value than the one before; the last one is optimal."""
+        self.sense = self.space.fm.objective.kind
         return self.run()
 
     def run(self):
@@ -887,46 +877,62 @@ class Search:
             self.stats.wall_time += time.perf_counter() - start
 
     def _dfs(self):
-        space = self.space
-        self.stats.nodes += 1
-        if self._deadline is not None and time.perf_counter() > self._deadline:
-            self.truncated = True
-            return
-        if self._bounding and self._best is not None and space.objective_cell is not None:
-            try:
-                if self._minimize:
-                    space.remove_above(space.objective_cell, self._best - 1)
+        space, stats = self.space, self.stats
+        # The open nodes, root first: each one's branching cell, the values
+        # it has left to try, and the trail mark to undo to before each.
+        stack: list[tuple[int, Iterator[int], int]] = []
+        while True:
+            stats.nodes += 1
+            if self._deadline is not None and time.perf_counter() > self._deadline:
+                self.truncated = True
+            elif not self._bound_objective() or not space.propagate():
+                stats.failures += 1
+            else:
+                stats.propagations = space.propagation_count
+                cell = self._select()
+                if cell is None:
+                    sol = self._solution()
+                    if sol is None:
+                        stats.failures += 1
+                    else:
+                        if self.sense is not None and sol.objective_value is not None:
+                            self.best = sol.objective_value
+                        yield sol
                 else:
-                    space.remove_below(space.objective_cell, self._best + 1)
-            except _Fail:
-                self.stats.failures += 1
-                return
-        if not space.propagate():
-            self.stats.failures += 1
-            return
-        self.stats.propagations = space.propagation_count
-        cell = self._select()
-        if cell is None:
-            sol = self._solution()
-            if sol is None:
-                self.stats.failures += 1
-                return
-            yield sol
-            return
-        values = space.cell_values(cell)
-        if self.cfg.value_order == VALUE_MAX:
-            values.reverse()
-        for v in values:
-            if self.truncated:
-                return
-            mark = space.mark()
-            try:
-                space.assign(cell, v)
-            except _Fail:
+                    values = space.cell_values(cell)
+                    if self.cfg.value_order == VALUE_MAX:
+                        values.reverse()
+                    stack.append((cell, iter(values), space.mark()))
+            # Back up to the deepest node with a value left and branch on it.
+            while stack:
+                cell, values, mark = stack[-1]
                 space.undo(mark)
-                continue
-            yield from self._dfs()
-            space.undo(mark)
+                v = next(values, None)
+                if v is None or self.truncated:
+                    stack.pop()
+                    continue
+                try:
+                    space.assign(cell, v)
+                except _Fail:
+                    continue
+                break
+            else:
+                return
+
+    def _bound_objective(self) -> bool:
+        """Require the objective to beat the best solution so far; False on
+        wipeout."""
+        if self.best is None:
+            return True
+        space = self.space
+        try:
+            if self.sense == "minimize":
+                space.remove_above(space.objective_cell, self.best - 1)
+            else:
+                space.remove_below(space.objective_cell, self.best + 1)
+        except _Fail:
+            return False
+        return True
 
     def _select(self) -> int | None:
         space = self.space
@@ -971,19 +977,9 @@ def optimize(space: SolverSpace, cfg: SearchConfig | None = None) -> tuple[Solut
     last improving solution).  Returns (None, stats) when infeasible."""
     if space.objective_cell is None:
         raise ContractError("optimize needs a model with an objective")
-    search = Search(space, cfg or SearchConfig())
-    search._bounding = True
-    search._minimize = space.fm.objective.kind == "minimize"
+    search = Search(space, cfg)
     best_sol: Solution | None = None
-    for sol in search.run():
-        value = sol.objective_value
-        if value is None:
-            continue
-        if (
-            best_sol is None
-            or (search._minimize and value < search._best)
-            or (not search._minimize and value > search._best)
-        ):
+    for sol in search.improving():
+        if sol.objective_value is not None:
             best_sol = sol
-            search._best = value
     return best_sol, search.stats

@@ -95,6 +95,18 @@ class TestCompile:
         assert code == 0
         assert out.startswith("x = 2\n")
 
+    def test_long_chain_solves_without_a_recursion_limit(self, tmp_path, capsys):
+        model = tmp_path / "chain.scm"
+        model.write_text(
+            "import chain.dat;\n\nclass Chain {\n  int x[n] in [1,3];\n  constraint c {\n"
+            "    forall(i in 1..n-1) { x[i] <= x[i+1]; }\n  }\n}\n"
+        )
+        (tmp_path / "chain.dat").write_text("int n := 1500;\n")
+        code, out, err = run(capsys, "solve", str(model))
+        assert code == 0, err
+        assert "Traceback" not in err
+        assert out.startswith("x = [" + ", ".join(["1"] * 1500) + "]\n")
+
     def test_nesting_past_the_stack_is_a_diagnostic(self, tmp_path, capsys):
         depth = 5000
         model = tmp_path / "deep.scm"

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import CORPUS_NAMES, compile_corpus
+from conftest import CORPUS_NAMES, compile_corpus, compile_text
 from scomma.backend import compile_to_target, find_target
 from scomma.flatparse import parse_flat
 
@@ -127,3 +127,15 @@ def test_bad_entry_is_skipped_through_its_own_braces():
         (13, "expected identifier in enum value, found '3'"),
         (15, "expected identifier in enum value, found '4'"),
     ]
+
+
+@pytest.mark.parametrize("constraint", ["x < -1", "y < -x"])
+def test_less_than_a_negative_operand_reads_back_as_less_than(constraint):
+    _tm, fm = compile_text(
+        f"class A {{ int x in [-3,3]; int y in [-3,3]; constraint c {{ {constraint}; }} }}"
+    )
+    text = compile_to_target(fm, find_target("flat"))
+    again, diags = parse_flat(text, name=fm.name)
+    assert again is not None, [d.render() for d in diags]
+    assert [c.expr for c in again.constraints] == [c.expr for c in fm.constraints]
+    assert again.constraints[0].expr.op == "<"
