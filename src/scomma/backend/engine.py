@@ -24,7 +24,7 @@ from ..errors import BackendError
 from ..ir import FlatModel, FlatVar, IntSet, REAL, SET, Table, flatness_violations
 from ..nodes import BoolLit, Expr, Ref
 from ..printer import (
-    BINARY_OPS, UNARY_PREC, join_tight, needs_parens, operand_precs, render_real,
+    UNARY_PREC, join_tight, needs_parens, operand_precs, render_real,
 )
 from .descriptor import (
     BackendDescriptor, CONCEPT_FIELDS, Cond, DESCRIPTOR_EXTENSION, FieldRef, Lit,
@@ -196,8 +196,6 @@ def _compile(bd: BackendDescriptor):
     """``bd``'s templates as closures over a scope; returns the function that
     renders a Problem node with the header and footer."""
     opmap = bd.opmap
-    # operators whose text ends in "<": only there can join_tight add a space
-    spaced_before_minus = {op for op in BINARY_OPS if opmap.get(op, op).endswith("<")}
 
     def absent(concept: str):
         def fail(scope):
@@ -225,13 +223,7 @@ def _compile(bd: BackendDescriptor):
         if len(parts) == 1:
             return parts[0]
         if concept == "BinOp":  # the pieces join as the printer joins them
-            def binop(scope) -> str:
-                pieces = [part(scope) for part in parts]
-                if scope[0].op in spaced_before_minus:
-                    return reduce(join_tight, pieces, "")
-                return "".join(pieces)
-
-            return binop
+            return lambda scope: reduce(join_tight, [part(scope) for part in parts], "")
         return lambda scope: "".join([part(scope) for part in parts])
 
     def fragment(frag, concept: str | None, var: str | None):

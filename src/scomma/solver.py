@@ -862,22 +862,13 @@ class Search:
         start = time.perf_counter()
         if self.cfg.time_limit is not None:
             self._deadline = start + self.cfg.time_limit
-        emitted = 0
         try:
-            for sol in self._dfs():
-                emitted += 1
-                yield sol
-                if (
-                    self.cfg.solution_limit is not None
-                    and emitted >= self.cfg.solution_limit
-                ):
-                    self.truncated = True
-                    break
+            yield from self._dfs()
         finally:
             self.stats.wall_time += time.perf_counter() - start
 
     def _dfs(self):
-        space, stats = self.space, self.stats
+        space, stats, limit = self.space, self.stats, self.cfg.solution_limit
         # The open nodes, root first: each one's branching cell, the values
         # it has left to try, and the trail mark to undo to before each.
         stack: list[tuple[int, Iterator[int], int]] = []
@@ -897,6 +888,10 @@ class Search:
                     else:
                         if self.sense is not None and sol.objective_value is not None:
                             self.best = sol.objective_value
+                        if limit is not None:
+                            limit -= 1
+                            # the last solution allowed: back up to the root next
+                            self.truncated = limit == 0
                         yield sol
                 else:
                     values = space.cell_values(cell)

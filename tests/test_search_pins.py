@@ -118,11 +118,14 @@ def test_search_matches_pin(name):
     assert got == expected
 
 
-def test_exhausted_search_leaves_the_root_domains():
-    """After the whole tree is searched, every domain is as root
-    propagation left it."""
+def test_search_leaves_the_root_domains():
+    """A search that is exhausted, or stopped at its solution limit, undoes
+    its branching: every domain is as root propagation left it, and the
+    same space can be searched again in full."""
     space = build_space(compile_corpus("ineq20")[1])
     assert space.propagate()
     root = list(space.mask)
+    assert sum(1 for _ in solve(space, SearchConfig(solution_limit=1))) == 1
+    assert space.mask == root
     assert sum(1 for _ in solve(space)) == 399
     assert space.mask == root
