@@ -3,7 +3,8 @@
 Exit codes are a stable contract:
 
     0  success (and, for solve, at least one solution)
-    1  compilation diagnostics or other model-level failure
+    1  compilation diagnostics or other model-level failure, or an internal
+       error (one ``error: internal error: <Type>: <message>`` line)
     2  usage error
     3  no solution (solve) / solution file violates constraints (check)
     4  the embedded solver does not support the model (emit with `compile`)
@@ -476,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_UNSUPPORTED
     except ScommaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
+    except Exception as exc:  # a fault in scomma itself: one line, no traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
 
 

@@ -17,6 +17,19 @@ the relation or its negation.  Equal subexpressions share one cell: the key
 of a subexpression is its operator and the cells of its operands, which are
 compiled first.  The search keeps its open nodes on an explicit stack, so
 the depth of the tree is limited by memory, not by Python's recursion limit.
+
+Propagation is event-based.  Every propagator class names the one kind of
+domain change that can make it prune, its propagation condition: ``FIX``
+(a cell became fixed: ``<>``, the boolean gates), ``BOUNDS`` (a cell's min
+or max moved: ``<=``, ``>=``, linear sums, products) or ``DOMAIN`` (any
+value left: ``=``, element, ``alldifferent``).  A reified comparison needs
+what its relation and its negation need.  Each cell keeps one watcher list
+per condition, and a change wakes only the lists it can concern: a fixed
+cell wakes all three, a moved bound wakes bounds and domain watchers, a
+hole in the middle wakes domain watchers only.  A propagator whose ``run``
+returns True is entailed (subsumed) by the domains it leaves: it is parked
+as if it were still queued, so nothing wakes it, and the trail releases it
+when the search backtracks past that point.
 """
 
 from __future__ import annotations
@@ -90,6 +103,11 @@ class _Fail(Exception):
     pass
 
 
+# Propagation conditions, and the events that meet them: a propagator with
+# condition C is woken by every event E <= C, so a fixed cell wakes all.
+FIX, BOUNDS, DOMAIN = 0, 1, 2
+
+
 class SolverSpace:
     """Variable domains plus a propagator network compiled from a flat model."""
 
@@ -97,11 +115,13 @@ class SolverSpace:
         self.fm = fm
         self.base: list[int] = []
         self.mask: list[int] = []
-        self.watchers: list[list[int]] = []
+        # per cell, per event: the propagators that event wakes
+        self.watchers: list[tuple[list[int], list[int], list[int]]] = []
         self.props: list = []
-        self.trail: list[tuple[int, int]] = []
+        # (cell, its old mask), or (propagator, None) for a parked propagator
+        self.trail: list[tuple[int, int | None]] = []
         self.queue: deque[int] = deque()
-        self.queued: list[bool] = []
+        self.queued: list[bool] = []  # in the queue, or parked
         self.decision_cells: list[tuple[str, tuple[int, ...], int]] = []
         self.root_failed = False
         self.propagation_count = 0
@@ -119,7 +139,7 @@ class SolverSpace:
                     mask &= ~(1 << (v - lo))
         self.base.append(lo)
         self.mask.append(mask)
-        self.watchers.append([])
+        self.watchers.append(([], [], []))
         return len(self.base) - 1
 
     def const_cell(self, value: int) -> int:
@@ -164,9 +184,16 @@ class SolverSpace:
             raise _Fail()
         self.trail.append((c, old))
         self.mask[c] = new_mask
-        for p in self.watchers[c]:
-            if not self.queued[p]:
-                self.queued[p] = True
+        if not new_mask & (new_mask - 1):
+            event = FIX
+        elif old & -old != new_mask & -new_mask or old.bit_length() != new_mask.bit_length():
+            event = BOUNDS  # the lowest or the highest value left
+        else:
+            event = DOMAIN
+        queued = self.queued
+        for p in self.watchers[c][event]:
+            if not queued[p]:
+                queued[p] = True
                 self.queue.append(p)
 
     def remove_value(self, c: int, v: int) -> None:
@@ -199,22 +226,27 @@ class SolverSpace:
         prop_id = len(self.props)
         self.props.append(prop)
         for c in prop.cells:
-            self.watchers[c].append(prop_id)
-        self.queued.append(False)
+            for event in range(prop.wake + 1):
+                self.watchers[c][event].append(prop_id)
+        self.queued.append(True)
         self.queue.append(prop_id)
-        self.queued[prop_id] = True
 
     def propagate(self) -> bool:
         """Run to fixpoint; False on wipeout.  Domains only shrink."""
+        queue, queued, props = self.queue, self.queued, self.props
         try:
-            while self.queue:
-                prop_id = self.queue.popleft()
-                self.queued[prop_id] = False
+            while queue:
+                prop_id = queue.popleft()
+                queued[prop_id] = False
                 self.propagation_count += 1
-                self.props[prop_id].run(self)
+                # entailed, and not re-queued by its own changes: park it
+                if props[prop_id].run(self) and not queued[prop_id]:
+                    queued[prop_id] = True
+                    self.trail.append((prop_id, None))
         except _Fail:
-            self.queue.clear()
-            self.queued = [False] * len(self.queued)
+            for prop_id in queue:
+                queued[prop_id] = False
+            queue.clear()
             return False
         return True
 
@@ -222,9 +254,13 @@ class SolverSpace:
         return len(self.trail)
 
     def undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            c, old = self.trail.pop()
-            self.mask[c] = old
+        trail, mask = self.trail, self.mask
+        while len(trail) > mark:
+            c, old = trail.pop()
+            if old is None:
+                self.queued[c] = False  # release a parked propagator
+            else:
+                mask[c] = old
 
     # -- model compilation ----------------------------------------------------------
 
@@ -494,8 +530,9 @@ def _shift(mask: int, k: int) -> int:
 
 class _Relation:
     """``x REL y + d`` over two cells.  Each relation defines its filtering
-    (``run``), whether the current domains decide it (``entailed``: True,
-    False or None) and its ``negation``."""
+    (``run``, True when it leaves the relation entailed), its propagation
+    condition (``wake``), whether the current domains decide it
+    (``entailed``: True, False or None) and its ``negation``."""
 
     def __init__(self, x: int, y: int, d: int = 0):
         self.x, self.y, self.d = x, y, d
@@ -504,6 +541,8 @@ class _Relation:
 
 class _Le(_Relation):
     """x <= y + d, bounds consistent."""
+
+    wake = BOUNDS
 
     def run(self, s: SolverSpace) -> None:
         x, y, d = self.x, self.y, self.d
@@ -524,6 +563,8 @@ class _Le(_Relation):
 class _Ge(_Relation):
     """x >= y + d, bounds consistent."""
 
+    wake = BOUNDS
+
     def run(self, s: SolverSpace) -> None:
         x, y, d = self.x, self.y, self.d
         s.remove_below(x, s.cell_min(y) + d)
@@ -542,6 +583,8 @@ class _Ge(_Relation):
 
 class _Eq(_Relation):
     """x = y + d, domain consistent."""
+
+    wake = DOMAIN
 
     def run(self, s: SolverSpace) -> None:
         _equalize(s, self.x, self.y, self.d)
@@ -563,14 +606,20 @@ class _Eq(_Relation):
 
 
 class _Ne(_Relation):
-    """x <> y + d: once one side is fixed, its value leaves the other."""
+    """x <> y + d: once one side is fixed, its value leaves the other, and
+    the relation is entailed."""
 
-    def run(self, s: SolverSpace) -> None:
+    wake = FIX
+
+    def run(self, s: SolverSpace) -> bool:
         x, y, d = self.x, self.y, self.d
         if s.cell_fixed(x):
             s.remove_value(y, s.cell_value(x) - d)
         elif s.cell_fixed(y):
             s.remove_value(x, s.cell_value(y) + d)
+        else:
+            return False
+        return True
 
     def entailed(self, s: SolverSpace) -> bool | None:
         equal = _Eq.entailed(self, s)
@@ -600,6 +649,8 @@ def _equalize(s: SolverSpace, x: int, y: int, d: int = 0) -> None:
 class _Linear:
     """z = sum(coef * cell) + const, bounds consistency."""
 
+    wake = BOUNDS
+
     def __init__(self, z: int, terms: tuple[tuple[int, int], ...], const: int = 0):
         self.z = z
         self.terms = terms
@@ -628,13 +679,15 @@ class _Linear:
             if coef > 0:
                 s.remove_below(c, -((-lo_needed) // coef))
                 s.remove_above(c, hi_allowed // coef)
-            else:
+            elif coef < 0:
                 s.remove_below(c, -((-hi_allowed) // coef))
                 s.remove_above(c, lo_needed // coef)
 
 
 class _Mul:
     """z = x * y with both factors free; bounds from interval products."""
+
+    wake = BOUNDS
 
     def __init__(self, z: int, x: int, y: int):
         self.z, self.x, self.y = z, x, y
@@ -662,25 +715,30 @@ class _Mul:
 
 
 class _ReifCmp:
-    """b <-> rel: with b fixed, runs the relation or its negation; with b
-    free, fixes b once the domains decide the relation."""
+    """b <-> rel: with b fixed, runs the relation or its negation and is
+    entailed when that is; with b free, fixes b once the domains decide the
+    relation.  Deciding a relation is failing its negation, so it wakes on
+    whatever either of the two wakes on; any change to b fixes b."""
 
     def __init__(self, b: int, rel: _Relation):
         self.b, self.rel, self.neg = b, rel, rel.negation()
         self.cells = (b,) + rel.cells
+        self.wake = max(rel.wake, self.neg.wake)
 
-    def run(self, s: SolverSpace) -> None:
+    def run(self, s: SolverSpace) -> bool | None:
         b = self.b
         if s.cell_fixed(b):
-            (self.rel if s.cell_value(b) else self.neg).run(s)
-            return
+            return (self.rel if s.cell_value(b) else self.neg).run(s)
         status = self.rel.entailed(s)
         if status is not None:
             s.assign(b, 1 if status else 0)
+        return False
 
 
 class _Gate:
     """b <-> (a1 op a2) over 0/1 cells for and/or/xor/->."""
+
+    wake = FIX
 
     def __init__(self, b: int, op: str, a1: int, a2: int):
         self.b, self.op, self.a1, self.a2 = b, op, a1, a2
@@ -741,6 +799,8 @@ class _Gate:
 class _ElementVar:
     """z = elems[i] (i 1-based) over variable cells; domain consistent."""
 
+    wake = DOMAIN
+
     def __init__(self, z: int, i: int, elems: list[int]):
         self.z, self.i, self.elems = z, i, elems
         self.cells = (z, i) + tuple(elems)
@@ -769,6 +829,8 @@ class _ElementVar:
 class _ElementConst:
     """z = table[i] over a constant table; domain consistent."""
 
+    wake = DOMAIN
+
     def __init__(self, z: int, i: int, values: list[int]):
         self.z, self.i, self.values = z, i, values
         self.cells = (z, i)
@@ -793,6 +855,8 @@ class _ElementConst:
 
 class _AllDiff:
     """Pairwise-distinct: fixed-value removal plus a union-size pigeonhole check."""
+
+    wake = DOMAIN
 
     def __init__(self, cells: list[int]):
         self.cells = tuple(cells)

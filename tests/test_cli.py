@@ -116,6 +116,22 @@ class TestCompile:
         assert code == 1
         assert "error: input nested too deeply" in err
 
+    @pytest.mark.parametrize("command", ["solve", "compile"])
+    def test_internal_error_is_one_line(self, tmp_path, capsys, command):
+        # The analyzer still recurses on a 1,500-term sum (ROADMAP item 5);
+        # until it does not, this is an internal error, reported in one line.
+        model = tmp_path / "sum.scm"
+        model.write_text("class A {\n  int x in [0,3];\n  constraint c { "
+                         + "+".join(["x"] * 1500) + " >= 0; }\n}\n")
+        argv = [command, str(model)]
+        if command == "compile":
+            argv += ["--emit-flat", "--out", str(tmp_path / "sum.fsc")]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith("error: internal error: RecursionError: maximum recursion")
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compile"])  # missing model argument

@@ -210,6 +210,13 @@ class TestSearch:
         )
         assert list(solve(build_space(fm))) == []
 
+    def test_product_with_a_zero_factor(self):
+        # a fixed factor of 0 makes a linear term with coefficient 0
+        _tm, fm = compile_text(
+            "class A { int a in [0,0]; int b in [-2,2]; constraint z { a * b >= b; } }"
+        )
+        assert sorted(s.values[("b", ())] for s in solve(build_space(fm))) == [-2, -1, 0]
+
     def test_solution_limit_sets_truncated(self):
         _tm, fm, _ = compile_corpus("queens-10")
         search = solve(build_space(fm), SearchConfig(solution_limit=3))
