@@ -486,6 +486,7 @@ class _Analyzer:
             # Enum literals and identifiers share a token class; a bare name
             # that is neither a loop variable, attribute, nor constant is
             # resolved against the enum value tables here.
+            fresh = node
             if isinstance(node, Ref) and node.simple_name:
                 name = node.simple_name
                 if (
@@ -495,17 +496,19 @@ class _Analyzer:
                 ):
                     for enum in self.data.enums.values():
                         if name in enum.values:
-                            return EnumRef(enum.name, name, enum.ordinal(name), span=node.span)
+                            fresh = EnumRef(enum.name, name, enum.ordinal(name), span=node.span)
+                            break
             # Types are written into the result, so it must share no node
             # with the caller's tree.  ``transform`` rebuilds every node whose
             # children changed but hands a childless node over as itself:
-            # copying those makes every node of the result a new one.
-            if next(children(node), None) is None:
-                return copy(node)
-            return node
+            # copying those makes every node of the result a new one.  It
+            # also works bottom-up, so the children arrive typed.
+            if fresh is node and next(children(node), None) is None:
+                fresh = copy(node)
+            self._assign_type(fresh, cls, loops)
+            return fresh
 
         typed = transform(e, rewrite)
-        self._assign_types(typed, cls, loops)
         if range_position:
             self._check_range_refs(typed, loops)
         return typed
@@ -611,13 +614,8 @@ class _Analyzer:
             )
         return t.elem
 
-    def _assign_types(self, e: Expr, cls: ClassDef, loops: list[str]) -> None:
-        """Bottom-up type computation; indices are typed before their paths."""
-        for c in children(e):
-            if c.ty is None:
-                self._assign_types(c, cls, loops)
-        if e.ty is not None:
-            return
+    def _assign_type(self, e: Expr, cls: ClassDef, loops: list[str]) -> None:
+        """The type of ``e``, whose children (indices too) are typed."""
         if isinstance(e, EnumRef):
             e.ty = INT_T
         elif isinstance(e, Ref):
@@ -657,7 +655,7 @@ class _Analyzer:
                 e.ty = INT_T
         elif isinstance(e, BinOp):
             e.ty = self._binop_type(e)
-        elif e.ty is None:
+        else:
             e.ty = INT_T
 
     def _binop_type(self, e: BinOp) -> Type:
@@ -837,8 +835,6 @@ def linearize_inheritance(model: Model, sink: DiagnosticSink | None = None) -> M
     if own_sink.failed:
         return None
 
-    order: dict[str, int] = {}
-
     def chain(name: str, seen: tuple[str, ...]) -> bool:
         if name in seen:
             cycle = " -> ".join(seen[seen.index(name):] + (name,))
@@ -887,7 +883,6 @@ def linearize_inheritance(model: Model, sink: DiagnosticSink | None = None) -> M
     classes = tuple(build(c.name) for c in model.classes)
     if own_sink.failed:
         return None
-    order.clear()
     return Model(model.name, model.imports, classes, model.main_class)
 
 

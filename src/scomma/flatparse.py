@@ -5,6 +5,10 @@ Reads the sectioned format the ``flat`` target produces (``variables:``,
 ``constant-arrays:``) back into a :class:`FlatModel`, which makes the flat
 emission round-trippable and lets hand-written flat files feed the solver
 directly.
+
+A variable line is read as a model's attribute declaration and a constant
+array as a data file's value; what those grammars allow beyond flat text (a
+named size, a computed bound, a keyed list) is refused as it becomes a number.
 """
 
 from __future__ import annotations
@@ -25,27 +29,43 @@ from .ir import (
     Table,
     flatness_violations,
 )
-from .lexer import EOF, INT as INT_TOK, REAL as REAL_TOK
+from .lexer import EOF
+from .nodes import (
+    BoolType,
+    DomainSet,
+    IntLit,
+    IntType,
+    NamedType,
+    RealLit,
+    RealType,
+    SetType,
+    VInt,
+    VList,
+    VReal,
+)
 from .parser import ParseAbort, TokenCursor
+
+_BASES = {IntType: INT, RealType: REAL, BoolType: BOOL, SetType: SET, NamedType: INT}
+_INTEGERS = (IntLit,)
+_NUMBERS = (IntLit, RealLit, VInt, VReal)
 
 
 class _FlatParser(TokenCursor):
     def parse(self, name: str) -> FlatModel | None:
-        fm = FlatModel(name=name)
-        pending_types: list[tuple[FlatVar, str]] = []
-        entries = {
-            "variables": lambda: self._variable_line(fm, pending_types),
-            "constraints": lambda: self._constraint(fm),
-            "enum-types": lambda: self._enum_type(fm),
-            "constant-arrays": lambda: self._table(fm),
-        }
-        section = self._expect_section()
-        while section is not None:
-            if section == "objective":
-                section = self._objective(fm)
+        self.fm = fm = FlatModel(name=name)
+        self.pending_types: list[tuple[FlatVar, str]] = []
+        entry = None
+        while self.cur.kind != EOF:
+            section = self._header()
+            if section is not None:
+                while not self.advance().is_symbol(":"):
+                    pass
+                entry = _SECTIONS[section]
+            elif entry is None:
+                raise self.fail("expected a section header such as 'variables:'")
             else:
-                section = self._entries(entries[section])
-        for var, type_name in pending_types:
+                self._entry(entry)
+        for var, type_name in self.pending_types:
             if type_name in fm.enum_types:
                 var.enum_tag = type_name
             else:
@@ -57,167 +77,82 @@ class _FlatParser(TokenCursor):
             return None
         return fm
 
-    # -- section plumbing -------------------------------------------------------
-
-    def _at_section(self) -> str | None:
-        tok = self.cur
-        if tok.kind == EOF:
-            return None
-        text = tok.text
-        if text in ("variables", "constraints", "objective") and self.peek().is_symbol(":"):
-            return text
-        if (
-            tok.is_keyword("enum")
-            and self.peek().is_symbol("-")
-            and self.peek(2).text == "types"
-            and self.peek(3).is_symbol(":")
-        ):
-            return "enum-types"
-        if (
-            text == "constant"
-            and self.peek().is_symbol("-")
-            and self.peek(2).text == "arrays"
-            and self.peek(3).is_symbol(":")
-        ):
-            return "constant-arrays"
+    def _header(self) -> str | None:
+        """The section whose header starts here: its words before ':'."""
+        for width in (1, 3):
+            if self.peek(width).is_symbol(":"):
+                words = "".join(self.peek(k).text for k in range(width))
+                if words in _SECTIONS:
+                    return words
         return None
 
-    def _consume_section_header(self, section: str) -> None:
-        if section in ("variables", "constraints", "objective"):
-            self.advance()
-            self.advance()
-        else:
-            for _ in range(4):
-                self.advance()
+    def _entry(self, entry) -> None:
+        """One entry; a bad one is reported and skipped through its closing
+        ';' (its braces and brackets close nothing outside it), unless it has
+        read that ';' already, or up to a section header that comes first."""
+        start = self.pos
+        try:
+            entry(self)
+        except ParseAbort:
+            if self.pos > start and self.tokens[self.pos - 1].is_symbol(";"):
+                return
+            while self.cur.kind != EOF and self._header() is None:
+                if self.advance().is_symbol(";"):
+                    break
 
-    def _expect_section(self) -> str | None:
-        if self.cur.kind == EOF:
-            return None
-        section = self._at_section()
-        if section is None:
-            raise self.fail("expected a section header such as 'variables:'")
-        self._consume_section_header(section)
-        return section
+    def _numbers(self, literals, kinds: tuple, what: str, span=None) -> list:
+        """The numbers in ``literals``, each a literal of one of ``kinds``;
+        any other is reported at its own span, or at ``span``."""
+        for lit in literals:
+            if type(lit) not in kinds:
+                raise self.fail(f"expected {what}", span or lit.span)
+        return [lit.value for lit in literals]
 
-    def _next_or_section(self) -> str | None:
-        """None while more entries follow; the section name when one starts."""
-        if self.cur.kind == EOF:
-            return None
-        return self._at_section()
+    # -- entries -----------------------------------------------------------------
 
-    def _entries(self, entry) -> str | None:
-        """Parse entries with ``entry`` up to the next section header, which
-        is consumed and returned (None at the end).  A bad entry is reported
-        and skipped through its closing ';' (its braces and brackets close
-        nothing outside it), or up to a section header that comes first."""
-        while True:
-            section = self._next_or_section()
-            if section is not None:
-                self._consume_section_header(section)
-                return section
-            if self.cur.kind == EOF:
-                return None
-            try:
-                entry()
-            except ParseAbort:
-                while self.cur.kind != EOF and self._at_section() is None:
-                    if self.advance().is_symbol(";"):
-                        break
+    def _variable_line(self) -> None:
+        attr = self.parse_attribute()
+        dom, spec = attr.domain, attr.type
+        if dom is None:
+            raise self.fail("expected 'in <domain>'", attr.span)
+        base = _BASES[type(spec)]
+        shape = tuple(self._numbers(attr.shape, _INTEGERS, "an integer array size"))
+        try:
+            if isinstance(dom, DomainSet):
+                values = self._numbers(dom.elems, _INTEGERS, "an integer domain value")
+                domain = IntSet(tuple(values))
+            else:
+                lo, hi = self._numbers((dom.lo, dom.hi), _NUMBERS, "a number domain bound")
+                if base == REAL or float in (type(lo), type(hi)):
+                    domain = RealInterval(float(lo), float(hi))
+                else:
+                    domain = IntInterval(lo, hi)
+            var = FlatVar(attr.name, base, shape, domain)
+        except ValueError as e:  # an empty domain, or a size below 1
+            raise self.fail(str(e), attr.span)
+        self.fm.variables.append(var)
+        if isinstance(spec, NamedType):
+            self.pending_types.append((var, spec.name))
+        elif isinstance(spec, SetType) and spec.elem != "int":
+            self.pending_types.append((var, spec.elem))
 
-    # -- sections ----------------------------------------------------------------
-
-    def _variable_line(self, fm: FlatModel, pending: list) -> None:
-        base = None
-        type_name = None
-        tok = self.cur
-        if tok.is_keyword("int"):
-            base = INT
-            self.advance()
-        elif tok.is_keyword("real"):
-            base = REAL
-            self.advance()
-        elif tok.is_keyword("bool"):
-            base = BOOL
-            self.advance()
-        elif tok.is_keyword("set"):
-            self.advance()
-            if not self.accept_keyword("of"):
-                raise self.fail("expected 'of' after 'set'")
-            base = SET
-            if not self.accept_keyword("int"):
-                type_name = self.expect_ident("set element type").text
-        else:
-            type_name = self.expect_ident("variable type").text
-            base = INT
-        name = self.expect_ident("variable name").text
-        shape: tuple[int, ...] = ()
-        if self.accept_symbol("["):
-            dims = [self._int_value("array size")]
-            if self.accept_symbol(","):
-                dims.append(self._int_value("array size"))
-            self.expect_symbol("]", "variable shape")
-            shape = tuple(dims)
-        if not self.accept_keyword("in"):
-            raise self.fail("expected 'in <domain>'")
-        domain = self._domain(base)
-        self.expect_symbol(";", "variable declaration")
-        var = FlatVar(name, base, shape, domain)
-        fm.variables.append(var)
-        if type_name is not None:
-            pending.append((var, type_name))
-
-    def _int_value(self, what: str) -> int:
-        neg = bool(self.accept_symbol("-"))
-        if self.cur.kind != INT_TOK:
-            raise self.fail(f"expected an integer {what}")
-        v = self.advance().value
-        return -v if neg else v
-
-    def _number(self, what: str) -> int | float:
-        neg = bool(self.accept_symbol("-"))
-        if self.cur.kind == INT_TOK:
-            v = self.advance().value
-        elif self.cur.kind == REAL_TOK:
-            v = self.advance().value
-        else:
-            raise self.fail(f"expected a number {what}")
-        return -v if neg else v
-
-    def _domain(self, base: str):
-        if self.accept_symbol("{"):
-            values = [self._int_value("domain value")]
-            while self.accept_symbol(","):
-                values.append(self._int_value("domain value"))
-            self.expect_symbol("}", "domain")
-            return IntSet(tuple(values))
-        self.expect_symbol("[", "domain")
-        lo = self._number("domain bound")
-        self.expect_symbol(",", "domain")
-        hi = self._number("domain bound")
-        self.expect_symbol("]", "domain")
-        if base == REAL or isinstance(lo, float) or isinstance(hi, float):
-            return RealInterval(float(lo), float(hi))
-        return IntInterval(lo, hi)
-
-    def _constraint(self, fm: FlatModel) -> None:
+    def _constraint(self) -> None:
         expr = self.parse_expression()
         self.expect_symbol(";", "constraint")
-        fm.constraints.append(FlatConstraint(expr))
+        self.fm.constraints.append(FlatConstraint(expr))
 
-    def _objective(self, fm: FlatModel) -> str | None:
-        kind_tok = self.cur
-        if not kind_tok.is_keyword("minimize", "maximize"):
+    def _objective(self) -> None:
+        kind = self.cur
+        if not kind.is_keyword("minimize", "maximize"):
             raise self.fail("expected 'minimize' or 'maximize'")
+        if self.fm.objective is not None:
+            raise self.fail("a flat model has one objective; this is a second one")
         self.advance()
         expr = self.parse_expression()
         self.expect_symbol(";", "objective")
-        fm.objective = FlatObjective(kind_tok.text, expr)
-        section = self._next_or_section()
-        if section is not None:
-            self._consume_section_header(section)
-        return section
+        self.fm.objective = FlatObjective(kind.text, expr)
 
-    def _enum_type(self, fm: FlatModel) -> None:
+    def _enum_type(self) -> None:
         name = self.expect_ident("enum name").text
         self.expect_symbol(":=", "enum table")
         self.expect_symbol("{", "enum table")
@@ -226,37 +161,41 @@ class _FlatParser(TokenCursor):
             values.append(self.expect_ident("enum value").text)
         self.expect_symbol("}", "enum table")
         self.expect_symbol(";", "enum table")
-        fm.enum_types[name] = tuple(values)
+        self.fm.enum_types[name] = tuple(values)
 
-    def _table(self, fm: FlatModel) -> None:
-        name = self.expect_ident("constant array name").text
+    def _table(self) -> None:
+        name = self.expect_ident("constant array name")
         self.expect_symbol(":=", "constant array")
-        self.expect_symbol("[", "constant array")
-        if self.at_symbol("["):
-            rows = [self._row()]
-            while self.accept_symbol(","):
-                rows.append(self._row())
-            self.expect_symbol("]", "constant array")
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
-                raise self.fail(f"ragged rows in constant array '{name}'")
-            values = tuple(v for row in rows for v in row)
-            fm.tables[name] = Table(name, (len(rows), cols), values)
-        else:
-            values = [self._number("table value")]
-            while self.accept_symbol(","):
-                values.append(self._number("table value"))
-            self.expect_symbol("]", "constant array")
-            fm.tables[name] = Table(name, (len(values),), tuple(values))
+        value = self.parse_value()
         self.expect_symbol(";", "constant array")
+        cells = self._cells(value, name)
+        shape = (len(cells),)
+        if type(cells[0]) is VList:
+            rows = [self._cells(row, name) for row in cells]
+            shape = (len(rows), len(rows[0]))
+            if any(len(row) != shape[1] for row in rows):
+                raise self.fail(f"ragged rows in constant array '{name.text}'", name.span)
+            cells = [cell for row in rows for cell in row]
+        values = self._numbers(cells, _NUMBERS, "a number table value", name.span)
+        self.fm.tables[name.text] = Table(name.text, shape, tuple(values))
 
-    def _row(self) -> list:
-        self.expect_symbol("[", "table row")
-        values = [self._number("table value")]
-        while self.accept_symbol(","):
-            values.append(self._number("table value"))
-        self.expect_symbol("]", "table row")
-        return values
+    def _cells(self, value, name) -> tuple:
+        """The entries of one list of a constant array: at least one, and no
+        keys."""
+        if type(value) is VList and value.items and value.keys is None:
+            return value.items
+        raise self.fail(f"constant array '{name.text}' needs a non-empty list"
+                        " of numbers or of rows, without keys", name.span)
+
+
+# The sections, by the words of their headers before ':', and their entries.
+_SECTIONS = {
+    "variables": _FlatParser._variable_line,
+    "constraints": _FlatParser._constraint,
+    "objective": _FlatParser._objective,
+    "enum-types": _FlatParser._enum_type,
+    "constant-arrays": _FlatParser._table,
+}
 
 
 def parse_flat(

@@ -260,7 +260,7 @@ class TokenCursor:
             self.expect_symbol("]", "index")
         return RefPart(name_tok.text, indices)
 
-    # -- shared declaration pieces --------------------------------------------
+    # -- shared declaration pieces: models, data files and flat text ----------
 
     def parse_type_spec(self) -> TypeSpec:
         if self.accept_keyword("int"):
@@ -298,6 +298,96 @@ class TokenCursor:
             self.advance()
             return Ref((RefPart(tok.text),), span=tok.span)
         raise self.fail("array bound must be an integer literal, constant name, or enum name")
+
+    def parse_attribute(self) -> Attribute:
+        start = self.cur
+        type_spec = self.parse_type_spec()
+        name = self.expect_ident("attribute declaration")
+        shape = self.parse_shape()
+        domain = None
+        if self.accept_keyword("in"):
+            domain = self.parse_domain()
+        self.expect_symbol(";", "attribute declaration")
+        return Attribute(name.text, type_spec, shape, domain, span=start.span)
+
+    def parse_domain(self):
+        if self.accept_symbol("{"):
+            return DomainSet(tuple(self._parse_expr_list("}")))
+        self.expect_symbol("[", "domain")
+        lo = self.parse_expression()
+        self.expect_symbol(",", "domain")
+        hi = self.parse_expression()
+        self.expect_symbol("]", "domain")
+        return DomainInterval(lo, hi)
+
+    def parse_value(self) -> DataValue:
+        tok = self.cur
+        if tok.is_symbol("_"):
+            self.advance()
+            return VOmit()
+        if tok.is_symbol("["):
+            return self._parse_list()
+        if tok.is_symbol("{"):
+            self.advance()
+            items: list[DataValue] = []
+            if not self.at_symbol("}"):
+                items.append(self.parse_value())
+                while self.accept_symbol(","):
+                    items.append(self.parse_value())
+            self.expect_symbol("}", "object literal")
+            return VObj(tuple(items))
+        return self._parse_scalar()
+
+    def _parse_list(self) -> VList:
+        open_tok = self.advance()
+        items: list[DataValue] = []
+        keys: list[str] = []
+        saw_positional = False
+        while not self.at_symbol("]"):
+            if self.cur.kind == EOF:
+                raise self.fail("array literal is never closed", open_tok.span)
+            if self.cur.kind == IDENT and self.peek().is_symbol(":"):
+                key = self.advance()
+                self.advance()
+                keys.append(key.text)
+                items.append(self.parse_value())
+            else:
+                saw_positional = True
+                items.append(self.parse_value())
+            if not self.accept_symbol(","):
+                break
+        self.expect_symbol("]", "array literal")
+        if keys and saw_positional:
+            raise self.fail(
+                "array literal mixes keyed and positional entries", open_tok.span
+            )
+        return VList(tuple(items), tuple(keys) if keys else None)
+
+    def _parse_scalar(self) -> DataValue:
+        tok = self.cur
+        if tok.kind == INT:
+            self.advance()
+            return VInt(tok.value)
+        if tok.kind == REAL:
+            self.advance()
+            return VReal(tok.value)
+        if tok.is_symbol("-"):
+            self.advance()
+            inner = self.cur
+            if inner.kind == INT:
+                self.advance()
+                return VInt(-inner.value)
+            if inner.kind == REAL:
+                self.advance()
+                return VReal(-inner.value)
+            raise self.fail("expected a number after '-'")
+        if tok.is_keyword("true", "false"):
+            self.advance()
+            return VBool(tok.value)
+        if tok.kind == IDENT:
+            self.advance()
+            return VSym(tok.text)
+        raise self.fail(f"expected a value, found {self.describe(tok)}")
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +451,7 @@ class ModelParser(TokenCursor):
                 if self.at_keyword("constraint"):
                     zones.append(self._parse_zone())
                 else:
-                    attributes.append(self._parse_attribute())
+                    attributes.append(self.parse_attribute())
             except ParseAbort:
                 self.sync_statement()
         self.advance()
@@ -372,29 +462,6 @@ class ModelParser(TokenCursor):
             zones=tuple(zones),
             span=kw.span,
         )
-
-    def _parse_attribute(self) -> Attribute:
-        start = self.cur
-        type_spec = self.parse_type_spec()
-        name = self.expect_ident("attribute declaration")
-        shape = self.parse_shape()
-        domain = None
-        if self.accept_keyword("in"):
-            domain = self._parse_domain()
-        self.expect_symbol(";", "attribute declaration")
-        return Attribute(name.text, type_spec, shape, domain, span=start.span)
-
-    def _parse_domain(self):
-        if self.accept_symbol("["):
-            lo = self.parse_expression()
-            self.expect_symbol(",", "domain")
-            hi = self.parse_expression()
-            self.expect_symbol("]", "domain")
-            return DomainInterval(lo, hi)
-        if self.accept_symbol("{"):
-            elems = self._parse_expr_list("}")
-            return DomainSet(tuple(elems))
-        raise self.fail("expected '[lo,hi]' or '{v, ...}' domain")
 
     def _parse_zone(self) -> ConstraintZone:
         kw = self.advance()
@@ -551,7 +618,7 @@ class DataParser(TokenCursor):
             while self.accept_symbol("."):
                 path.append(self.expect_ident("assignment path").text)
             self.expect_symbol(":=", "variable-assignment")
-            value = self._parse_composite()
+            value = self.parse_value()
             self.expect_symbol(";", "variable-assignment")
             data.assignments.append(
                 Assignment(type_name, tuple(path), value, span=start.span)
@@ -559,82 +626,13 @@ class DataParser(TokenCursor):
             return
         shape = self.parse_shape()
         self.expect_symbol(":=", "constant declaration")
-        value = self._parse_composite()
+        value = self.parse_value()
         self.expect_symbol(";", "constant declaration")
         if first.text in data.constants:
             raise self.fail(f"constant '{first.text}' declared twice", first.span)
         data.constants[first.text] = ConstDecl(
             first.text, type_spec, shape, value, span=start.span
         )
-
-    def _parse_composite(self) -> DataValue:
-        tok = self.cur
-        if tok.is_symbol("_"):
-            self.advance()
-            return VOmit()
-        if tok.is_symbol("["):
-            return self._parse_list()
-        if tok.is_symbol("{"):
-            self.advance()
-            items: list[DataValue] = []
-            if not self.at_symbol("}"):
-                items.append(self._parse_composite())
-                while self.accept_symbol(","):
-                    items.append(self._parse_composite())
-            self.expect_symbol("}", "object literal")
-            return VObj(tuple(items))
-        return self._parse_scalar()
-
-    def _parse_list(self) -> VList:
-        open_tok = self.advance()
-        items: list[DataValue] = []
-        keys: list[str] = []
-        saw_positional = False
-        while not self.at_symbol("]"):
-            if self.cur.kind == EOF:
-                raise self.fail("array literal is never closed", open_tok.span)
-            if self.cur.kind == IDENT and self.peek().is_symbol(":"):
-                key = self.advance()
-                self.advance()
-                keys.append(key.text)
-                items.append(self._parse_composite())
-            else:
-                saw_positional = True
-                items.append(self._parse_composite())
-            if not self.accept_symbol(","):
-                break
-        self.expect_symbol("]", "array literal")
-        if keys and saw_positional:
-            raise self.fail(
-                "array literal mixes keyed and positional entries", open_tok.span
-            )
-        return VList(tuple(items), tuple(keys) if keys else None)
-
-    def _parse_scalar(self) -> DataValue:
-        tok = self.cur
-        if tok.kind == INT:
-            self.advance()
-            return VInt(tok.value)
-        if tok.kind == REAL:
-            self.advance()
-            return VReal(tok.value)
-        if tok.is_symbol("-"):
-            self.advance()
-            inner = self.cur
-            if inner.kind == INT:
-                self.advance()
-                return VInt(-inner.value)
-            if inner.kind == REAL:
-                self.advance()
-                return VReal(-inner.value)
-            raise self.fail("expected a number after '-'")
-        if tok.is_keyword("true", "false"):
-            self.advance()
-            return VBool(tok.value)
-        if tok.kind == IDENT:
-            self.advance()
-            return VSym(tok.text)
-        raise self.fail(f"expected a value, found {self.describe(tok)}")
 
 
 # ---------------------------------------------------------------------------

@@ -635,7 +635,32 @@ _RELATIONS = {
     "<": (_Le, -1), "<=": (_Le, 0), ">": (_Ge, 1), ">=": (_Ge, 0),
     "=": (_Eq, 0), "<>": (_Ne, 0),
 }
-_GATES = ("and", "or", "xor", "->")
+
+
+def _truth_table(f) -> list[tuple[int, int, int]]:
+    """The filtering of b <-> f(a1, a2) over 0/1 values.  An index packs the
+    values left to b, a1 and a2 two bits each, b lowest, bit v standing for
+    value v; its entry gives, for each of the three, the values that some
+    row of the truth table made of values left supports."""
+    table = []
+    for left in range(64):
+        keep = [0, 0, 0]
+        for x in (0, 1):
+            for y in (0, 1):
+                row = (f(x, y), x, y)
+                if all(left >> (2 * k + v) & 1 for k, v in enumerate(row)):
+                    for k, v in enumerate(row):
+                        keep[k] |= 1 << v
+        table.append(tuple(keep))
+    return table
+
+
+_GATES = {
+    "and": _truth_table(lambda x, y: x & y),
+    "or": _truth_table(lambda x, y: x | y),
+    "xor": _truth_table(lambda x, y: x ^ y),
+    "->": _truth_table(lambda x, y: (1 - x) | y),
+}
 
 
 def _equalize(s: SolverSpace, x: int, y: int, d: int = 0) -> None:
@@ -736,64 +761,25 @@ class _ReifCmp:
 
 
 class _Gate:
-    """b <-> (a1 op a2) over 0/1 cells for and/or/xor/->."""
+    """b <-> (a1 op a2) over 0/1 cells for and/or/xor/->, by the operator's
+    truth table: each cell keeps the values that some row supports."""
 
     wake = FIX
 
     def __init__(self, b: int, op: str, a1: int, a2: int):
-        self.b, self.op, self.a1, self.a2 = b, op, a1, a2
+        self.table = _GATES[op]
         self.cells = (b, a1, a2)
 
     def run(self, s: SolverSpace) -> None:
-        op, b, a1, a2 = self.op, self.b, self.a1, self.a2
-        v = lambda c: s.cell_value(c) if s.cell_fixed(c) else None
-        vb, v1, v2 = v(b), v(a1), v(a2)
-        if op == "and":
-            if v1 == 1 and v2 == 1:
-                s.assign(b, 1)
-            elif v1 == 0 or v2 == 0:
-                s.assign(b, 0)
-            if vb == 1:
-                s.assign(a1, 1)
-                s.assign(a2, 1)
-            elif vb == 0:
-                if v1 == 1:
-                    s.assign(a2, 0)
-                if v2 == 1:
-                    s.assign(a1, 0)
-        elif op == "or":
-            if v1 == 1 or v2 == 1:
-                s.assign(b, 1)
-            elif v1 == 0 and v2 == 0:
-                s.assign(b, 0)
-            if vb == 0:
-                s.assign(a1, 0)
-                s.assign(a2, 0)
-            elif vb == 1:
-                if v1 == 0:
-                    s.assign(a2, 1)
-                if v2 == 0:
-                    s.assign(a1, 1)
-        elif op == "xor":
-            if v1 is not None and v2 is not None:
-                s.assign(b, v1 ^ v2)
-            if vb is not None and v1 is not None:
-                s.assign(a2, vb ^ v1)
-            if vb is not None and v2 is not None:
-                s.assign(a1, vb ^ v2)
-        else:  # ->
-            if v1 == 0 or v2 == 1:
-                s.assign(b, 1)
-            elif v1 == 1 and v2 == 0:
-                s.assign(b, 0)
-            if vb == 0:
-                s.assign(a1, 1)
-                s.assign(a2, 0)
-            elif vb == 1:
-                if v1 == 1:
-                    s.assign(a2, 1)
-                if v2 == 0:
-                    s.assign(a1, 0)
+        mask, base = s.mask, s.base
+        b, a1, a2 = self.cells
+        keep = self.table[  # each cell's values 0 and 1 as bits 0 and 1
+            _shift(mask[b], base[b]) & 3
+            | (_shift(mask[a1], base[a1]) & 3) << 2
+            | (_shift(mask[a2], base[a2]) & 3) << 4
+        ]
+        for c, values in zip(self.cells, keep):
+            s._set_mask(c, mask[c] & _shift(values, -base[c]))
 
 
 class _ElementVar:
@@ -923,13 +909,14 @@ class Search:
         space = self.space
         if space.root_failed:
             return
-        start = time.perf_counter()
+        start, runs = time.perf_counter(), space.propagation_count
         if self.cfg.time_limit is not None:
             self._deadline = start + self.cfg.time_limit
         try:
             yield from self._dfs()
         finally:
             self.stats.wall_time += time.perf_counter() - start
+            self.stats.propagations += space.propagation_count - runs
 
     def _dfs(self):
         space, stats, limit = self.space, self.stats, self.cfg.solution_limit
@@ -943,7 +930,6 @@ class Search:
             elif not self._bound_objective() or not space.propagate():
                 stats.failures += 1
             else:
-                stats.propagations = space.propagation_count
                 cell = self._select()
                 if cell is None:
                     sol = self._solution()
@@ -1027,7 +1013,8 @@ class Search:
 
 def solve(space: SolverSpace, cfg: SearchConfig | None = None) -> Search:
     """Stream solutions depth-first.  Consume the returned iterator; its
-    ``stats`` and ``truncated`` fields are populated as the search runs."""
+    ``stats`` and ``truncated`` fields are populated as the search runs, and
+    its wall time and propagator runs when the search stops."""
     return Search(space, cfg)
 
 

@@ -1,13 +1,12 @@
 import pytest
 
 from conftest import CORPUS_NAMES, compile_corpus, compile_text
+from test_golden import EXPRESSION_MODEL, OBJECT_DATA, OBJECT_MODEL
 from scomma.backend import compile_to_target, find_target
 from scomma.flatparse import parse_flat
 
 
-@pytest.mark.parametrize("name", CORPUS_NAMES)
-def test_flat_emission_round_trips(name):
-    _tm, fm, _ = compile_corpus(name)
+def assert_flat_round_trip(fm):
     text = compile_to_target(fm, find_target("flat"))
     again, diags = parse_flat(text, name=fm.name)
     assert again is not None, [d.render() for d in diags]
@@ -25,6 +24,19 @@ def test_flat_emission_round_trips(name):
     else:
         assert again.objective.kind == fm.objective.kind
         assert again.objective.expr == fm.objective.expr
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_flat_emission_round_trips(name):
+    assert_flat_round_trip(compile_corpus(name)[1])
+
+
+@pytest.mark.parametrize("model, data", [
+    (OBJECT_MODEL, OBJECT_DATA),  # tables, one of them a matrix
+    (EXPRESSION_MODEL, None),  # reals, sets, bools, calls and literals
+])
+def test_golden_models_round_trip(model, data):
+    assert_flat_round_trip(compile_text(model, data)[1])
 
 
 def test_hand_written_flat_text_parses():
@@ -139,3 +151,90 @@ def test_less_than_a_negative_operand_reads_back_as_less_than(constraint):
     assert again is not None, [d.render() for d in diags]
     assert [c.expr for c in again.constraints] == [c.expr for c in fm.constraints]
     assert again.constraints[0].expr.op == "<"
+
+
+def diagnostics(text):
+    fm, diags = parse_flat(text)
+    assert fm is None
+    return [(d.span.line, d.message) for d in diags]
+
+
+def test_objective_section_holds_one_entry():
+    # a constraint after the objective, or a second objective, is reported
+    # on its own line, not dropped, and reading goes on after it
+    text = """
+    variables:
+
+      int x in [0,5];
+
+    objective:
+
+      maximize x;
+      x <= 2;
+
+    objective:
+
+      minimize x;
+
+    constraints:
+
+      x < ;
+    """
+    assert diagnostics(text) == [
+        (9, "expected 'minimize' or 'maximize'"),
+        (13, "a flat model has one objective; this is a second one"),
+        (17, "expected expression, found ';'"),
+    ]
+
+
+def test_each_bad_variable_line_gives_one_diagnostic():
+    # a line that reads as a declaration but is not flat is reported once,
+    # and the good line after it still counts
+    text = """
+    variables:
+
+      int a;
+      int b in [0,5];
+      int c[n] in [0,5];
+      int d in [0,n];
+      int e in [0,1+2];
+      int f in {1, n};
+      int g in [5,0];
+      int h[0] in [0,1];
+      int i in [0,5]
+    """
+    assert diagnostics(text) == [
+        (4, "expected 'in <domain>'"),
+        (6, "expected an integer array size"),
+        (7, "expected a number domain bound"),
+        (8, "expected a number domain bound"),
+        (9, "expected an integer domain value"),
+        (10, "empty interval [5,0]"),
+        (11, "array/matrix sizes must be >= 1, got (0,)"),
+        (13, "expected ';' in attribute declaration, found end of file"),
+    ]
+
+
+def test_each_bad_table_gives_one_diagnostic():
+    text = """
+    variables:
+
+      int x in [1,2];
+
+    constant-arrays:
+
+      ragged := [[1,2],[3]];
+      keyed := [a: 1, b: 2];
+      empty := [];
+      rows := [[1,2],[3,4]];
+      mixed := [1,[2]];
+      symbol := [1,red];
+    """
+    needs = "needs a non-empty list of numbers or of rows, without keys"
+    assert diagnostics(text) == [
+        (8, "ragged rows in constant array 'ragged'"),
+        (9, f"constant array 'keyed' {needs}"),
+        (10, f"constant array 'empty' {needs}"),
+        (12, "expected a number table value"),
+        (13, "expected a number table value"),
+    ]

@@ -6,7 +6,9 @@ constraints.  A constraint is a comparison ``a op b + k``, posted on its own
 or placed under ``not``, ``or`` or ``->``.  Under a connective the
 comparison is reified, so every operator reaches both the positive and the
 negated branch of the reified propagator and its entailment test; posted on
-its own it is the plain propagator.
+its own it is the plain propagator.  An operand of ``or`` or ``->`` is
+sometimes ``true`` or ``false``, a constant cell of the gate: ``true``'s
+cell holds 1 at base 1, which the gate must read as 1.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ def comparisons(draw, names):
     return f"{a} {draw(st.sampled_from(OPS))} {right}"
 
 
+def operands(names):
+    return st.one_of(comparisons(names), st.sampled_from(("true", "false")))
+
+
 @st.composite
 def models(draw):
     names = ("x", "y", "z")[: draw(st.integers(2, 3))]
@@ -37,14 +43,14 @@ def models(draw):
         lines.append(f"  int {name} in [{lo},{draw(st.integers(lo, 3))}];")
     constraints = []
     for _ in range(draw(st.integers(1, 3))):
-        first = draw(comparisons(names))
         form = draw(st.sampled_from(("direct", "not", "or", "->")))
         if form == "direct":
-            constraints.append(first)
+            constraints.append(draw(comparisons(names)))
         elif form == "not":
-            constraints.append(f"not ({first})")
+            constraints.append(f"not ({draw(comparisons(names))})")
         else:
-            constraints.append(f"({first}) {form} ({draw(comparisons(names))})")
+            left, right = draw(operands(names)), draw(operands(names))
+            constraints.append(f"({left}) {form} ({right})")
     body = "\n".join(f"    {c};" for c in constraints)
     return "class M {\n" + "\n".join(lines) + f"\n  constraint c {{\n{body}\n  }}\n}}\n"
 

@@ -321,3 +321,15 @@ class TestCompletenessOnCorpus:
         brute = len(flat_solution_set(fm))
         solver_count = sum(1 for _ in solve(build_space(fm)))
         assert solver_count == brute
+
+
+def test_gate_reads_a_constant_operand_at_its_own_base():
+    # `true` compiles to a constant cell whose base is 1, not 0: a gate that
+    # read its mask as if the base were 0 would take it for `false`, and
+    # `b or true` would force b, losing the solution with b false
+    _tm, fm = compile_text(
+        "class A { bool b; bool c; constraint z { b or true; c -> false; } }"
+    )
+    found = [s.as_frozen() for s in solve(build_space(fm))]
+    assert len(found) == 2
+    assert set(found) == flat_solution_set(fm)
