@@ -13,7 +13,7 @@ named size, a computed bound, a keyed list) is refused as it becomes a number.
 
 from __future__ import annotations
 
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, SourceSpan
 from .ir import (
     BOOL,
     FlatConstraint,
@@ -53,7 +53,8 @@ _NUMBERS = (IntLit, RealLit, VInt, VReal)
 class _FlatParser(TokenCursor):
     def parse(self, name: str) -> FlatModel | None:
         self.fm = fm = FlatModel(name=name)
-        self.pending_types: list[tuple[FlatVar, str]] = []
+        # (variable, its enum type's name, the span of its declaration)
+        self.pending_types: list[tuple[FlatVar, str, SourceSpan]] = []
         entry = None
         while self.cur.kind != EOF:
             section = self._header()
@@ -65,14 +66,11 @@ class _FlatParser(TokenCursor):
                 raise self.fail("expected a section header such as 'variables:'")
             else:
                 self._entry(entry)
-        for var, type_name in self.pending_types:
+        for var, type_name, span in self.pending_types:
             if type_name in fm.enum_types:
                 var.enum_tag = type_name
             else:
-                self.sink.error(
-                    f"variable '{var.name}' has unknown type '{type_name}'",
-                    self.tokens[0].span,
-                )
+                self.sink.error(f"variable '{var.name}' has unknown type '{type_name}'", span)
         if self.sink.failed:
             return None
         return fm
@@ -132,9 +130,9 @@ class _FlatParser(TokenCursor):
             raise self.fail(str(e), attr.span)
         self.fm.variables.append(var)
         if isinstance(spec, NamedType):
-            self.pending_types.append((var, spec.name))
+            self.pending_types.append((var, spec.name, attr.span))
         elif isinstance(spec, SetType) and spec.elem != "int":
-            self.pending_types.append((var, spec.elem))
+            self.pending_types.append((var, spec.elem, attr.span))
 
     def _constraint(self) -> None:
         expr = self.parse_expression()

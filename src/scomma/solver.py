@@ -18,15 +18,29 @@ of a subexpression is its operator and the cells of its operands, which are
 compiled first.  The search keeps its open nodes on an explicit stack, so
 the depth of the tree is limited by memory, not by Python's recursion limit.
 
+Linear arithmetic is n-ary, as FlatZinc's ``int_lin_*`` constraints are: a
+chain of ``+``, ``-``, unary minus and products with a fixed factor is read,
+on an explicit stack, into ``sum(coef * cell) + const``, with the
+coefficients of a repeated cell merged, zero coefficients dropped and
+literals and fixed cells folded into the constant.  The chain gets one cell
+and one ``_Linear`` propagator however long it is, shared through the key
+``("lin", terms, const)``.  Each side of a comparison is a cell plus an
+offset: a constant is its own cell, ``cell + k`` keeps its cell, and any
+other sum is the cell of its terms, its constant moved into the relation's
+offset.  Only a product of two free factors (``_Mul``) and a quotient by a
+constant get cells of their own.
+
 Propagation is event-based.  Every propagator class names the one kind of
 domain change that can make it prune, its propagation condition: ``FIX``
 (a cell became fixed: ``<>``, the boolean gates), ``BOUNDS`` (a cell's min
 or max moved: ``<=``, ``>=``, linear sums, products) or ``DOMAIN`` (any
 value left: ``=``, element, ``alldifferent``).  A reified comparison needs
 what its relation and its negation need.  Each cell keeps one watcher list
-per condition, and a change wakes only the lists it can concern: a fixed
-cell wakes all three, a moved bound wakes bounds and domain watchers, a
-hole in the middle wakes domain watchers only.  A propagator whose ``run``
+per condition, made when a propagator with that condition first watches
+it (cells and conditions nobody watches share one empty tuple), and a
+change wakes only the lists it can concern: a fixed cell wakes all three, a
+moved bound wakes bounds and domain watchers, a hole in the middle wakes
+domain watchers only.  A propagator whose ``run``
 returns True is entailed (subsumed) by the domains it leaves: it is parked
 as if it were still queued, so nothing wakes it, and the trail releases it
 when the search backtracks past that point.
@@ -106,6 +120,7 @@ class _Fail(Exception):
 # Propagation conditions, and the events that meet them: a propagator with
 # condition C is woken by every event E <= C, so a fixed cell wakes all.
 FIX, BOUNDS, DOMAIN = 0, 1, 2
+_UNWATCHED = ((), (), ())  # the watchers of a cell nothing watches
 
 
 class SolverSpace:
@@ -115,8 +130,9 @@ class SolverSpace:
         self.fm = fm
         self.base: list[int] = []
         self.mask: list[int] = []
-        # per cell, per event: the propagators that event wakes
-        self.watchers: list[tuple[list[int], list[int], list[int]]] = []
+        # per cell, per event: the propagators that event wakes; a cell or
+        # an event that nothing watches holds the shared empty tuple
+        self.watchers: list = []
         self.props: list = []
         # (cell, its old mask), or (propagator, None) for a parked propagator
         self.trail: list[tuple[int, int | None]] = []
@@ -139,7 +155,7 @@ class SolverSpace:
                     mask &= ~(1 << (v - lo))
         self.base.append(lo)
         self.mask.append(mask)
-        self.watchers.append(([], [], []))
+        self.watchers.append(_UNWATCHED)
         return len(self.base) - 1
 
     def const_cell(self, value: int) -> int:
@@ -226,8 +242,13 @@ class SolverSpace:
         prop_id = len(self.props)
         self.props.append(prop)
         for c in prop.cells:
+            lists = self.watchers[c]
+            if lists is _UNWATCHED:
+                lists = self.watchers[c] = list(_UNWATCHED)
             for event in range(prop.wake + 1):
-                self.watchers[c][event].append(prop_id)
+                if not lists[event]:  # the shared empty tuple
+                    lists[event] = []
+                lists[event].append(prop_id)
         self.queued.append(True)
         self.queue.append(prop_id)
 
@@ -304,25 +325,6 @@ class SolverSpace:
         except _Fail:
             self.root_failed = True
 
-    def _linear_atom(self, e: Expr) -> tuple[int, int] | None:
-        """Recognize `cell + k` shapes so comparisons skip auxiliary cells."""
-        if isinstance(e, IntLit):
-            return (self.const_cell(e.value), 0)
-        if isinstance(e, Ref) and not self._is_boolish(e):
-            return (self._compile_int(e), 0)
-        if isinstance(e, BinOp) and e.op in ("+", "-"):
-            left, right = e.left, e.right
-            if isinstance(right, IntLit) and isinstance(left, Ref):
-                base = self._linear_atom(left)
-                if base is not None:
-                    k = right.value if e.op == "+" else -right.value
-                    return (base[0], k)
-            if e.op == "+" and isinstance(left, IntLit) and isinstance(right, Ref):
-                base = self._linear_atom(right)
-                if base is not None:
-                    return (base[0], left.value)
-        return None
-
     def _is_boolish(self, e: Expr) -> bool:
         if isinstance(e, BoolLit):
             return True
@@ -341,11 +343,79 @@ class SolverSpace:
         rel, fold = _RELATIONS[e.op]
         if self._is_boolish(e.left) or self._is_boolish(e.right):
             return (rel, self._compile_bool(e.left), self._compile_bool(e.right), fold)
-        la = self._linear_atom(e.left)
-        ra = self._linear_atom(e.right)
-        if la is not None and ra is not None:
-            return (rel, la[0], ra[0], ra[1] - la[1] + fold)
-        return (rel, self._compile_int(e.left), self._compile_int(e.right), fold)
+        x, dx = self._operand(e.left)
+        y, dy = self._operand(e.right)
+        return (rel, x, y, dy - dx + fold)
+
+    def _operand(self, e: Expr) -> tuple[int, int]:
+        """One side of a comparison as ``(cell, offset)``: a constant is its
+        own cell, ``cell + k`` keeps its cell, and any other sum becomes the
+        cell of its terms, its constant the offset."""
+        terms, const = self._linear(e)
+        if not terms:
+            return self.const_cell(const), 0
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1], const
+        return self._sum_cell(terms, 0), const
+
+    def _linear(self, e: Expr) -> tuple[tuple[tuple[int, int], ...], int]:
+        """``e`` as ``sum(coef * cell) + const``, reading through ``+``,
+        ``-``, unary minus and products with a fixed factor; anything else is
+        compiled to a cell of its own.  A repeated cell has its coefficients
+        merged, a zero coefficient is dropped, and a literal or a fixed cell
+        goes into the constant.  The terms come sorted by cell, so a sum
+        written in another order has the same key.  The chain is walked on
+        an explicit stack, so a long sum costs no recursion; only the
+        factors of a product are read by calls of their own."""
+        coefs: dict[int, int] = {}
+        const = 0
+        stack = [(e, 1)]
+        while stack:
+            e, k = stack.pop()
+            if isinstance(e, Ref):
+                cell = self._compile_ref(e)
+            elif isinstance(e, IntLit):
+                const += k * e.value
+                continue
+            elif isinstance(e, BinOp) and e.op in ("+", "-"):
+                stack.append((e.right, -k if e.op == "-" else k))
+                stack.append((e.left, k))
+                continue
+            elif isinstance(e, UnOp) and e.op == "neg":
+                stack.append((e.operand, -k))
+                continue
+            elif isinstance(e, BinOp) and e.op == "*":
+                left, right = self._linear(e.left), self._linear(e.right)
+                if left[0] and right[0]:  # two free factors
+                    cell = self._compile_arith(e)
+                else:  # a fixed factor scales the other one
+                    (terms, c), factor = (left, right[1]) if left[0] else (right, left[1])
+                    factor *= k
+                    const += factor * c
+                    for coef, cell in terms:
+                        coefs[cell] = coefs.get(cell, 0) + factor * coef
+                    continue
+            else:
+                cell = self._compile_int(e)
+            if self.cell_fixed(cell):
+                const += k * self.cell_value(cell)
+            else:
+                coefs[cell] = coefs.get(cell, 0) + k
+        return tuple([(coef, cell) for cell, coef in sorted(coefs.items()) if coef]), const
+
+    def _sum_cell(self, terms: tuple[tuple[int, int], ...], const: int) -> int:
+        """The cell of ``sum(coef * cell) + const``."""
+        if not terms:
+            return self.const_cell(const)
+        if const == 0 and len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
+        lo = hi = const
+        for coef, c in terms:
+            a, b = coef * self.cell_min(c), coef * self.cell_max(c)
+            lo += min(a, b)
+            hi += max(a, b)
+        return self._defined(("lin", terms, const), lo, hi,
+                             lambda z: _Linear(z, terms, const))
 
     def _defined(self, key: tuple, lo: int, hi: int, prop) -> int:
         """The cell of the subexpression ``key``: the one made for an equal
@@ -398,17 +468,17 @@ class SolverSpace:
             raise UnsupportedModelError(["real constant in a solver constraint"])
         if isinstance(e, Ref):
             return self._compile_ref(e)
-        if isinstance(e, UnOp) and e.op == "neg":
-            x = self._compile_int(e.operand)
-            return self._defined(("neg", x), -self.cell_max(x), -self.cell_min(x),
-                                 lambda z: _Linear(z, ((-1, x),)))
-        if isinstance(e, BinOp) and e.op in ("+", "-", "*", "/"):
+        if isinstance(e, BinOp) and e.op == "/":
             return self._compile_arith(e)
+        if isinstance(e, (UnOp, BinOp)) and e.op in ("+", "-", "neg", "*"):
+            return self._sum_cell(*self._linear(e))
         # boolean-valued expression used as 0/1 integer is not part of the
         # language (the analyzer rejects it), so anything else is a bug
         raise UnsupportedModelError([f"expression '{render_expr(e)}'"])
 
     def _compile_arith(self, e: BinOp) -> int:
+        """A quotient by a constant, or a product of two factors that are
+        not fixed; sums and fixed factors are ``_linear``'s."""
         if e.op == "/":
             divisor = e.right
             if not isinstance(divisor, IntLit) or divisor.value == 0:
@@ -422,22 +492,11 @@ class SolverSpace:
             return self._defined(("/", x, c), lo, hi, lambda z: _Linear(x, ((c, z),)))
         x = self._compile_int(e.left)
         y = self._compile_int(e.right)
-        key = (e.op, x, y)
         xmin, xmax = self.cell_min(x), self.cell_max(x)
         ymin, ymax = self.cell_min(y), self.cell_max(y)
-        if e.op == "+":
-            return self._defined(key, xmin + ymin, xmax + ymax,
-                                 lambda z: _Linear(z, ((1, x), (1, y))))
-        if e.op == "-":
-            return self._defined(key, xmin - ymax, xmax - ymin,
-                                 lambda z: _Linear(z, ((1, x), (-1, y))))
         products = [xmin * ymin, xmin * ymax, xmax * ymin, xmax * ymax]
-        if self.cell_fixed(x) or self.cell_fixed(y):
-            k, v = (x, y) if self.cell_fixed(x) else (y, x)
-            prop = lambda z: _Linear(z, ((self.cell_value(k), v),))  # noqa: E731
-        else:
-            prop = lambda z: _Mul(z, x, y)  # noqa: E731
-        return self._defined(key, min(products), max(products), prop)
+        return self._defined(("*", x, y), min(products), max(products),
+                             lambda z: _Mul(z, x, y))
 
     def _compile_ref(self, e: Ref) -> int:
         part = e.parts[0]
@@ -683,24 +742,28 @@ class _Linear:
         self.cells = (z,) + tuple(c for _, c in terms)
 
     def run(self, s: SolverSpace) -> None:
-        lows = []
-        highs = []
+        mask, base, z = s.mask, s.base, self.z
+        ranges = []  # per term, the least and the greatest coef * cell
+        total_lo = total_hi = self.const
         for coef, c in self.terms:
-            a, b = coef * s.cell_min(c), coef * s.cell_max(c)
+            m = mask[c]
+            a = coef * (base[c] + (m & -m).bit_length() - 1)
+            b = coef * (base[c] + m.bit_length() - 1)
             if a > b:
                 a, b = b, a
-            lows.append(a)
-            highs.append(b)
-        total_lo = sum(lows) + self.const
-        total_hi = sum(highs) + self.const
-        s.remove_below(self.z, total_lo)
-        s.remove_above(self.z, total_hi)
-        zlo, zhi = s.cell_min(self.z), s.cell_max(self.z)
-        for k, (coef, c) in enumerate(self.terms):
-            rest_lo = total_lo - lows[k]
-            rest_hi = total_hi - highs[k]
-            lo_needed = zlo - rest_hi  # coef * c >= lo_needed
-            hi_allowed = zhi - rest_lo  # coef * c <= hi_allowed
+            ranges.append((a, b))
+            total_lo += a
+            total_hi += b
+        s.remove_below(z, total_lo)
+        s.remove_above(z, total_hi)
+        zlo, zhi = s.cell_min(z), s.cell_max(z)
+        # a term no wider than the slack z leaves the sum keeps its bounds
+        slack = min(zhi - total_lo, total_hi - zlo)
+        for (coef, c), (a, b) in zip(self.terms, ranges):
+            if b - a <= slack:
+                continue
+            lo_needed = zlo - (total_hi - b)  # coef * c >= lo_needed
+            hi_allowed = zhi - (total_lo - a)  # coef * c <= hi_allowed
             if coef > 0:
                 s.remove_below(c, -((-lo_needed) // coef))
                 s.remove_above(c, hi_allowed // coef)

@@ -215,6 +215,18 @@ def test_each_bad_variable_line_gives_one_diagnostic():
     ]
 
 
+def test_unknown_enum_type_is_reported_on_its_variable_line():
+    text = """variables:
+int y in [0,1];
+color x in [1,2];
+set of shade s in [1,2];
+"""
+    assert diagnostics(text) == [
+        (3, "variable 'x' has unknown type 'color'"),
+        (4, "variable 's' has unknown type 'shade'"),
+    ]
+
+
 def test_each_bad_table_gives_one_diagnostic():
     text = """
     variables:
