@@ -1,14 +1,24 @@
 """Evaluation of flat expressions under a concrete assignment, and solution
 checking against a flat model.
 
-A flat expression is compiled once, bottom-up, into a closure over a value
-dict keyed by ``(name, index_tuple)``: ``_Compiler.compile(e)(values)`` is the
-value of ``e``.  The compiler's memo is keyed by node kind, operator or name,
-and the identities of the children's closures, so structurally equal
-subtrees share one closure; each closure captures only what it reads.
+Values come as one vector.  Every element of every flat variable has a
+slot, in the order of ``fm.variables`` and, within a variable, of
+``iter_indices``, which is also the order of the solver's decision cells.
+A flat expression is compiled once, on an explicit stack, into a closure
+over that vector: ``_Compiler.compile(e)(values)`` is the value of ``e``.
+A constant reference reads its slot; a constant reference to a table
+element is looked up while compiling.  A variable subscript computes its
+offset axis by axis with strides, as ``Table.lookup`` does.  A chain of
+``+``, ``-`` and unary minus down a left spine is one closure that adds its
+terms left to right, so a long sum costs no recursion to compile or to
+evaluate.  A closure's environment tuple is also its memo key, so
+structurally equal subtrees share one closure and no other key is built.
+
 ``compile_check`` compiles a model's constraints and domain checks on first
 use and keeps them on the model (``FlatModel._check``) for
-``check_solution`` and the brute-force oracle; ``eval_expr`` compiles and
+``check_solution`` and the brute-force oracle.  ``check_solution`` takes a
+value vector, or a ``Solution`` whose dict it lays out in slot order;
+``eval_expr`` lays out its assignment dict the same way, compiles and
 calls.  Errors are raised by the closures when a node is evaluated, never
 while compiling, so ``false and a.b = 1`` is simply false.
 
@@ -21,13 +31,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from math import prod
 from types import MethodType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .errors import ContractError, EvalError, OutOfBoundsError
-from .ir import BOOL, FlatModel, INT, Solution, Table, iter_indices
+from .ir import BOOL, FlatModel, INT, Solution, SolutionKey, Table, iter_indices
 from .nodes import (
-    ARITH_OPS,
     ArrayLit,
     BinOp,
     BoolLit,
@@ -73,7 +83,7 @@ _SET_OPS = {
     "superset": operator.ge,
 }
 
-Closure = Callable[[Mapping], object]
+Closure = Callable[[Sequence], object]
 
 
 def eval_expr(expr: Expr, asg, tables: Mapping[str, Table] | None = None):
@@ -84,7 +94,8 @@ def eval_expr(expr: Expr, asg, tables: Mapping[str, Table] | None = None):
     absolute tolerance of 1e-9.
     """
     values = asg.values if isinstance(asg, Solution) else asg
-    return _Compiler(tables or {}).compile(expr)(values)
+    layout, vector = _assignment_layout(values)
+    return _Compiler(tables or {}, layout).compile(expr)(vector)
 
 
 def arith(e: BinOp, a, b):
@@ -94,9 +105,7 @@ def arith(e: BinOp, a, b):
     and inexact integer division raise ``EvalError``.
     """
     op = e.op
-    for v in (a, b):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise EvalError(f"'{op}' applied to a non-number")
+    _numbers(op, a, b)
     if op == "+":
         return a + b
     if op == "-":
@@ -110,6 +119,12 @@ def arith(e: BinOp, a, b):
             raise EvalError(f"inexact integer division {a}/{b} in {render_expr(e)}")
         return a // b
     return a / b
+
+
+def _numbers(op: str, a, b) -> None:
+    for v in (a, b):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise EvalError(f"'{op}' applied to a non-number")
 
 
 def _compare(op: str, a, b) -> bool:
@@ -138,40 +153,99 @@ class Violation:
         return f"constraint {self.index}: {self.text}"
 
 
-def compile_check(fm: FlatModel) -> tuple[list, list[Closure]]:
+class _Layout:
+    """Where each element's value sits in a value vector.  ``keys`` names
+    each slot; ``boxes`` maps a name to the first slot and the shape of its
+    elements, which fill consecutive slots in row-major order.  A slot of a
+    name in ``incomplete`` may hold ``_MISSING``."""
+
+    def __init__(self):
+        self.keys: list[SolutionKey] = []
+        self.slots: dict[SolutionKey, int] = {}
+        self.boxes: dict[str, tuple[int, tuple[int, ...]]] = {}
+        self.incomplete: set[str] = set()
+
+    def add(self, name: str, dims: tuple[int, ...], complete: bool = True) -> None:
+        self.boxes.setdefault(name, (len(self.keys), dims))
+        if not complete:
+            self.incomplete.add(name)
+        for idx in iter_indices(dims):
+            self.add_key((name, idx))
+
+    def add_key(self, key: SolutionKey) -> None:
+        self.slots.setdefault(key, len(self.keys))
+        self.keys.append(key)
+
+
+def _assignment_layout(values: Mapping) -> tuple[_Layout, list]:
+    """A layout for an assignment dict and its value vector.  The keys of
+    one name whose indices are positive and as many as its first such key's
+    fill a box as wide as their largest index on each axis; the box's other
+    slots hold ``_MISSING``.  Any other key gets a slot of its own."""
+    by_name: dict[str, list] = {}
+    for name, idx in values:
+        by_name.setdefault(name, []).append(idx)
+    layout, loose = _Layout(), []
+    for name, indices in by_name.items():
+        box = [idx for idx in indices if all(type(i) is int and i >= 1 for i in idx)]
+        box = [idx for idx in box if len(idx) == len(box[0])] if box else []
+        if box:
+            dims = tuple(map(max, zip(*box)))
+            layout.add(name, dims, complete=len(box) == prod(dims))
+        loose.extend((name, idx) for idx in indices if (name, idx) not in layout.slots)
+    for key in loose:
+        layout.add_key(key)
+    vector = [_MISSING] * len(layout.keys)
+    for key, value in values.items():
+        vector[layout.slots[key]] = value
+    return layout, vector
+
+
+def compile_check(fm: FlatModel) -> tuple[list, list, list[Closure]]:
     """``fm``'s compiled check, built on first use and kept on the model: the
-    ``(key, is_bool, domain)`` domain checks of its int/bool elements and one
-    closure per constraint."""
+    key of each slot, the ``(slot, is_bool, domain)`` domain checks of its
+    int/bool elements, and one closure per constraint."""
     if fm._check is None:
-        domains = [
-            ((var.name, idx), var.base == BOOL, var.domain)
-            for var in fm.variables
-            if var.base in (INT, BOOL)
-            for idx in iter_indices(var.shape)
-        ]
-        compile_expr = _Compiler(fm.tables).compile
-        fm._check = domains, [compile_expr(c.expr) for c in fm.constraints]
+        layout = _Layout()
+        domains = []
+        for var in fm.variables:
+            first = len(layout.keys)
+            checked = var.base in (INT, BOOL)
+            layout.add(var.name, var.shape, complete=checked)
+            if checked:
+                domains.extend((slot, var.base == BOOL, var.domain)
+                               for slot in range(first, len(layout.keys)))
+        compile_expr = _Compiler(fm.tables, layout).compile
+        fm._check = layout.keys, domains, [compile_expr(c.expr) for c in fm.constraints]
     return fm._check
 
 
-def check_solution(fm: FlatModel, sol: Solution) -> tuple[bool, list[Violation]]:
+def check_solution(fm: FlatModel, sol: Solution | Sequence) -> tuple[bool, list[Violation]]:
     """True iff every constraint of ``fm`` holds under ``sol``.
 
-    The solution must be total over the int/bool variables; set- and
-    real-typed values are used when present.  A value outside its variable's
-    declared domain is reported as a violation with index -1; a solution
-    with such a value also reports as violated every constraint that cannot
-    be evaluated under it (an index out of bounds, say).
+    ``sol`` is a ``Solution`` or a value vector in slot order (that of
+    ``fm.variables`` and ``iter_indices``).  The solution must be total over
+    the int/bool variables; set- and real-typed values are used when present.
+    A value outside its variable's declared domain is reported as a violation
+    with index -1; a solution with such a value also reports as violated
+    every constraint that cannot be evaluated under it (an index out of
+    bounds, say).
     """
-    domains, constraints = compile_check(fm)
-    values = sol.values
+    keys, domains, constraints = compile_check(fm)
+    if isinstance(sol, Solution):
+        given = sol.values
+        values = [given.get(key, _MISSING) for key in keys]
+    else:
+        values = sol
+        if len(values) != len(keys):
+            raise ContractError(f"{len(values)} values for {len(keys)} elements")
     violations: list[Violation] = []
-    for key, is_bool, domain in domains:
-        value = values.get(key, _MISSING)
+    for slot, is_bool, domain in domains:
+        value = values[slot]
         if value is _MISSING:
-            raise ContractError(f"solution misses '{_element_text(key)}'")
+            raise ContractError(f"solution misses '{_element_text(keys[slot])}'")
         if not (value in (0, 1) if is_bool else value in domain):
-            violations.append(Violation(-1, f"value {value} of '{_element_text(key)}'"
+            violations.append(Violation(-1, f"value {value} of '{_element_text(keys[slot])}'"
                                             " lies outside its domain"))
     out_of_domain = bool(violations)
     for i, holds in enumerate(constraints):
@@ -207,109 +281,226 @@ def _table_element(table: Table | None, name: str, index: tuple):
         raise OutOfBoundsError(name, index) from None
 
 
-def _whole_array(values: Mapping, name: str, table: Table | None):
-    """An index-free reference that is not a scalar: the elements of a
-    variable array in index order (an ``alldifferent`` argument), or a
-    table's values."""
-    elems = sorted((k[1], v) for k, v in values.items() if k[0] == name and k[1])
-    if elems:
-        return [v for _, v in elems]
-    if table is not None:
-        return list(table.values)
-    raise EvalError(f"'{name}' is not assigned")
+class _Aside:
+    """What a closure reads beside its memo key: the node it was compiled
+    from, for the text of its errors, and the table its name may fall back
+    on.  Every ``_Aside`` equals every other, so an environment that ends in
+    one is keyed by its other entries, which decide the node's structure."""
+
+    __slots__ = ("node", "table")
+
+    def __init__(self, node: Expr, table: Table | None = None):
+        self.node, self.table = node, table
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Aside)
+
+    def __hash__(self) -> int:
+        return 0
 
 
 class _Compiler:
-    """Compiles flat expressions over one set of tables into closures.
+    """Compiles flat expressions over one set of tables and one layout into
+    closures.
 
     A closure is a code function bound to its environment tuple,
-    ``MethodType(code, env)``: called with the value dict it runs
+    ``MethodType(code, env)``: called with the value vector it runs
     ``code(env, values)``.  That is a method object plus one tuple, about
     half the memory of a nested function with a cell per captured value,
-    and no slower to call.  The memo maps a node's kind, operator or name
-    and its children's closures (compared by identity) to its closure."""
+    and no slower to call.  The memo maps each code to its closures, keyed
+    by their environments, in which child closures compare by identity."""
 
-    def __init__(self, tables: Mapping[str, Table]):
+    def __init__(self, tables: Mapping[str, Table], layout: _Layout):
         self.tables = tables
-        self.memo: dict[tuple, Closure] = {}
+        self.slots, self.boxes, self.incomplete = layout.slots, layout.boxes, layout.incomplete
+        self.memo: dict[Callable, dict[tuple, Closure]] = {}
 
-    def compile(self, e: Expr) -> Closure:
-        # the node classes are disjoint; the commonest are tested first
+    def compile(self, root: Expr) -> Closure:
+        """The closure of ``root``.  Nodes wait on an explicit stack: a node
+        that needs its children compiled first is pushed again as
+        ``(build, number of children, extra)`` above them, and then built
+        from the closures they left on ``done``."""
+        done: list[Closure] = []
+        stack: list = [root]
+        while stack:
+            item = stack.pop()
+            if type(item) is tuple:
+                build, n, extra = item
+                args = done[len(done) - n:]
+                del done[len(done) - n:]
+                done.append(build(extra, args))
+                continue
+            plan = self._plan(item)
+            if type(plan) is tuple:
+                build, children, extra = plan
+                stack.append((build, len(children), extra))
+                stack.extend(reversed(children))
+            else:
+                done.append(plan)
+        return done[0]
+
+    def _plan(self, e: Expr):
+        """``e``'s closure if it has no child to compile, else ``(build,
+        children, extra)``.  The node classes are disjoint; the commonest
+        are tested first."""
         if isinstance(e, Ref):
             return self._ref(e)
         if isinstance(e, BinOp):
-            left, right = self.compile(e.left), self.compile(e.right)
-            return self._shared((BinOp, e.op, left, right), *_binop(e, left, right))
+            if e.op in ("+", "-"):
+                return self._sum_plan(e)
+            return self._build_binop, (e.left, e.right), e
         if isinstance(e, (IntLit, RealLit, BoolLit)):
-            # repr keeps 0.0 and -0.0 apart
-            return self._shared((type(e), repr(e.value)), _constant, e.value)
+            # repr keeps 1, True, 0.0 and -0.0 apart
+            return self._shared(_constant, e.value, repr(e.value))
         if isinstance(e, UnOp):
-            operand = self.compile(e.operand)
-            code = _not if e.op == "not" else _minus
-            return self._shared((UnOp, e.op, operand), code, operand)
+            if e.op == "not":
+                return self._build_one, (e.operand,), _not
+            return self._sum_plan(e)
         if isinstance(e, Call):
             if e.name not in ("cardinality", "alldifferent"):
-                return _fails(f"cannot evaluate global constraint '{e.name}'")
+                return self._fails(f"cannot evaluate global constraint '{e.name}'")
             if not e.args:
-                return _fails(f"'{e.name}' applied to no argument")
-            arg = self.compile(e.args[0])
+                return self._fails(f"'{e.name}' applied to no argument")
             code = _cardinality if e.name == "cardinality" else _alldifferent
-            return self._shared((Call, e.name, arg), code, arg)
+            return self._build_one, (e.args[0],), code
         if isinstance(e, SetLit):
-            elems = tuple(self.compile(x) for x in e.elems)
-            return self._shared((SetLit, *elems), _set_lit, e, elems)
+            return self._build_set, e.elems, e
         if isinstance(e, ArrayLit):
-            elems = tuple(self.compile(x) for x in e.elems)
-            return self._shared((ArrayLit, *elems), _array_lit, elems)
-        return _fails(f"cannot evaluate {type(e).__name__}")
+            return self._build_array, e.elems, None
+        return self._fails(f"cannot evaluate {type(e).__name__}")
 
-    def _shared(self, key: tuple, code, *env) -> Closure:
-        f = self.memo.get(key)
+    def _fails(self, message: str) -> Closure:
+        return self._shared(_raise, EvalError, message)
+
+    def _shared(self, code, *env) -> Closure:
+        memo = self.memo.get(code)
+        if memo is None:
+            memo = self.memo[code] = {}
+        f = memo.get(env)
         if f is None:
-            f = self.memo[key] = MethodType(code, env)
+            f = memo[env] = MethodType(code, env)
         return f
 
-    def _ref(self, e: Ref) -> Closure:
+    # -- builders: each takes its plan's extra and its children's closures --
+
+    def _build_binop(self, e: BinOp, args: list) -> Closure:
+        return self._shared(*_binop(e, *args))
+
+    def _build_one(self, code, args: list) -> Closure:
+        return self._shared(code, args[0])
+
+    def _build_set(self, e: SetLit, elems: list) -> Closure:
+        return self._shared(_set_lit, tuple(elems), _Aside(e))
+
+    def _build_array(self, _, elems: list) -> Closure:
+        return self._shared(_array_lit, tuple(elems))
+
+    def _sum_plan(self, e: Expr) -> tuple:
+        """A chain of ``+`` and ``-`` down its left spine, or a unary minus,
+        as one sum: its terms, and for each but the first the operator that
+        adds it.  A unary minus on a term negates it within the sum."""
+        ops = []
+        while isinstance(e, BinOp) and e.op in ("+", "-"):
+            ops.append((e.op, e.right))
+            e = e.left
+        ops.append((None, e))
+        ops.reverse()
+        terms, children = [], []
+        for op, term in ops:
+            neg = isinstance(term, UnOp) and term.op != "not"
+            terms.append((op, neg))
+            children.append(term.operand if neg else term)
+        return self._build_sum, children, terms
+
+    def _build_sum(self, terms: list, fs: list) -> Closure:
+        (_, neg), *rest = terms
+        return self._shared(_sum, fs[0], neg,
+                            tuple([(op, n, f) for (op, n), f in zip(rest, fs[1:])]))
+
+    def _ref(self, e: Ref):
+        """A reference with no variable subscript reads its slot; a key
+        without one, or a value that may be missing, falls back on the
+        whole array or the table element."""
         if len(e.parts) != 1:
-            return _fails(f"reference '{render_expr(e)}' is not flat")
+            return self._fails(f"reference '{render_expr(e)}' is not flat")
         name, indices = e.parts[0].name, e.parts[0].indices
-        table = self.tables.get(name)
         if not indices:
-            return self._shared((Ref, name), _scalar_ref, (name, ()), table)
-        if all(type(i) is IntLit and type(i.value) is int for i in indices):
-            key = (name, tuple(i.value for i in indices))
-            return self._shared((Ref, *key), _constant_ref, key, table)
-        subs = tuple(self.compile(i) for i in indices)
-        return self._shared((Ref, name, *subs), _indexed_ref, e, name, subs, table)
+            key, missing = (name, ()), self._whole
+        else:
+            idx = tuple([i.value for i in indices if type(i) is IntLit and type(i.value) is int])
+            if len(idx) != len(indices):
+                return self._build_subscript, indices, e
+            key, missing = (name, idx), self._table_constant
+        slot = self.slots.get(key)
+        if slot is None:
+            return missing(key)
+        if name in self.incomplete:
+            return self._shared(_slot_or, slot, missing(key))
+        return self._shared(_slot, slot)
+
+    def _table_constant(self, key: SolutionKey) -> Closure:
+        """A table element under a constant index, looked up once."""
+        try:
+            value = _table_element(self.tables.get(key[0]), *key)
+        except OutOfBoundsError:
+            return self._shared(_raise, OutOfBoundsError, *key)
+        return self._shared(_constant, value, key)
+
+    def _whole(self, key: SolutionKey) -> Closure:
+        """An index-free reference that is not a scalar: the elements of a
+        variable array in index order (an ``alldifferent`` argument), or a
+        table's values."""
+        name = key[0]
+        table = self.tables.get(name)
+        if table is not None:
+            fallback = self._shared(_table_values, table.values)
+        else:
+            fallback = self._fails(f"'{name}' is not assigned")
+        box = self.boxes.get(name)
+        if box is None or not box[1]:
+            return fallback
+        first, dims = box
+        return self._shared(_elements, first, first + prod(dims), fallback)
+
+    def _build_subscript(self, e: Ref, subs: list) -> Closure:
+        """A reference with a variable subscript."""
+        name = e.parts[0].name
+        table = self.tables.get(name)
+        aside, subs = _Aside(e, table), tuple(subs)
+        box = self.boxes.get(name)
+        if box is not None and len(box[1]) == len(subs):
+            return self._shared(_element, box[0], subs, box[1], None, aside)
+        if box is None and table is not None and len(table.shape) == len(subs):
+            return self._shared(_element, 0, subs, table.shape, name, aside)
+        return self._shared(_no_element, name, subs, aside)
 
 
 def _binop(e: BinOp, left: Closure, right: Closure) -> tuple:
-    """The code and environment of a binary operator node."""
+    """The code and environment of a binary operator node other than ``+``
+    and ``-``."""
     op = e.op
     if op in ("and", "or"):
         return _connective, op, left, right, op == "or"
-    if op in ARITH_OPS:
-        return _arith, e, left, right
+    if op == "*":
+        return _product, left, right
     if op in _COMPARE:
         return _comparison, op, left, right, _COMPARE[op][0]
+    if op == "/":
+        return _quotient, left, right, _Aside(e)
     if op in _LOGIC:
         return _logic, op, left, right, _LOGIC[op]
     if op == "in":
-        return _member, e, left, right
+        return _member, left, right, _Aside(e)
     if op in _SET_OPS:
         return _set_op, op, left, right, _SET_OPS[op]
     return _unknown, op, left, right
 
 
-def _fails(message: str) -> Closure:
-    return MethodType(_fail, (message,))
-
-
 # -- closure code: each runs as ``code(env, values)`` --------------------------
 
 
-def _fail(env, values):
-    raise EvalError(env[0])
+def _raise(env, values):
+    raise env[0](*env[1:])
 
 
 def _constant(env, values):
@@ -317,31 +508,59 @@ def _constant(env, values):
 
 
 def _set_lit(env, values):
-    e, elems = env
-    return frozenset(_int(f(values), e) for f in elems)
+    elems, aside = env
+    return frozenset(_int(f(values), aside.node) for f in elems)
 
 
 def _array_lit(env, values):
     return [f(values) for f in env[0]]
 
 
-def _scalar_ref(env, values):
-    key, table = env
-    v = values.get(key, _MISSING)
-    return _whole_array(values, key[0], table) if v is _MISSING else v
+def _slot(env, values):
+    return values[env[0]]
 
 
-def _constant_ref(env, values):
-    key, table = env
-    v = values.get(key, _MISSING)
-    return _table_element(table, *key) if v is _MISSING else v
+def _slot_or(env, values):
+    slot, fallback = env
+    v = values[slot]
+    return fallback(values) if v is _MISSING else v
 
 
-def _indexed_ref(env, values):
-    e, name, subs, table = env
-    index = tuple([_int(f(values), e) for f in subs])
-    v = values.get((name, index), _MISSING)
-    return _table_element(table, name, index) if v is _MISSING else v
+def _elements(env, values):
+    first, end, fallback = env
+    elems = [v for v in values[first:end] if v is not _MISSING]
+    return elems if elems else fallback(values)
+
+
+def _table_values(env, values):
+    return list(env[0])
+
+
+def _element(env, values):
+    """A subscript into a variable's slots, or into the values of the table
+    named ``table``: the offset is computed axis by axis with strides."""
+    first, subs, dims, table, aside = env
+    offset = 0
+    for f, n in zip(subs, dims):
+        i = f(values)
+        if type(i) is not int:
+            i = _int(i, aside.node)
+        if not 0 < i <= n:
+            break
+        offset = offset * n + i - 1
+    else:
+        v = (values if table is None else aside.table.values)[first + offset]
+        if v is not _MISSING:
+            return v
+    return _no_element((aside.node.parts[0].name, subs, aside), values)
+
+
+def _no_element(env, values):
+    """A subscript that names no value: every subscript is read, in order,
+    and the index looked up in the name's table, if any."""
+    name, subs, aside = env
+    index = tuple([_int(f(values), aside.node) for f in subs])
+    return _table_element(aside.table, name, index)
 
 
 def _not(env, values):
@@ -351,11 +570,40 @@ def _not(env, values):
     return not v
 
 
-def _minus(env, values):
-    v = env[0](values)
+def _negated(v):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise EvalError("negation applied to a non-number")
     return -v
+
+
+def _sum(env, values):
+    """Terms added left to right, each checked as ``arith`` checks the
+    operands of its operator."""
+    f, neg, rest = env
+    a = f(values)
+    if neg:
+        a = _negated(a)
+    for op, neg, f in rest:
+        b = f(values)
+        if neg:
+            b = _negated(b)
+        if type(a) is not int or type(b) is not int:
+            _numbers(op, a, b)
+        a = a - b if op == "-" else a + b
+    return a
+
+
+def _product(env, values):
+    left, right = env
+    a, b = left(values), right(values)
+    if type(a) is not int or type(b) is not int:
+        _numbers("*", a, b)
+    return a * b
+
+
+def _quotient(env, values):
+    left, right, aside = env
+    return arith(aside.node, left(values), right(values))
 
 
 def _connective(env, values):
@@ -369,11 +617,6 @@ def _connective(env, values):
     if not isinstance(b, bool):
         raise EvalError(f"'{op}' applied to a non-bool")
     return b
-
-
-def _arith(env, values):
-    e, left, right = env
-    return arith(e, left(values), right(values))
 
 
 def _comparison(env, values):
@@ -393,11 +636,11 @@ def _logic(env, values):
 
 
 def _member(env, values):
-    e, left, right = env
+    left, right, aside = env
     a, b = left(values), right(values)
     if not isinstance(b, frozenset):
         raise EvalError("'in' needs a set on the right")
-    return _int(a, e) in b
+    return _int(a, aside.node) in b
 
 
 def _set_op(env, values):

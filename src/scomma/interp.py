@@ -1,8 +1,9 @@
 """Brute-force oracles: flat-model enumeration and a direct model interpreter.
 
 The two sides are deliberately separate code paths.  ``enumerate_flat``
-walks the flat model's variables and checks each candidate against the flat
-constraints as :mod:`scomma.evaluate` compiles them, once per model.
+walks the flat model's variables and checks each candidate, a value vector
+in slot order, against the flat constraints as :mod:`scomma.evaluate`
+compiles them, once per model.
 ``ModelInterpreter`` never flattens anything: it executes the analyzed
 source model natively — loops iterate, conditionals branch, object paths are
 followed through an instance tree — and names its decision slots with the
@@ -111,11 +112,10 @@ def enumerate_flat(fm: FlatModel) -> list[Solution]:
             keys.append((var.name, idx))
             domains.append(dom)
     solutions: list[Solution] = []
-    _, constraints = compile_check(fm)
+    _, _, constraints = compile_check(fm)
     for combo in itertools.product(*domains):
-        asg = dict(zip(keys, combo))
-        if all(holds(asg) for holds in constraints):
-            solutions.append(Solution(asg))
+        if all(holds(combo) for holds in constraints):
+            solutions.append(Solution(dict(zip(keys, combo))))
     return solutions
 
 

@@ -13,7 +13,11 @@ Each relation is one propagator class, read as ``x REL y + d``: ``_Le``,
 ``_Ge``, ``_Eq`` and ``_Ne`` each define their filtering, the test for when
 the domains decide them, and their negation.  A strict comparison folds into
 the offset when the model is compiled, and a reified comparison runs either
-the relation or its negation.  Equal subexpressions share one cell: the key
+the relation or its negation.  The root ``<>`` constraints over one pair of
+cells, which all wake on the same fix events, are one ``_Ne`` with a set of
+offsets: ``y <> x + e`` is read as ``x <> y - e``, and a fixed side removes
+every offset's value from the other in one mask operation.  A reified
+``<>`` keeps its single offset.  Equal subexpressions share one cell: the key
 of a subexpression is its operator and the cells of its operands, which are
 compiled first.  The search keeps its open nodes on an explicit stack, so
 the depth of the tree is limited by memory, not by Python's recursion limit.
@@ -143,6 +147,7 @@ class SolverSpace:
         self.propagation_count = 0
         self._const_cells: dict[int, int] = {}
         self._shared: dict[tuple, int] = {}  # subexpression key -> its cell
+        self._root_ne: dict[tuple[int, int], _Ne] = {}  # (x, y) -> root x <> y + d
         self._build()
 
     # -- cell primitives --------------------------------------------------------
@@ -440,13 +445,29 @@ class SolverSpace:
             return
         if isinstance(e, BinOp) and e.op in _RELATIONS:
             rel, x, y, d = self._relation(e)
-            self.add_prop(rel(x, y, d))
+            if rel is _Ne:
+                self._post_ne(x, y, d)
+            else:
+                self.add_prop(rel(x, y, d))
             return
         if isinstance(e, Call) and e.name == "alldifferent":
             self.add_prop(_AllDiff(self._array_cells(e.args[0])))
             return
         b = self._compile_bool(e)
         self.assign(b, 1)
+
+    def _post_ne(self, x: int, y: int, d: int) -> None:
+        """Post x <> y + d at the root: as an offset of the ``_Ne`` already
+        posted over x and y, or over y and x as y <> x - d, else as a new
+        one."""
+        ne = self._root_ne.get((x, y))
+        if ne is None and (y, x) in self._root_ne:
+            ne, d = self._root_ne[(y, x)], -d
+        if ne is None:
+            self._root_ne[(x, y)] = ne = _Ne(x, y, d)
+            self.add_prop(ne)
+        else:
+            ne.add_offset(d)
 
     def _array_cells(self, e: Expr) -> list[int]:
         if isinstance(e, ArrayLit):
@@ -665,20 +686,47 @@ class _Eq(_Relation):
 
 
 class _Ne(_Relation):
-    """x <> y + d: once one side is fixed, its value leaves the other, and
-    the relation is entailed."""
+    """x <> y + d for every offset d: once one side is fixed, the values the
+    offsets forbid leave the other in one mask operation, and the relation
+    is entailed.  All root ``<>`` over one pair of cells share one ``_Ne``
+    (``SolverSpace._post_ne``); a reified one keeps its single offset ``d``,
+    which is what ``entailed`` and ``negation`` read."""
 
     wake = FIX
 
+    def __init__(self, x: int, y: int, d: int = 0):
+        super().__init__(x, y, d)
+        self.offsets = {d}
+        # up has bit d - lo and down bit hi - d for every offset d: shifted,
+        # they mark the values v + d and v - d that a fixed value v forbids
+        self.lo = self.hi = d
+        self.up = self.down = 1
+
+    def add_offset(self, d: int) -> None:
+        self.offsets.add(d)
+        self.lo, self.hi = min(self.offsets), max(self.offsets)
+        self.up = sum(1 << (e - self.lo) for e in self.offsets)
+        self.down = sum(1 << (self.hi - e) for e in self.offsets)
+
     def run(self, s: SolverSpace) -> bool:
-        x, y, d = self.x, self.y, self.d
-        if s.cell_fixed(x):
-            s.remove_value(y, s.cell_value(x) - d)
-        elif s.cell_fixed(y):
-            s.remove_value(x, s.cell_value(y) + d)
-        else:
-            return False
-        return True
+        x, y, mask, base = self.x, self.y, s.mask, s.base
+        m = mask[x]
+        if not m & (m - 1):  # x is fixed: y loses x - d
+            v = base[x] + m.bit_length() - 1
+            old = mask[y]
+            new = old & ~_shift(self.down, v - self.hi - base[y])
+            if new != old:
+                s._set_mask(y, new)
+            return True
+        m = mask[y]
+        if not m & (m - 1):  # y is fixed: x loses y + d
+            v = base[y] + m.bit_length() - 1
+            old = mask[x]
+            new = old & ~_shift(self.up, v + self.lo - base[x])
+            if new != old:
+                s._set_mask(x, new)
+            return True
+        return False
 
     def entailed(self, s: SolverSpace) -> bool | None:
         equal = _Eq.entailed(self, s)
@@ -957,7 +1005,10 @@ class Search:
         self.sense: str | None = None
         self.best: int | None = None
         self._deadline = None
-        self._bool_vars = {v.name for v in space.fm.variables if v.base == BOOL}
+        # the solution check's value vector is laid out as decision_cells is
+        self._keys = [(name, idx) for name, idx, _ in space.decision_cells]
+        bools = {v.name for v in space.fm.variables if v.base == BOOL}
+        self._bool_slots = [i for i, (name, _) in enumerate(self._keys) if name in bools]
 
     def __iter__(self):
         return self.run()
@@ -1061,14 +1112,15 @@ class Search:
 
     def _solution(self) -> Solution | None:
         space = self.space
-        values: dict = {}
-        for name, idx, c in space.decision_cells:
-            v = space.cell_value(c)
-            values[(name, idx)] = bool(v) if name in self._bool_vars else v
-        sol = Solution(values)
-        ok, _ = check_solution(space.fm, sol)  # the solver never trusts itself
+        base, mask = space.base, space.mask
+        # every decision cell is fixed: its value is its one bit
+        values = [base[c] + mask[c].bit_length() - 1 for _, _, c in space.decision_cells]
+        for i in self._bool_slots:
+            values[i] = bool(values[i])
+        ok, _ = check_solution(space.fm, values)  # the solver never trusts itself
         if not ok:
             return None
+        sol = Solution(dict(zip(self._keys, values)))
         if space.objective_cell is not None and space.cell_fixed(space.objective_cell):
             sol.objective_value = space.cell_value(space.objective_cell)
         return sol

@@ -204,6 +204,30 @@ class TestPinnedSemantics:
         e = expr(" + ".join(["x"] * 450) + " = 900")
         assert eval_expr(e, {("x", ()): 2}) is True
 
+    def test_five_thousand_term_sum(self):
+        # compiled on an explicit stack and added in one closure
+        e = expr(" + ".join(["x"] * 2500) + " - " + " - ".join(["-x"] * 2500) + " = 20000")
+        assert eval_expr(e, {("x", ()): 4}) is True
+
+    def test_sum_checks_terms_left_to_right(self):
+        # each term is checked as the operator that adds it would check it
+        for text, message in [
+            ("x + b - 1", "'+' applied to a non-number"),
+            ("x - 1 + b", "'+' applied to a non-number"),
+            ("x - b + 1/0", "'-' applied to a non-number"),
+            ("b - x", "'-' applied to a non-number"),
+            ("x + -b", "negation applied to a non-number"),
+            ("-b + x", "negation applied to a non-number"),
+            ("x + 1/0 + b", "division by zero in 1/0"),
+            ("x * b", "'*' applied to a non-number"),
+        ]:
+            with pytest.raises(EvalError) as exc:
+                eval_expr(expr(text), {("x", ()): 1, ("b", ()): True})
+            assert str(exc.value) == message, text
+        asg = {("x", ()): 1, ("r", ()): 0.5}
+        assert eval_expr(expr("x - (r + r) + -r * 2"), asg) == -1.0
+        assert eval_expr(expr("-(x - 3) - -x"), asg) == 3
+
 
 class TestCheckCache:
     """The compiled check belongs to one model and never changes equality."""
@@ -242,3 +266,108 @@ class TestCheckCache:
         check_solution(checked, Solution({("x", ()): 1, ("y", ()): 2}))
         assert checked == fresh
         assert repr(checked) == repr(fresh)
+
+
+class TestSubscripts:
+    """Variable subscripts into variable matrices and tables, and constant
+    subscripts outside an array: the value, or the error class and text."""
+
+    MATRIX = {("m", (i, j)): 10 * i + j for i in (1, 2) for j in (1, 2, 3)}
+    TABLES = {"t": Table("t", (2, 3), (11, 12, 13, 21, 22, 23))}
+
+    @staticmethod
+    def model(*constraints, **tables):
+        return FlatModel(
+            name="subscripts",
+            variables=[FlatVar("m", "int", (2, 3), IntInterval(0, 30)),
+                       FlatVar("a", "int", (3,), IntInterval(0, 9)),
+                       FlatVar("i", "int", (), IntInterval(-5, 5)),
+                       FlatVar("j", "int", (), IntInterval(-5, 5)),
+                       FlatVar("b", "bool", (), IntInterval(0, 1))],
+            constraints=[FlatConstraint(expr(c)) for c in constraints],
+            tables=tables,
+        )
+
+    def values(self, i, j, b=False):
+        values = dict(self.MATRIX)
+        values.update({("a", (1,)): 1, ("a", (2,)): 2, ("a", (3,)): 3,
+                       ("i", ()): i, ("j", ()): j, ("b", ()): b})
+        return values
+
+    @pytest.mark.parametrize("name", ["m", "t"])
+    def test_in_range(self, name):
+        for i, j in itertools.product((1, 2), (1, 2, 3)):
+            asg = self.values(i, j)
+            assert eval_expr(expr(f"{name}[i,j]"), asg, self.TABLES) == 10 * i + j
+            fm = self.model(f"{name}[i,j] = {10 * i + j}", t=self.TABLES["t"])
+            assert check_solution(fm, Solution(asg)) == (True, [])
+
+    @pytest.mark.parametrize("name", ["m", "t"])
+    @pytest.mark.parametrize("i, j", [(0, 4), (2, 0), (3, 1), (1, -1), (3, 3)])
+    def test_an_axis_out_of_range(self, name, i, j):
+        # m[0,4] and m[2,0] have a row-major offset inside the array
+        asg = self.values(i, j)
+        message = f"index [{i},{j}] out of bounds for '{name}'"
+        with pytest.raises(OutOfBoundsError) as exc:
+            eval_expr(expr(f"{name}[i,j]"), asg, self.TABLES)
+        assert str(exc.value) == message
+        fm = self.model(f"{name}[i,j] = 1", t=self.TABLES["t"])
+        with pytest.raises(OutOfBoundsError) as exc:
+            check_solution(fm, Solution(asg))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", ["m", "t"])
+    def test_too_few_subscripts(self, name):
+        with pytest.raises(OutOfBoundsError) as exc:
+            check_solution(self.model(f"{name}[i] = 1", t=self.TABLES["t"]),
+                           Solution(self.values(1, 1)))
+        assert str(exc.value) == f"index [1] out of bounds for '{name}'"
+
+    @pytest.mark.parametrize("text", ["m[b,j]", "m[i,b]", "a[b]", "t[b,j]"])
+    def test_bool_subscript(self, text):
+        fm = self.model(f"{text} = 1", t=self.TABLES["t"])
+        with pytest.raises(EvalError) as exc:
+            check_solution(fm, Solution(self.values(1, 1, b=True)))
+        assert str(exc.value) == f"expected an integer, got True in {text}"
+        with pytest.raises(EvalError) as exc:
+            eval_expr(expr(text), self.values(1, 1, b=True), self.TABLES)
+        assert str(exc.value) == f"expected an integer, got True in {text}"
+
+    def test_bool_subscript_is_read_before_a_range_check(self):
+        # every subscript is read, in order, before the index is looked up
+        with pytest.raises(EvalError) as exc:
+            check_solution(self.model("m[i,b] = 1"), Solution(self.values(5, 1, b=True)))
+        assert str(exc.value) == "expected an integer, got True in m[i,b]"
+
+    @pytest.mark.parametrize("text, message", [
+        ("a[7] = 1", "index [7] out of bounds for 'a'"),
+        ("a[0] = 1", "index [0] out of bounds for 'a'"),
+        ("m[1,4] = 1", "index [1,4] out of bounds for 'm'"),
+        ("m[0,4] = 1", "index [0,4] out of bounds for 'm'"),
+        ("m[1] = 1", "index [1] out of bounds for 'm'"),
+        ("z[1] = 1", "index [1] out of bounds for 'z'"),
+    ])
+    def test_constant_subscript_outside_an_array(self, text, message):
+        fm = self.model(text)
+        with pytest.raises(OutOfBoundsError) as exc:
+            check_solution(fm, Solution(self.values(1, 1)))
+        assert str(exc.value) == message
+
+    def test_constant_subscript_error_waits_for_evaluation(self):
+        # the reference is compiled, but only an evaluation that reaches it fails
+        fm = self.model("i < 9 or a[7] = 1", "true or z[1] = 1")
+        assert check_solution(fm, Solution(self.values(1, 1))) == (True, [])
+
+    def test_equal_subscripts_into_two_tables(self):
+        tables = dict(self.TABLES, u=Table("u", (2, 3), (1, 2, 3, 4, 5, 6)))
+        assert eval_expr(expr("t[i,j] * 10 + u[i,j]"), self.values(2, 1), tables) == 214
+        fm = self.model("t[i,j] = 21", "u[i,j] = 4", **tables)
+        assert check_solution(fm, Solution(self.values(2, 1))) == (True, [])
+
+    def test_whole_variable_array(self):
+        fm = self.model("alldifferent(a)", "alldifferent(m)")
+        assert check_solution(fm, Solution(self.values(1, 1))) == (True, [])
+        values = self.values(1, 1)
+        values[("a", (3,))] = 1
+        ok, violations = check_solution(fm, Solution(values))
+        assert [v.index for v in violations] == [0]

@@ -16,7 +16,7 @@ from conftest import compile_text
 from scomma.evaluate import eval_expr
 from scomma.flatparse import parse_flat
 from scomma.interp import enumerate_flat, flat_solution_set
-from scomma.solver import _Eq, _Ge, _Le, _Linear, build_space, optimize, solve
+from scomma.solver import SearchConfig, _Eq, _Ge, _Le, _Linear, build_space, optimize, solve
 
 OPS = ("<", "<=", ">", ">=", "=", "<>")
 
@@ -126,3 +126,6 @@ def test_a_long_sum_builds_one_linear_propagator():
     assert [type(p) for p in space.props] == [_Linear, _Eq]
     assert len(space.props[0].terms) == n
     assert space.propagate()
+    # the first solution's check compiles and evaluates the sum without recursion
+    first = list(solve(space, SearchConfig(solution_limit=1)))
+    assert len(first) == 1 and sum(first[0].values.values()) == n // 2

@@ -22,6 +22,13 @@ n-ary linear propagator instead of an auxiliary cell and a two-term
 propagator per ``+``, ``-`` and constant factor.  On these models the one
 sum prunes what its chain of pieces pruned, so the nodes, failures and
 solutions stayed as they were.
+
+The propagators and runs of the queens models (queens-10, queens-10-inline,
+queens-18, queens-50-first) were re-recorded when the root ``<>`` over one
+pair of cells became one ``_Ne`` with a set of offsets instead of one
+``_Ne`` per constraint: a queen pair's three constraints wake on the same
+fix events and prune what the three did, so the nodes, failures and
+solutions stayed as they were.
 """
 
 from __future__ import annotations
@@ -84,10 +91,10 @@ PINS = {
         8, 5, 53, 9, 499, 1,
         "68065dd99d04cd845e637833c1777ca2ac02249f9fe829c77320e6f90105e77c")),
     "queens-10": (_corpus("queens-10"), "all", None, (
-        10, 135, 10071, 4992, 193333, 724,
+        10, 45, 10071, 4992, 72025, 724,
         "15e36a55e3055cf41a771126bbe6b3ba2d109ff0917cf7e9a2f5bf5bf23ccb42")),
     "queens-18": (_corpus("queens-18"), "all", 20, (
-        18, 459, 1249, 657, 39713, 20,
+        18, 153, 1249, 657, 14202, 20,
         "b3d1b184944cc46aa3fef3c5f6764cf70e52ca79513056dee437e5fb302ab0ab")),
     "send": (_corpus("send"), "all", None, (
         11, 6, 8, 6, 143, 1,
@@ -99,11 +106,11 @@ PINS = {
         90, 57, 1, 0, 204, 1,
         "f70b1fde07adbea50d76fa73bf7c054b6b8e1f3db16335d4ba789c6f01d69073")),
     "queens-10-inline": (_inline(QUEENS, "int n := 10;"), "all", None, (
-        10, 135, 10071, 4992, 194310, 724,
+        10, 45, 10071, 4992, 72025, 724,
         "737392096d4c033b260bcabefb404a3a973833096d8ae63081a451aa157528e9")),
     # 737,270 propagator runs before propagation was event-based
     "queens-50-first": (_inline(QUEENS, "int n := 50;"), "all", 1, (
-        50, 3675, 1018, 512, 47347, 1,
+        50, 1225, 1018, 512, 16563, 1,
         "ddcec941ea605596fc1a4799b05a06c3f1c9627e3171002b5bcb99b4e29fe6b7")),
     "stable3": (_corpus("stable", "stable3.dat"), "all", None, (
         75, 72, 1, 0, 224, 1,

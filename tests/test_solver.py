@@ -11,6 +11,8 @@ from scomma.interp import ModelInterpreter, flat_solution_set
 from scomma.solver import (
     INPUT_ORDER,
     SearchConfig,
+    _Ne,
+    _ReifCmp,
     build_space,
     optimize,
     solve,
@@ -333,3 +335,38 @@ def test_gate_reads_a_constant_operand_at_its_own_base():
     found = [s.as_frozen() for s in solve(build_space(fm))]
     assert len(found) == 2
     assert set(found) == flat_solution_set(fm)
+
+
+class TestRootNotEqual:
+    """The root ``<>`` over one pair of cells share one ``_Ne``."""
+
+    MODEL = "class A {{ int x in [0,5]; int y in [0,5]; int z in [0,5]; constraint c {{ {} }} }}"
+
+    def space(self, body):
+        _tm, fm = compile_text(self.MODEL.format(body))
+        return fm, build_space(fm)
+
+    def test_one_propagator_per_pair(self):
+        fm, space = self.space("x <> y; y <> x + 2; x <> y; x <> z - 1;")
+        nes = [p for p in space.props if type(p) is _Ne]
+        assert len(space.props) == len(nes) == 2
+        # y <> x + 2 is read as x <> y - 2
+        assert [(p.x, p.y, p.offsets) for p in nes] == [(0, 1, {0, -2}), (0, 2, {-1})]
+        assert {s.as_frozen() for s in solve(space)} == flat_solution_set(fm)
+
+    def test_a_fixed_side_removes_every_offset(self):
+        _fm, space = self.space("x <> y - 1; x <> y; y <> x - 1; x <> y + 3;")
+        assert space.propagate()
+        space.assign(0, 2)
+        assert space.propagate()
+        assert space.cell_values(1) == [0, 4, 5]  # not 3, 2, 1 or -1
+        assert space.cell_values(0) == [2]
+
+    def test_reified_not_equal_is_not_merged(self):
+        fm, space = self.space("x <> y; not (x <> y + 1); x <> y + 2 or z = 1;")
+        # the other _Ne (over a reified cell and its negation) are `not` gates
+        roots = [p for p in space.props if type(p) is _Ne and p.cells == (0, 1)]
+        assert [p.offsets for p in roots] == [{0}]
+        reified = [p.rel for p in space.props if type(p) is _ReifCmp and type(p.rel) is _Ne]
+        assert [(r.d, r.offsets) for r in reified] == [(1, {1}), (2, {2})]
+        assert {s.as_frozen() for s in solve(space)} == flat_solution_set(fm)
