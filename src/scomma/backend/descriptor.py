@@ -14,6 +14,10 @@ Template fragments:
 
 Lists count as defined only when non-empty, so ``isDefined`` doubles as an
 emptiness guard around optional sections.
+
+Parsing checks what it can without a model: the head of each field path
+outside a foreach body against its template's concept, and each rule name
+against the rewrite registry, each reported at its own token.
 """
 
 from __future__ import annotations
@@ -21,12 +25,48 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..diagnostics import Diagnostic
+from ..errors import BackendError
 from ..lexer import EOF, IDENT, INT, KEYWORD, STRING
 from ..parser import ParseAbort, TokenCursor
+from ..printer import UNARY_PREC, operand_precs, render_real
+from .rules import rule_named
 
 DESCRIPTOR_EXTENSION = ".bd"
 
-# Concepts a template may be declared for, with the fields each exposes.
+# concept -> field -> getter(expr, opmap): the fields each expression concept
+# exposes to templates.  Compiled templates read them straight off the Expr;
+# the engine's ``_expr_view`` builds the dict view from the same table.  An
+# expression-valued field is the pair ``(expr, prec)``: the expression and the
+# precedence its parent renders it at.
+EXPR_FIELDS: dict[str, dict] = {
+    "IntLit": {"value": lambda e, om: str(e.value)},
+    "RealLit": {"value": lambda e, om: render_real(e.value)},
+    "TrueLit": {},
+    "FalseLit": {},
+    "Ref": {"name": lambda e, om: e.parts[0].name},
+    "IndexedRef": {
+        "name": lambda e, om: e.parts[0].name,
+        "indices": lambda e, om: [(x, -1) for x in e.parts[0].indices],
+    },
+    "BinOp": {
+        "op": lambda e, om: om.get(e.op, e.op),
+        "left": lambda e, om: (e.left, operand_precs(e)[0]),
+        "right": lambda e, om: (e.right, operand_precs(e)[1]),
+    },
+    "UnOp": {
+        "op": lambda e, om: om.get(e.op, "not " if e.op == "not" else "-"),
+        "operand": lambda e, om: (e.operand, UNARY_PREC),
+    },
+    "Call": {
+        "name": lambda e, om: e.name,
+        "args": lambda e, om: [(x, -1) for x in e.args],
+    },
+    "ArrayLit": {"elems": lambda e, om: [(x, -1) for x in e.elems]},
+    "SetLit": {"elems": lambda e, om: [(x, -1) for x in e.elems]},
+}
+
+# Concepts a template may be declared for, with the fields each exposes: the
+# flat model's own concepts, then the expression concepts of EXPR_FIELDS.
 CONCEPT_FIELDS: dict[str, frozenset[str]] = {
     "Problem": frozenset({"name", "variables", "constraints", "enums", "tables", "objective"}),
     "Variable": frozenset({"name", "type", "base", "array", "domain", "enum_tag"}),
@@ -37,17 +77,7 @@ CONCEPT_FIELDS: dict[str, frozenset[str]] = {
     "EnumType": frozenset({"name", "values"}),
     "ConstArray": frozenset({"name", "values", "rows", "row", "col"}),
     "Row": frozenset({"values"}),
-    "IntLit": frozenset({"value"}),
-    "RealLit": frozenset({"value"}),
-    "TrueLit": frozenset(),
-    "FalseLit": frozenset(),
-    "Ref": frozenset({"name"}),
-    "IndexedRef": frozenset({"name", "indices"}),
-    "BinOp": frozenset({"op", "left", "right"}),
-    "UnOp": frozenset({"op", "operand"}),
-    "Call": frozenset({"name", "args"}),
-    "ArrayLit": frozenset({"elems"}),
-    "SetLit": frozenset({"elems"}),
+    **{concept: frozenset(fields) for concept, fields in EXPR_FIELDS.items()},
 }
 
 UNSUPPORTED_CONSTRUCTS = ("set_matrix", "matrix", "set_variable", "real_variable")
@@ -125,7 +155,7 @@ class _DescriptorParser(TokenCursor):
             self.expect_symbol(";", "extension declaration")
         elif word == "rewrite":
             self.advance()
-            name = self.expect_ident("rewrite declaration").text
+            name = self._rule_name("rewrite declaration")
             params: list = []
             if self.accept_symbol("("):
                 while not self.at_symbol(")"):
@@ -149,7 +179,7 @@ class _DescriptorParser(TokenCursor):
             fix = ""
             if self.cur.kind == IDENT and self.cur.text == "fixedBy":
                 self.advance()
-                fix = self.expect_ident("unsupported declaration").text
+                fix = self._rule_name("unsupported declaration")
             self.expect_symbol(";", "unsupported declaration")
             bd.unsupported.append((construct, fix))
         elif word == "opmap":
@@ -179,12 +209,23 @@ class _DescriptorParser(TokenCursor):
         else:
             raise self.fail(f"unexpected '{word}' in descriptor")
 
+    def _rule_name(self, context: str) -> str:
+        """The name of a rewrite rule, reported at its token unless the
+        registry has it."""
+        tok = self.expect_ident(context)
+        try:
+            rule_named(tok.text)
+        except BackendError as e:
+            self.sink.error(str(e), tok.span)
+        return tok.text
+
     def _expect_string(self, context: str) -> str:
         if self.cur.kind != STRING:
             raise self.fail(f"expected a string in {context}")
         return self.advance().value
 
-    def _fragments(self, concept: str, *closers: str, stop_word: str | None = None) -> list:
+    def _fragments(self, concept: str | None, *closers: str,
+                   stop_word: str | None = None) -> list:
         frags: list = []
         while not (self.cur.kind == EOF or self.at_symbol(*closers)):
             if stop_word and self.cur.kind == IDENT and self.cur.text == stop_word:
@@ -192,7 +233,7 @@ class _DescriptorParser(TokenCursor):
             frags.append(self._fragment(concept))
         return frags
 
-    def _fragment(self, concept: str):
+    def _fragment(self, concept: str | None):
         tok = self.cur
         if tok.kind == STRING:
             self.advance()
@@ -203,7 +244,7 @@ class _DescriptorParser(TokenCursor):
             if head.kind == IDENT and head.text == "isDefined":
                 self.advance()
                 self.expect_symbol("(", "isDefined")
-                path = self._field_path(concept)
+                path = self._field_path(concept, "tests")
                 self.expect_symbol(")", "isDefined")
                 self.expect_symbol("?", "isDefined")
                 then = self._fragments(concept, ":", ")")
@@ -217,9 +258,9 @@ class _DescriptorParser(TokenCursor):
                 var = self.expect_ident("foreach").text
                 if not self.accept_keyword("in"):
                     raise self.fail("expected 'in' in foreach")
-                path = self._field_path(concept)
+                path = self._field_path(concept, "iterates")
                 self.expect_symbol("?", "foreach")
-                body = self._fragments(concept, ")", stop_word="separator")
+                body = self._fragments(None, ")", stop_word="separator")
                 separator = ""
                 if self.cur.kind == IDENT and self.cur.text == "separator":
                     self.advance()
@@ -228,14 +269,21 @@ class _DescriptorParser(TokenCursor):
                 return Foreach(var, path, body, separator)
             raise self.fail("expected 'isDefined' or 'foreach' after '('")
         if tok.kind == IDENT or tok.kind == KEYWORD:
-            path = self._field_path(concept)
-            return FieldRef(path)
+            return FieldRef(self._field_path(concept, "references"))
         raise self.fail(f"unexpected {tok.text!r} in template")
 
-    def _field_path(self, concept: str) -> tuple[str, ...]:
+    def _field_path(self, concept: str | None, verb: str) -> tuple[str, ...]:
+        """A dotted field path whose head, in a template for ``concept``, is
+        one of its fields.  A foreach body (``concept`` None) sees the loop
+        item, whose concept is known only when it renders, so its fields are
+        resolved then."""
         first = self.cur
         if first.kind not in (IDENT, KEYWORD):
             raise self.fail("expected a field name")
+        if concept is not None and first.text not in CONCEPT_FIELDS[concept]:
+            self.sink.error(
+                f"template for '{concept}' {verb} unknown field '{first.text}'", first.span
+            )
         self.advance()
         path = [first.text]
         while self.at_symbol(".") and self.peek().kind in (IDENT, KEYWORD):
@@ -251,45 +299,4 @@ def parse_descriptor(
     bd = p.run(p.parse)
     if bd is not None:
         bd.source = filename
-        _validate_fields(bd, p)
     return p.result(bd)
-
-
-def _validate_fields(bd: BackendDescriptor, p: _DescriptorParser) -> None:
-    """Head-of-path validation against the concept's field set.
-
-    Fragments inside a ``foreach`` body see the loop item, whose concept is
-    only known at render time, so they are checked dynamically instead.
-    """
-
-    def check(frags: list, concept: str | None) -> None:
-        for frag in frags:
-            if isinstance(frag, FieldRef):
-                if concept and frag.path[0] not in CONCEPT_FIELDS[concept]:
-                    p.sink.error(
-                        f"template for '{concept}' references unknown field"
-                        f" '{frag.path[0]}'",
-                        p.tokens[0].span,
-                    )
-            elif isinstance(frag, Cond):
-                if concept and frag.path[0] not in CONCEPT_FIELDS[concept]:
-                    p.sink.error(
-                        f"template for '{concept}' tests unknown field '{frag.path[0]}'",
-                        p.tokens[0].span,
-                    )
-                check(frag.then, concept)
-                if frag.els is not None:
-                    check(frag.els, concept)
-            elif isinstance(frag, Foreach):
-                if concept and frag.path[0] not in CONCEPT_FIELDS[concept]:
-                    p.sink.error(
-                        f"template for '{concept}' iterates unknown field"
-                        f" '{frag.path[0]}'",
-                        p.tokens[0].span,
-                    )
-                check(frag.body, None)
-
-    for concept, frags in bd.templates.items():
-        check(frags, concept)
-    check(bd.header, "Problem")
-    check(bd.footer, "Problem")

@@ -23,50 +23,15 @@ from pathlib import Path
 from ..errors import BackendError
 from ..ir import FlatModel, FlatVar, IntSet, REAL, SET, Table, flatness_violations
 from ..nodes import BoolLit, Expr, Ref
-from ..printer import (
-    UNARY_PREC, join_tight, needs_parens, operand_precs, render_real,
-)
+from ..printer import join_tight, needs_parens, render_real
 from .descriptor import (
-    BackendDescriptor, CONCEPT_FIELDS, Cond, DESCRIPTOR_EXTENSION, FieldRef, Lit,
-    parse_descriptor,
+    BackendDescriptor, CONCEPT_FIELDS, Cond, DESCRIPTOR_EXTENSION, EXPR_FIELDS, FieldRef,
+    Lit, parse_descriptor,
 )
 from .rules import rule_named
 
 MISSING = object()
 _NOT_FOUND = object()  # no frame in the scope defines the field
-
-
-# concept -> field -> getter(expr, opmap): the fields each expression concept
-# exposes to templates.  Compiled templates read them straight off the Expr;
-# ``_expr_view`` builds the dict view from the same table.  An expression-valued
-# field is the pair ``(expr, prec)``: the expression and the precedence its
-# parent renders it at.
-EXPR_FIELDS: dict[str, dict] = {
-    "IntLit": {"value": lambda e, om: str(e.value)},
-    "RealLit": {"value": lambda e, om: render_real(e.value)},
-    "TrueLit": {},
-    "FalseLit": {},
-    "Ref": {"name": lambda e, om: e.parts[0].name},
-    "IndexedRef": {
-        "name": lambda e, om: e.parts[0].name,
-        "indices": lambda e, om: [(x, -1) for x in e.parts[0].indices],
-    },
-    "BinOp": {
-        "op": lambda e, om: om.get(e.op, e.op),
-        "left": lambda e, om: (e.left, operand_precs(e)[0]),
-        "right": lambda e, om: (e.right, operand_precs(e)[1]),
-    },
-    "UnOp": {
-        "op": lambda e, om: om.get(e.op, "not " if e.op == "not" else "-"),
-        "operand": lambda e, om: (e.operand, UNARY_PREC),
-    },
-    "Call": {
-        "name": lambda e, om: e.name,
-        "args": lambda e, om: [(x, -1) for x in e.args],
-    },
-    "ArrayLit": {"elems": lambda e, om: [(x, -1) for x in e.elems]},
-    "SetLit": {"elems": lambda e, om: [(x, -1) for x in e.elems]},
-}
 
 
 def _expr_concept(e: Expr) -> str:
@@ -332,7 +297,8 @@ def apply_rewrites(fm: FlatModel, rewrites: list[tuple[str, tuple]]) -> FlatMode
         fm = rewritten
         problems = flatness_violations(fm)
         if problems:
-            raise BackendError(f"rewrite '{name}' broke the model: {'; '.join(problems)}")
+            texts = "; ".join(text for text, _ in problems)
+            raise BackendError(f"rewrite '{name}' broke the model: {texts}")
     return fm
 
 

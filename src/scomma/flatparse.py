@@ -202,6 +202,6 @@ def parse_flat(
     p = _FlatParser(text, filename)
     fm = p.run(p.parse, name)
     if fm is not None:
-        for problem in flatness_violations(fm):
-            p.sink.error(problem, p.tokens[0].span)
+        for problem, span in flatness_violations(fm):
+            p.sink.error(problem, span or p.tokens[0].span)
     return p.result(fm)

@@ -1103,7 +1103,7 @@ def build_flat_model(state: FlattenState) -> FlatModel:
     )
     problems = flatness_violations(fm)
     if problems:
-        raise FlattenError("; ".join(problems), "build")
+        raise FlattenError("; ".join(text for text, _ in problems), "build")
     return fm
 
 

@@ -14,6 +14,7 @@ from itertools import product
 from typing import Iterator, Union
 
 from . import nodes
+from .diagnostics import SourceSpan
 from .nodes import Expr, Ref
 
 INT = "int"
@@ -192,53 +193,63 @@ class FlatModel:
 FLATNESS_BANNED = (nodes.EnumRef,)
 
 
-def flatness_violations(fm: FlatModel) -> list[str]:
+def flatness_violations(fm: FlatModel) -> list[tuple[str, SourceSpan | None]]:
     """Machine check of the flat invariants: every reference resolves to a
     declared variable or table, indices are in bounds when constant, and no
-    unresolved construct survives."""
-    problems: list[str] = []
+    unresolved construct survives.  Each problem is its text and the span of
+    the node it names; a problem with a declaration has no span."""
+    problems: list[tuple[str, SourceSpan | None]] = []
     vars_by_name = {v.name: v for v in fm.variables}
     for ci, expr in enumerate(fm.all_exprs()):
         for node in nodes.walk(expr):
             if isinstance(node, FLATNESS_BANNED):
-                problems.append(f"constraint {ci}: unresolved node {type(node).__name__}")
+                problems.append(
+                    (f"constraint {ci}: unresolved node {type(node).__name__}", node.span)
+                )
             if isinstance(node, Ref):
                 if len(node.parts) != 1:
-                    problems.append(f"constraint {ci}: dotted reference survives flattening")
+                    problems.append(
+                        (f"constraint {ci}: dotted reference survives flattening", node.span)
+                    )
                     continue
                 part = node.parts[0]
                 v = vars_by_name.get(part.name)
                 t = fm.tables.get(part.name)
                 if v is None and t is None:
-                    problems.append(f"constraint {ci}: unknown name '{part.name}'")
+                    problems.append((f"constraint {ci}: unknown name '{part.name}'", node.span))
                     continue
                 shape = v.shape if v is not None else t.shape
                 if part.indices and len(part.indices) != len(shape):
-                    problems.append(
+                    problems.append((
                         f"constraint {ci}: '{part.name}' takes {len(shape)} indices,"
-                        f" got {len(part.indices)}"
-                    )
+                        f" got {len(part.indices)}",
+                        node.span,
+                    ))
                     continue
                 for dim, idx in zip(shape, part.indices):
                     if isinstance(idx, nodes.IntLit) and not (1 <= idx.value <= dim):
-                        problems.append(
+                        problems.append((
                             f"constraint {ci}: index {idx.value} outside 1..{dim}"
-                            f" for '{part.name}'"
-                        )
+                            f" for '{part.name}'",
+                            idx.span,
+                        ))
     names = [v.name for v in fm.variables] + list(fm.tables)
     dupes = {n for n in names if names.count(n) > 1}
     for n in sorted(dupes):
-        problems.append(f"duplicate flat name '{n}'")
+        problems.append((f"duplicate flat name '{n}'", None))
     for v in fm.variables:
         if v.enum_tag is not None and v.base != SET:
             labels = fm.enum_types.get(v.enum_tag)
             if labels is None:
-                problems.append(f"variable '{v.name}': enum tag '{v.enum_tag}' not recorded")
-            elif isinstance(v.domain, IntInterval) and v.domain.size != len(labels):
                 problems.append(
-                    f"variable '{v.name}': domain width {v.domain.size} does not match"
-                    f" enum '{v.enum_tag}' cardinality {len(labels)}"
+                    (f"variable '{v.name}': enum tag '{v.enum_tag}' not recorded", None)
                 )
+            elif isinstance(v.domain, IntInterval) and v.domain.size != len(labels):
+                problems.append((
+                    f"variable '{v.name}': domain width {v.domain.size} does not match"
+                    f" enum '{v.enum_tag}' cardinality {len(labels)}",
+                    None,
+                ))
     return problems
 
 

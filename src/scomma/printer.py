@@ -143,9 +143,18 @@ def _text(e: Expr) -> str:
         inner = _render(e.operand, UNARY_PREC)
         return f"not {inner}" if e.op == "not" else f"-{inner}"
     if isinstance(e, BinOp):
-        lp, rp = operand_precs(e)
-        op = f" {e.op} " if e.op in _SPACED else e.op
-        return _render(e.left, lp) + join_tight(op, _render(e.right, rp))
+        # a left operand that needs no parentheses is walked down in this
+        # loop, so a long left-deep chain costs no recursion
+        tails = []
+        while True:
+            lp, rp = operand_precs(e)
+            op = f" {e.op} " if e.op in _SPACED else e.op
+            tails.append(join_tight(op, _render(e.right, rp)))
+            if not isinstance(e.left, BinOp) or needs_parens(e.left, lp):
+                break
+            e = e.left
+        tails.reverse()
+        return _render(e.left, lp) + "".join(tails)
     raise TypeError(f"cannot render {type(e).__name__}")
 
 

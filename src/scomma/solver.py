@@ -10,12 +10,13 @@ alldifferent); every solution the search emits is re-checked through the
 independent expression evaluator before it is handed to the caller.
 
 Each relation is one propagator class, read as ``x REL y + d``: ``_Le``,
-``_Ge``, ``_Eq`` and ``_Ne`` each define their filtering, the test for when
-the domains decide them, and their negation.  A strict comparison folds into
-the offset when the model is compiled, and a reified comparison runs either
-the relation or its negation.  The root ``<>`` constraints over one pair of
-cells, which all wake on the same fix events, are one ``_Ne`` with a set of
-offsets: ``y <> x + e`` is read as ``x <> y - e``, and a fixed side removes
+``_Eq`` and ``_Ne`` each define their filtering, the test for when the
+domains decide them, and their negation.  When the model is compiled, a
+strict comparison folds into the offset and ``>=``/``>`` swap their
+operands (``x >= y + d`` is ``y <= x - d``), and a reified comparison runs
+either the relation or its negation.  The root ``<>`` constraints over one
+pair of cells, which all wake on the same fix events, are one ``_Ne`` with a
+set of offsets: ``y <> x + e`` is read as ``x <> y - e``, and a fixed side removes
 every offset's value from the other in one mask operation.  A reified
 ``<>`` keeps its single offset.  Equal subexpressions share one cell: the key
 of a subexpression is its operator and the cells of its operands, which are
@@ -345,12 +346,16 @@ class SolverSpace:
     def _relation(self, e: BinOp) -> tuple:
         """The comparison ``e`` as ``(relation, x, y, d)``, read as
         ``x REL y + d``; the tuple is also the key of its reified cell."""
-        rel, fold = _RELATIONS[e.op]
+        rel, fold, swap = _RELATIONS[e.op]
         if self._is_boolish(e.left) or self._is_boolish(e.right):
-            return (rel, self._compile_bool(e.left), self._compile_bool(e.right), fold)
-        x, dx = self._operand(e.left)
-        y, dy = self._operand(e.right)
-        return (rel, x, y, dy - dx + fold)
+            x, y, d = self._compile_bool(e.left), self._compile_bool(e.right), 0
+        else:
+            x, dx = self._operand(e.left)
+            y, dy = self._operand(e.right)
+            d = dy - dx
+        if swap:  # x >= y + d is y <= x - d
+            x, y, d = y, x, -d
+        return (rel, x, y, d + fold)
 
     def _operand(self, e: Expr) -> tuple[int, int]:
         """One side of a comparison as ``(cell, offset)``: a constant is its
@@ -636,29 +641,8 @@ class _Le(_Relation):
             return False
         return None
 
-    def negation(self) -> _Relation:
-        return _Ge(self.x, self.y, self.d + 1)
-
-
-class _Ge(_Relation):
-    """x >= y + d, bounds consistent."""
-
-    wake = BOUNDS
-
-    def run(self, s: SolverSpace) -> None:
-        x, y, d = self.x, self.y, self.d
-        s.remove_below(x, s.cell_min(y) + d)
-        s.remove_above(y, s.cell_max(x) - d)
-
-    def entailed(self, s: SolverSpace) -> bool | None:
-        if s.cell_min(self.x) >= s.cell_max(self.y) + self.d:
-            return True
-        if s.cell_max(self.x) < s.cell_min(self.y) + self.d:
-            return False
-        return None
-
-    def negation(self) -> _Relation:
-        return _Le(self.x, self.y, self.d - 1)
+    def negation(self) -> _Relation:  # x > y + d is y <= x - d - 1
+        return _Le(self.y, self.x, -self.d - 1)
 
 
 class _Eq(_Relation):
@@ -736,11 +720,12 @@ class _Ne(_Relation):
         return _Eq(self.x, self.y, self.d)
 
 
-# operator -> (its relation, the offset a strict comparison folds in):
-# x < y + d is x <= y + (d-1), and x > y + d is x >= y + (d+1)
+# operator -> (its relation, the offset a strict comparison folds in, whether
+# the operands swap): x < y + d is x <= y + (d-1), and x > y + d is
+# y <= x + (-d-1)
 _RELATIONS = {
-    "<": (_Le, -1), "<=": (_Le, 0), ">": (_Ge, 1), ">=": (_Ge, 0),
-    "=": (_Eq, 0), "<>": (_Ne, 0),
+    "<": (_Le, -1, False), "<=": (_Le, 0, False), ">": (_Le, -1, True), ">=": (_Le, 0, True),
+    "=": (_Eq, 0, False), "<>": (_Ne, 0, False),
 }
 
 

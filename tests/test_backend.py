@@ -64,6 +64,30 @@ class TestDescriptorParsing:
         assert bd is None
         assert any("unknown field" in d.message for d in diags)
 
+    @pytest.mark.parametrize("fragment, message, column", [
+        ('"x" wings', "template for 'Variable' references unknown field 'wings'", 25),
+        ('"x" (isDefined(wings) ? "w")', "template for 'Variable' tests unknown field 'wings'",
+         36),
+        ('"x" (foreach w in wings ? w)', "template for 'Variable' iterates unknown field 'wings'",
+         39),
+    ])
+    def test_unknown_field_is_reported_at_its_token(self, fragment, message, column):
+        text = 'target t;\ntemplate Problem : "p" ;\n\n\ntemplate Variable : ' + fragment + " ;"
+        bd, diags = parse_descriptor(text, "bad.bd")
+        assert bd is None
+        assert [d.render() for d in diags] == [f"bad.bd:5:{column}: error: {message}"]
+
+    @pytest.mark.parametrize("declaration, column", [
+        ("rewrite no_such_rule;", 9),
+        ("unsupported matrix fixedBy no_such_rule;", 28),
+    ])
+    def test_unknown_rule_name_is_reported_at_its_token(self, declaration, column):
+        text = f'target t;\n{declaration}\ntemplate Problem : "p" ;'
+        bd, diags = parse_descriptor(text, "bad.bd")
+        assert bd is None
+        assert [(d.span.line, d.span.column) for d in diags] == [(2, column)]
+        assert diags[0].message.startswith("unknown rewrite rule 'no_such_rule' (registry: ")
+
     def test_rewrite_and_unsupported_declarations(self):
         bd, _ = parse_descriptor(
             'target t;\n'

@@ -141,6 +141,19 @@ def test_out_of_domain_value_is_a_violation():
     assert any(v.index == -1 and "outside its domain" in v.text for v in violations)
 
 
+def test_a_violated_long_sum_is_reported():
+    # a left-deep chain 5,000 terms long, rendered for its violation at the
+    # default recursion limit
+    n = 5000
+    terms = "+".join(f"x[{i}]" for i in range(1, n + 1))
+    fm, diags = parse_flat(f"variables:\n  int x[{n}] in [0,1];\nconstraints:\n"
+                           f"{terms} = {n // 2};\n")
+    assert fm is not None, [d.render() for d in diags]
+    ok, [violation] = check_solution(fm, [0] * n)
+    assert not ok
+    assert violation.index == 0 and violation.text == f"{terms}={n // 2}"
+
+
 def test_constraint_that_cannot_be_evaluated():
     fm = FlatModel(
         name="t",

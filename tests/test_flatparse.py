@@ -72,6 +72,21 @@ def test_diagnostics_for_unknown_reference():
     assert any("unknown name 'y'" in d.message for d in diags)
 
 
+def test_flatness_problem_is_reported_at_its_node():
+    text = """variables:
+
+  int x in [0,5];
+
+constraints:
+
+  x < 3;
+  y > 1;
+"""
+    fm, diags = parse_flat(text)
+    assert fm is None
+    assert [d.render() for d in diags] == ["<flat>:8:3: error: constraint 1: unknown name 'y'"]
+
+
 def test_real_model_round_trips():
     from conftest import FIXTURES, compile_text
 

@@ -16,7 +16,7 @@ from conftest import compile_text
 from scomma.evaluate import eval_expr
 from scomma.flatparse import parse_flat
 from scomma.interp import enumerate_flat, flat_solution_set
-from scomma.solver import SearchConfig, _Eq, _Ge, _Le, _Linear, build_space, optimize, solve
+from scomma.solver import SearchConfig, _Eq, _Le, _Linear, build_space, optimize, solve
 
 OPS = ("<", "<=", ">", ">=", "=", "<>")
 
@@ -112,7 +112,7 @@ def test_repeated_cells_merge_and_zero_coefficients_drop():
 def test_equal_sums_share_one_propagator():
     props = props_of(model("  int x in [0,9];\n  int y in [0,9];",
                            ["x + 2*y <= 9", "2*y + x + 1 >= 4"]))
-    assert [type(p) for p in props] == [_Linear, _Le, _Ge]
+    assert [type(p) for p in props] == [_Linear, _Le, _Le]
 
 
 def test_a_long_sum_builds_one_linear_propagator():
