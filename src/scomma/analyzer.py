@@ -62,8 +62,8 @@ from .nodes import (
     VOmit,
     VReal,
     VSym,
-    children,
     transform,
+    walk,
 )
 
 # ---------------------------------------------------------------------------
@@ -147,8 +147,9 @@ class TypedModel:
         return self.class_map[self.model.main_class]
 
 
-def const_scalar_value(decl: ConstDecl):
-    v = decl.value
+def const_scalar_value(v: DataValue):
+    """The plain value of a data scalar, a bool as 0 or 1; None for any
+    other data value."""
     if isinstance(v, VInt):
         return v.value
     if isinstance(v, VReal):
@@ -318,7 +319,7 @@ class _Analyzer:
             if name in self.data.enums:
                 return len(self.data.enums[name].values)
             if name in self.data.constants:
-                val = const_scalar_value(self.data.constants[name])
+                val = const_scalar_value(self.data.constants[name].value)
                 if isinstance(val, int) and val >= 1:
                     return val
                 self.err(
@@ -339,7 +340,7 @@ class _Analyzer:
         if isinstance(e, RealLit):
             return e.value
         if isinstance(e, Ref) and e.simple_name and e.simple_name in self.data.constants:
-            return const_scalar_value(self.data.constants[e.simple_name])
+            return const_scalar_value(self.data.constants[e.simple_name].value)
         if isinstance(e, UnOp) and e.op == "neg":
             v = self._const_eval(e.operand)
             return None if v is None else -v
@@ -481,6 +482,7 @@ class _Analyzer:
         self, e: Expr, cls: ClassDef, loops: list[str], range_position: bool = False
     ) -> Expr:
         """Return a typed copy of ``e`` with enum literals resolved."""
+        original = set(map(id, walk(e)))
 
         def rewrite(node: Expr) -> Expr:
             # Enum literals and identifiers share a token class; a bare name
@@ -501,9 +503,10 @@ class _Analyzer:
             # Types are written into the result, so it must share no node
             # with the caller's tree.  ``transform`` rebuilds every node whose
             # children changed but hands a childless node over as itself:
-            # copying those makes every node of the result a new one.  It
-            # also works bottom-up, so the children arrive typed.
-            if fresh is node and next(children(node), None) is None:
+            # copying the caller's nodes that come through makes every node
+            # of the result a new one.  It also works bottom-up, so the
+            # children arrive typed.
+            if fresh is node and id(node) in original:
                 fresh = copy(node)
             self._assign_type(fresh, cls, loops)
             return fresh
@@ -514,8 +517,6 @@ class _Analyzer:
         return typed
 
     def _check_range_refs(self, e: Expr, loops: list[str]) -> None:
-        from .nodes import walk
-
         for node in walk(e):
             if isinstance(node, Ref):
                 head = node.parts[0].name

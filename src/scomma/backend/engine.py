@@ -334,12 +334,11 @@ def builtin_target_dir() -> Path:
     return Path(str(resources.files(__package__) / "targets"))
 
 
-def _descriptor_files(extra_files: tuple[str, ...] = ()) -> list[Path]:
+def _descriptor_files() -> list[Path]:
     files = sorted(builtin_target_dir().glob(f"*{DESCRIPTOR_EXTENSION}"))
     env = os.environ.get(TARGET_PATH_ENV, "")
     for directory in filter(None, env.split(os.pathsep)):
         files.extend(sorted(Path(directory).glob(f"*{DESCRIPTOR_EXTENSION}")))
-    files.extend(Path(f) for f in extra_files)
     return files
 
 
@@ -351,11 +350,11 @@ def load_descriptor_file(path: Path) -> BackendDescriptor:
     return bd
 
 
-def list_targets(extra_files: tuple[str, ...] = ()) -> tuple[list[BackendDescriptor], list[str]]:
+def list_targets() -> tuple[list[BackendDescriptor], list[str]]:
     """All available targets, later definitions shadowing earlier ones."""
     found: dict[str, BackendDescriptor] = {}
     warnings: list[str] = []
-    for path in _descriptor_files(extra_files):
+    for path in _descriptor_files():
         bd = load_descriptor_file(path)
         if bd.name in found:
             warnings.append(
@@ -365,8 +364,8 @@ def list_targets(extra_files: tuple[str, ...] = ()) -> tuple[list[BackendDescrip
     return list(found.values()), warnings
 
 
-def find_target(name: str, extra_files: tuple[str, ...] = ()) -> BackendDescriptor:
-    targets, _ = list_targets(extra_files)
+def find_target(name: str) -> BackendDescriptor:
+    targets, _ = list_targets()
     for bd in targets:
         if bd.name == name:
             return bd

@@ -346,8 +346,13 @@ class _Compiler:
         if isinstance(e, Ref):
             return self._ref(e)
         if isinstance(e, BinOp):
-            if e.op in ("+", "-"):
+            op = e.op
+            if op in ("+", "-"):
                 return self._sum_plan(e)
+            if op in ("and", "or"):
+                return self._build_connective, _spine(e), op
+            if op == "*":
+                return self._build_product, _spine(e), None
             return self._build_binop, (e.left, e.right), e
         if isinstance(e, (IntLit, RealLit, BoolLit)):
             # repr keeps 1, True, 0.0 and -0.0 apart
@@ -385,6 +390,12 @@ class _Compiler:
 
     def _build_binop(self, e: BinOp, args: list) -> Closure:
         return self._shared(*_binop(e, *args))
+
+    def _build_connective(self, op: str, fs: list) -> Closure:
+        return self._shared(_connective, tuple(fs), op == "or", op)
+
+    def _build_product(self, _, fs: list) -> Closure:
+        return self._shared(_product, fs[0], tuple(fs[1:]))
 
     def _build_one(self, code, args: list) -> Closure:
         return self._shared(code, args[0])
@@ -475,14 +486,22 @@ class _Compiler:
         return self._shared(_no_element, name, subs, aside)
 
 
+def _spine(e: BinOp) -> list[Expr]:
+    """The operands of a chain of ``e.op`` down its left spine, left to
+    right: ``a or b or c`` gives ``[a, b, c]``."""
+    op, operands = e.op, []
+    while isinstance(e, BinOp) and e.op == op:
+        operands.append(e.right)
+        e = e.left
+    operands.append(e)
+    operands.reverse()
+    return operands
+
+
 def _binop(e: BinOp, left: Closure, right: Closure) -> tuple:
-    """The code and environment of a binary operator node other than ``+``
-    and ``-``."""
+    """The code and environment of a binary operator node that does not
+    chain: not ``+``, ``-``, ``*``, ``and`` or ``or``."""
     op = e.op
-    if op in ("and", "or"):
-        return _connective, op, left, right, op == "or"
-    if op == "*":
-        return _product, left, right
     if op in _COMPARE:
         return _comparison, op, left, right, _COMPARE[op][0]
     if op == "/":
@@ -594,11 +613,16 @@ def _sum(env, values):
 
 
 def _product(env, values):
-    left, right = env
-    a, b = left(values), right(values)
-    if type(a) is not int or type(b) is not int:
-        _numbers("*", a, b)
-    return a * b
+    """Factors multiplied left to right, each pair checked as ``arith``
+    checks the operands of ``*``."""
+    first, rest = env
+    a = first(values)
+    for f in rest:
+        b = f(values)
+        if type(a) is not int or type(b) is not int:
+            _numbers("*", a, b)
+        a = a * b
+    return a
 
 
 def _quotient(env, values):
@@ -607,16 +631,16 @@ def _quotient(env, values):
 
 
 def _connective(env, values):
-    op, left, right, stop = env  # stop: the left value that decides alone
-    a = left(values)
-    if not isinstance(a, bool):
-        raise EvalError(f"'{op}' applied to a non-bool")
-    if a is stop:
-        return a
-    b = right(values)
-    if not isinstance(b, bool):
-        raise EvalError(f"'{op}' applied to a non-bool")
-    return b
+    """Operands read left to right until one decides alone (``stop``): the
+    value of the chain, or of its last operand."""
+    fs, stop, op = env
+    for f in fs:
+        a = f(values)
+        if not isinstance(a, bool):
+            raise EvalError(f"'{op}' applied to a non-bool")
+        if a is stop:
+            return a
+    return a
 
 
 def _comparison(env, values):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .analyzer import TypedModel, positionalize
+from .analyzer import TypedModel, const_scalar_value, positionalize
 from .errors import EvalError, FlattenError
 from .evaluate import arith
 from .ir import (
@@ -48,7 +48,6 @@ from .ir import (
 )
 from .nodes import (
     ARITH_OPS,
-    ArrayLit,
     Attribute,
     BinOp,
     BoolLit,
@@ -78,17 +77,14 @@ from .nodes import (
     RealType,
     Ref,
     RefPart,
-    SetLit,
     SetType,
-    UnOp,
-    VBool,
     VInt,
     VList,
     VObj,
     VOmit,
-    VReal,
     map_item,
     transform,
+    walk,
 )
 from .printer import render_expr
 
@@ -131,49 +127,11 @@ class FlattenState:
     expanded: bool = False
 
 
-def _count_nodes(roots) -> int:
-    """Number of items and expression nodes in and under ``roots``.
-
-    Iterative, so the depth of a tree is no limit."""
-    stack = list(roots)
-    push, extend = stack.append, stack.extend
-    n = 0
-    while stack:
-        node = stack.pop()
-        n += 1
-        t = type(node)
-        if t is BinOp:
-            push(node.left)
-            push(node.right)
-        elif t is Ref:
-            for part in node.parts:
-                extend(part.indices)
-        elif t is Constraint or t is Objective:
-            push(node.expr)
-        elif t is UnOp:
-            push(node.operand)
-        elif t is Call or t is GlobalCall:
-            extend(node.args)
-        elif t is SetLit or t is ArrayLit:
-            extend(node.elems)
-        elif t is Forall:
-            extend(node.body)
-            if isinstance(node.range, IntRange):
-                push(node.range.lo)
-                push(node.range.hi)
-        elif t is IfElse:
-            push(node.cond)
-            extend(node.then_items)
-            if node.else_items is not None:
-                extend(node.else_items)
-    return n
-
-
 def node_count(state: FlattenState) -> int:
     if state.expanded:
-        return len(state.variables) + len(state.tables) + _count_nodes(state.items)
+        return len(state.variables) + len(state.tables) + len(walk(*state.items))
     return sum(
-        len(cls.attributes) + _count_nodes(i for zone in cls.zones for i in zone.items)
+        len(cls.attributes) + len(walk(*(i for zone in cls.zones for i in zone.items)))
         for cls in state.classes.values()
     )
 
@@ -401,13 +359,10 @@ def _const_dims(decl: ConstDecl, state: FlattenState) -> tuple[int, ...]:
 
 
 def _plain(v: DataValue, what: str):
-    if isinstance(v, VInt):
-        return v.value
-    if isinstance(v, VReal):
-        return v.value
-    if isinstance(v, VBool):
-        return int(v.value)
-    raise FlattenError(f"{what} must be a constant value", "substitute_data")
+    value = const_scalar_value(v)
+    if value is None:
+        raise FlattenError(f"{what} must be a constant value", "substitute_data")
+    return value
 
 
 def substitute_data(state: FlattenState) -> FlattenState:
@@ -629,7 +584,6 @@ class _SlotArray:
     ``table`` of that name when every cell is assigned."""
 
     name: str
-    dims: tuple[int, ...]
     table: Table | None
 
 
@@ -786,12 +740,12 @@ class _Expander:
         indices = list(iter_indices(dims))
         if len(cells) == len(indices):
             self.claim(name)
-            return _SlotArray(name, dims, Table(name, dims, tuple(cells[i] for i in indices)))
+            return _SlotArray(name, Table(name, dims, tuple(cells[i] for i in indices)))
         var = self.make_var(name, attr, dims, owner)
         for idx in indices:
             if idx in cells:
                 self.pin(var, idx, cells[idx], owner)
-        return _SlotArray(name, dims, None)
+        return _SlotArray(name, None)
 
     def _expand_object_array(self, prefix: str, attr: Attribute, bindings: list, owner: str):
         """Each scalar primitive attribute of the elements becomes one flat
@@ -835,7 +789,7 @@ class _Expander:
         if slot is None:
             table = self.state.const_tables.get(parts[0].name)
             if table is not None and len(parts) == 1:
-                return self._primitive_ref(_SlotArray(table.name, table.shape, table), parts[0], ref)
+                return self._primitive_ref(_SlotArray(table.name, table), parts[0], ref)
             raise FlattenError(
                 f"unresolved reference '{render_expr(ref)}' in '{inst.label or inst.cls.name}'",
                 "expand_composition",
@@ -918,24 +872,9 @@ class _Expander:
                     f" in '{render_expr(ref)}'",
                     "expand_composition",
                 ) from None
-        self._check_index_arity(part, slot.dims, ref)
         if table is not None:
             self.register_table(table)
         return Ref((RefPart(slot.name, part.indices),), span=ref.span)
-
-    def _check_index_arity(self, part: RefPart, dims: tuple[int, ...], ref: Ref) -> None:
-        if part.indices and len(part.indices) != len(dims):
-            raise FlattenError(
-                f"'{part.name}' takes {len(dims)} index(es) in '{render_expr(ref)}'",
-                "expand_composition",
-            )
-        for idx, dim in zip(part.indices, dims):
-            if isinstance(idx, IntLit) and not (1 <= idx.value <= dim):
-                raise FlattenError(
-                    f"index {idx.value} outside 1..{dim} for '{part.name}' in"
-                    f" '{render_expr(ref)}'",
-                    "expand_composition",
-                )
 
     # -- items ---------------------------------------------------------------------
 
@@ -1103,7 +1042,10 @@ def build_flat_model(state: FlattenState) -> FlatModel:
     )
     problems = flatness_violations(fm)
     if problems:
-        raise FlattenError("; ".join(text for text, _ in problems), "build")
+        raise FlattenError(
+            "; ".join(text if span is None else f"{span}: {text}" for text, span in problems),
+            "build",
+        )
     return fm
 
 

@@ -155,9 +155,6 @@ class FlatConstraint:
     expr: Expr
     origin: str = field(default="", compare=False)
 
-    def __iter__(self):
-        yield self.expr
-
 
 @dataclass
 class FlatObjective:
@@ -231,7 +228,7 @@ def flatness_violations(fm: FlatModel) -> list[tuple[str, SourceSpan | None]]:
                         problems.append((
                             f"constraint {ci}: index {idx.value} outside 1..{dim}"
                             f" for '{part.name}'",
-                            idx.span,
+                            idx.span or node.span,
                         ))
     names = [v.name for v in fm.variables] + list(fm.tables)
     dupes = {n for n in names if names.count(n) > 1}

@@ -10,7 +10,7 @@ transformation tests can compare trees directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 from .diagnostics import SourceSpan
 
@@ -121,31 +121,45 @@ def simple_ref(name: str, *indices: Expr, span: SourceSpan | None = None) -> Ref
     return Ref(parts=(RefPart(name, tuple(indices)),), span=span)
 
 
-def children(e: Expr) -> Iterator[Expr]:
-    """Immediate sub-expressions of ``e`` (including index expressions)."""
-    if isinstance(e, BinOp):
-        yield e.left
-        yield e.right
-    elif isinstance(e, UnOp):
-        yield e.operand
-    elif isinstance(e, Call):
-        yield from e.args
-    elif isinstance(e, (SetLit, ArrayLit)):
-        yield from e.elems
-    elif isinstance(e, Ref):
-        for part in e.parts:
-            yield from part.indices
+def walk(*roots) -> list:
+    """Every item and expression node in and under ``roots``, pre-order.
 
-
-def walk(e: Expr) -> Iterator[Expr]:
-    """All nodes of ``e``, pre-order.
-
-    Iterative, so the depth of a tree is no limit."""
-    stack = [e]
+    An item's expressions come before its sub-items: a ``Forall``'s
+    ``IntRange`` bounds before its body, an ``IfElse``'s condition before its
+    ``then`` and ``else`` items.  A reference's index expressions are its
+    children.  Iterative, so the depth of a tree is no limit."""
+    out = []
+    stack = list(reversed(roots))
+    pop, push, extend, visit = stack.pop, stack.append, stack.extend, out.append
     while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(tuple(children(node))))
+        node = pop()
+        visit(node)
+        t = type(node)
+        if t is BinOp:
+            push(node.right)
+            push(node.left)
+        elif t is Ref:
+            for part in reversed(node.parts):
+                extend(reversed(part.indices))
+        elif t is Constraint or t is Objective:
+            push(node.expr)
+        elif t is UnOp:
+            push(node.operand)
+        elif t is Call or t is GlobalCall:
+            extend(reversed(node.args))
+        elif t is SetLit or t is ArrayLit:
+            extend(reversed(node.elems))
+        elif t is Forall:
+            extend(reversed(node.body))
+            if type(node.range) is IntRange:
+                push(node.range.hi)
+                push(node.range.lo)
+        elif t is IfElse:
+            if node.else_items is not None:
+                extend(reversed(node.else_items))
+            extend(reversed(node.then_items))
+            push(node.cond)
+    return out
 
 
 def transform(e: Expr, fn) -> Expr:

@@ -23,8 +23,8 @@ from scomma.backend.rules import (
 )
 from scomma.errors import BackendError
 from scomma.interp import flat_solution_set
-from scomma.ir import FlatConstraint, FlatModel
-from scomma.nodes import simple_ref
+from scomma.ir import FLATNESS_BANNED, FlatConstraint, FlatModel
+from scomma.nodes import BoolLit, Expr, IntLit, Ref, simple_ref
 from scomma.printer import render_expr
 
 
@@ -304,8 +304,16 @@ class TestEmission:
             "Problem", "Variable", "ArrayShape", "Domain", "Constraint", "Objective",
             "EnumType", "ConstArray", "Row",
         }
-        for concept, fields in engine.EXPR_FIELDS.items():
-            assert set(fields) == CONCEPT_FIELDS[concept], concept
+
+    def test_every_flat_expression_node_has_a_concept_row(self):
+        # one sample per concept of each Expr class a flat model may hold
+        samples = [simple_ref("x"), simple_ref("x", IntLit(1)),
+                   BoolLit(True), BoolLit(False)]
+        samples += [cls() for cls in Expr.__subclasses__()
+                    if cls not in (Ref, BoolLit, *FLATNESS_BANNED)]
+        assert {type(e) for e in samples} == set(Expr.__subclasses__()) - set(FLATNESS_BANNED)
+        concepts = [engine._expr_concept(e) for e in samples]
+        assert sorted(concepts) == sorted(engine.EXPR_FIELDS)
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_concept_views_expose_exactly_the_declared_fields(self, name):
@@ -475,16 +483,18 @@ class TestTargetDiscovery:
         assert sorted(t.name for t in targets) == ["clp", "flat", "gecodej"]
         assert warnings == []
 
-    def test_user_file_adds_target(self, tmp_path):
+    def test_user_file_adds_target(self, tmp_path, monkeypatch):
         extra = tmp_path / "mini.bd"
         extra.write_text('target mini; extension ".txt"; template Problem : name ;')
-        targets, _ = list_targets(extra_files=(str(extra),))
+        monkeypatch.setenv("SCOMMA_TARGET_PATH", str(tmp_path))
+        targets, _ = list_targets()
         assert sorted(t.name for t in targets) == ["clp", "flat", "gecodej", "mini"]
 
-    def test_duplicate_name_shadows_with_warning(self, tmp_path):
+    def test_duplicate_name_shadows_with_warning(self, tmp_path, monkeypatch):
         extra = tmp_path / "shadow.bd"
         extra.write_text('target flat; extension ".x"; template Problem : name ;')
-        targets, warnings = list_targets(extra_files=(str(extra),))
+        monkeypatch.setenv("SCOMMA_TARGET_PATH", str(tmp_path))
+        targets, warnings = list_targets()
         flat = next(t for t in targets if t.name == "flat")
         assert flat.extension == ".x"
         assert any("shadows" in w for w in warnings)

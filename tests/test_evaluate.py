@@ -154,6 +154,25 @@ def test_a_violated_long_sum_is_reported():
     assert violation.index == 0 and violation.text == f"{terms}={n // 2}"
 
 
+@pytest.mark.parametrize("op, chain, holds, fails", [
+    ("or", "x[{}] = 1", [0] * 2999 + [1], [0] * 3000),
+    ("and", "x[{}] = 0", [0] * 3000, [0] * 2999 + [1]),
+    ("*", "x[{}]", [1] * 3000, [1] * 2999 + [0]),
+], ids=["or", "and", "*"])
+def test_long_chains_are_checked(op, chain, holds, fails):
+    # a left-deep chain of 3,000 operands, checked at the default recursion
+    # limit; the two solutions differ only in the last operand's variable
+    n = 3000
+    text = f" {op} ".join(chain.format(i) for i in range(1, n + 1))
+    if op == "*":
+        text += " = 1"
+    fm, diags = parse_flat(f"variables:\n  int x[{n}] in [0,1];\nconstraints:\n{text};\n")
+    assert fm is not None, [d.render() for d in diags]
+    assert check_solution(fm, holds) == (True, [])
+    ok, [violation] = check_solution(fm, fails)
+    assert not ok and violation.index == 0
+
+
 def test_constraint_that_cannot_be_evaluated():
     fm = FlatModel(
         name="t",
@@ -178,6 +197,8 @@ class TestPinnedSemantics:
         ("true or 1/0 = 1", True),
         ("false and a.b = 1", False),
         ("false and foo(x)", False),
+        ("true and false and 1/0 = 1", False),
+        ("false or true or 1/0 = 1", True),
     ])
     def test_and_or_short_circuit(self, text, value):
         assert eval_expr(expr(text), {}) is value
@@ -195,6 +216,7 @@ class TestPinnedSemantics:
         ("a.b = 1", "reference 'a.b' is not flat"),
         ("foo(x)", "cannot evaluate global constraint 'foo'"),
         ("cardinality()", "'cardinality' applied to no argument"),
+        ("false or 1 or true", "'or' applied to a non-bool"),
     ])
     def test_error_texts(self, text, message):
         with pytest.raises(EvalError) as exc:
@@ -233,6 +255,8 @@ class TestPinnedSemantics:
             ("-b + x", "negation applied to a non-number"),
             ("x + 1/0 + b", "division by zero in 1/0"),
             ("x * b", "'*' applied to a non-number"),
+            ("x * 2 * b * (1/0)", "'*' applied to a non-number"),
+            ("x * (1/0) * b", "division by zero in 1/0"),
         ]:
             with pytest.raises(EvalError) as exc:
                 eval_expr(expr(text), {("x", ()): 1, ("b", ()): True})

@@ -258,6 +258,25 @@ class TestExpandComposition:
             flatten(tm)
         assert "p[k].arr[1]" in str(exc.value)
 
+    @pytest.mark.parametrize("zone, message", [
+        # the index literal carries its own position
+        ("x[5] = 1;",
+         "[build] m.scm:4:7: constraint 1: index 5 outside 1..3 for 'x'"),
+        # a folded index has none, so the reference's position stands in
+        ("forall (i in 1..2) { x[i + 2] = 1; }",
+         "[build] m.scm:4:26: constraint 2: index 4 outside 1..3 for 'x'"),
+    ], ids=["direct", "folded"])
+    def test_constant_index_out_of_range_is_positioned(self, zone, message):
+        model = parse_ok(
+            "class A {\n  int x[3] in [0,1]; int y in [0,1];\n"
+            f"  constraint c {{ y = 1;\n    {zone} }}\n}}",
+            "m.scm",
+        )
+        tm, _ = analyze(model, None)
+        with pytest.raises(FlattenError) as exc:
+            flatten(tm)
+        assert str(exc.value) == message
+
     def test_variable_index_into_grouped_scalar_allowed(self):
         _tm, fm = compile_text(
             """

@@ -14,7 +14,6 @@ from scomma.nodes import (
     Objective,
     Ref,
     UnOp,
-    children,
     map_item,
     simple_ref,
     transform,
@@ -28,6 +27,18 @@ def expr(text):
     e, _ = parse_expression(text)
     assert e is not None
     return e
+
+
+def children(e):
+    """The reference's child relation on expressions, written apart from
+    ``walk``."""
+    if isinstance(e, BinOp):
+        return [e.left, e.right]
+    if isinstance(e, UnOp):
+        return [e.operand]
+    if isinstance(e, Ref):
+        return [i for part in e.parts for i in part.indices]
+    return []
 
 
 def recursive_walk(e):
@@ -66,6 +77,28 @@ class TestWalk:
         # the leaves left to right
         expected = sums[::-1] + leaves
         assert [id(node) for node in walk(e)] == [id(node) for node in expected]
+
+    def test_items_pre_order(self):
+        lo, hi = IntLit(1), simple_ref("n")
+        then_c = Constraint(expr("q[i] > 0"))
+        else_c = GlobalCall("alldifferent", (simple_ref("q"),))
+        cond = IfElse(expr("i = 1"), (then_c,), (else_c,))
+        loop = Forall("i", IntRange(lo, hi), (cond,))
+        goal = Objective("maximize", simple_ref("a"))
+        expected = [
+            loop, lo, hi,
+            cond, cond.cond, cond.cond.left, cond.cond.right,
+            then_c, then_c.expr, then_c.expr.left, then_c.expr.left.parts[0].indices[0],
+            then_c.expr.right,
+            else_c, else_c.args[0],
+            goal, goal.expr,
+        ]
+        assert [id(n) for n in walk(loop, goal)] == [id(n) for n in expected]
+
+    def test_a_name_range_has_no_bounds_to_visit(self):
+        body = Constraint(simple_ref("b"))
+        loop = Forall("i", NameRange("E"), (body,))
+        assert [id(n) for n in walk(loop)] == [id(loop), id(body), id(body.expr)]
 
 
 def bump(e):
