@@ -4,13 +4,13 @@ and structural validation of a model against its data.
 ``analyze`` collects every error before giving up, so a broken model reports
 all its problems in one run, in a stable order.  On success it returns a
 :class:`TypedModel` whose classes are inheritance-linearized, whose type
-names are resolved, whose enumeration literals are marked as such, and whose
-every expression node carries a type annotation.
+names are resolved and whose enumeration literals are marked as such; every
+expression node it does not rewrite is shared with the parsed model.  Types
+stay inside the analyzer.
 """
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, DiagnosticSink, SourceSpan
@@ -134,7 +134,7 @@ def _is_numeric(t: Type) -> bool:
 
 @dataclass
 class TypedModel:
-    """An analyzed model: linearized classes, resolved types, typed expressions."""
+    """An analyzed model: linearized classes, resolved types, marked enum literals."""
 
     model: Model
     enums: dict[str, EnumDecl]
@@ -194,6 +194,9 @@ class _Analyzer:
         self.sink = DiagnosticSink()
         self.class_map: dict[str, ClassDef] = {}
         self.objective_count = 0
+        # Each attribute's array sizes, keyed by (class name, attribute name):
+        # resolved once, with None for a size that is already reported.
+        self.sizes: dict[tuple[str, str], list[int | None]] = {}
 
     def _span(self, node) -> SourceSpan:
         span = getattr(node, "span", None)
@@ -359,8 +362,9 @@ class _Analyzer:
         for cls in self.class_map.values():
             for attr in cls.attributes:
                 owner = f"{cls.name}.{attr.name}"
-                for bound in attr.shape:
-                    self.shape_size(bound, owner)
+                self.sizes[cls.name, attr.name] = [
+                    self.shape_size(bound, owner) for bound in attr.shape
+                ]
                 if isinstance(attr.type, ObjectType) and len(attr.shape) > 1:
                     self.err(
                         f"object array '{owner}' has {len(attr.shape)} dimensions;"
@@ -407,8 +411,8 @@ class _Analyzer:
         in_loop: bool = False,
     ) -> Item:
         if isinstance(item, Constraint):
-            expr = self._type_expr(item.expr, cls, loops)
-            self._require(expr, BOOL_T, "constraint", item)
+            expr, t = self._type_expr(item.expr, cls, loops)
+            self._require(t, BOOL_T, "constraint", item)
             return Constraint(expr, span=item.span)
         if isinstance(item, Forall):
             rng = item.range
@@ -416,10 +420,10 @@ class _Analyzer:
                 if rng.name not in self.data.enums:
                     self.err(f"loop range '{rng.name}' is not an enumeration", item)
             else:
-                lo = self._type_expr(rng.lo, cls, loops, range_position=True)
-                hi = self._type_expr(rng.hi, cls, loops, range_position=True)
-                self._require(lo, INT_T, "loop bound", item)
-                self._require(hi, INT_T, "loop bound", item)
+                lo, lo_t = self._type_expr(rng.lo, cls, loops, range_position=True)
+                hi, hi_t = self._type_expr(rng.hi, cls, loops, range_position=True)
+                self._require(lo_t, INT_T, "loop bound", item)
+                self._require(hi_t, INT_T, "loop bound", item)
                 rng = IntRange(lo, hi)
                 clo, chi = self._const_eval(lo), self._const_eval(hi)
                 if clo is not None and chi is not None and clo > chi:
@@ -430,8 +434,8 @@ class _Analyzer:
             body = tuple(self._type_item(it, cls, inner, in_if, True) for it in item.body)
             return Forall(item.var, rng, body, span=item.span)
         if isinstance(item, IfElse):
-            cond = self._type_expr(item.cond, cls, loops)
-            self._require(cond, BOOL_T, "if condition", item)
+            cond, t = self._type_expr(item.cond, cls, loops)
+            self._require(t, BOOL_T, "if condition", item)
             then_items = tuple(
                 self._type_item(it, cls, loops, True, in_loop) for it in item.then_items
             )
@@ -447,48 +451,49 @@ class _Analyzer:
             if in_loop:
                 self.err("objectives may not appear inside loops", item)
             self.objective_count += 1
-            expr = self._type_expr(item.expr, cls, loops)
-            if not _is_numeric(expr.ty):
-                self.err(f"objective must be numeric, got {expr.ty}", item)
+            expr, t = self._type_expr(item.expr, cls, loops)
+            if not _is_numeric(t):
+                self.err(f"objective must be numeric, got {t}", item)
             return Objective(item.kind, expr, span=item.span)
         if isinstance(item, GlobalCall):
             if in_if:
                 self.err(f"global constraint '{item.name}' may not appear inside a conditional", item)
-            args = tuple(self._type_expr(a, cls, loops) for a in item.args)
-            self._check_global(item, args)
-            return GlobalCall(item.name, args, span=item.span)
+            typed = [self._type_expr(a, cls, loops) for a in item.args]
+            self._check_global(item, [t for _, t in typed])
+            return GlobalCall(item.name, tuple(a for a, _ in typed), span=item.span)
         raise AssertionError(f"unexpected item {type(item).__name__}")
 
-    def _check_global(self, item: GlobalCall, args: tuple[Expr, ...]) -> None:
-        def is_int_array(e: Expr) -> bool:
-            return isinstance(e.ty, TArray) and isinstance(e.ty.elem, TInt)
+    def _check_global(self, item: GlobalCall, arg_types: list[Type]) -> None:
+        def is_int_array(t: Type) -> bool:
+            return isinstance(t, TArray) and isinstance(t.elem, TInt)
 
         if item.name == "alldifferent":
-            if len(args) != 1 or not is_int_array(args[0]):
+            if len(arg_types) != 1 or not is_int_array(arg_types[0]):
                 self.err("alldifferent takes exactly one integer array", item)
         elif item.name == "cumulatives":
-            if len(args) != 3 or not all(is_int_array(a) for a in args):
+            if len(arg_types) != 3 or not all(is_int_array(t) for t in arg_types):
                 self.err("cumulatives takes exactly three integer arrays", item)
         else:
             self.err(f"unknown global constraint '{item.name}'", item)
 
-    def _require(self, expr: Expr, t: Type, what: str, node) -> None:
-        if expr.ty is not None and expr.ty != t:
-            self.err(f"{what} must be {t}, got {expr.ty}", node)
+    def _require(self, got: Type, want: Type, what: str, node) -> None:
+        if got != want:
+            self.err(f"{what} must be {want}, got {got}", node)
 
     # -- expression typing --------------------------------------------------------
 
     def _type_expr(
         self, e: Expr, cls: ClassDef, loops: list[str], range_position: bool = False
-    ) -> Expr:
-        """Return a typed copy of ``e`` with enum literals resolved."""
-        original = set(map(id, walk(e)))
+    ) -> tuple[Expr, Type]:
+        """``e`` with enum literals resolved, and its type."""
+        # Keyed by ``id`` because nodes are unhashable; every node typed here
+        # is part of the result, so no id is reused while the map lives.
+        types: dict[int, Type] = {}
 
         def rewrite(node: Expr) -> Expr:
             # Enum literals and identifiers share a token class; a bare name
             # that is neither a loop variable, attribute, nor constant is
             # resolved against the enum value tables here.
-            fresh = node
             if isinstance(node, Ref) and node.simple_name:
                 name = node.simple_name
                 if (
@@ -498,23 +503,16 @@ class _Analyzer:
                 ):
                     for enum in self.data.enums.values():
                         if name in enum.values:
-                            fresh = EnumRef(enum.name, name, enum.ordinal(name), span=node.span)
+                            node = EnumRef(enum.name, name, enum.ordinal(name), span=node.span)
                             break
-            # Types are written into the result, so it must share no node
-            # with the caller's tree.  ``transform`` rebuilds every node whose
-            # children changed but hands a childless node over as itself:
-            # copying the caller's nodes that come through makes every node
-            # of the result a new one.  It also works bottom-up, so the
-            # children arrive typed.
-            if fresh is node and id(node) in original:
-                fresh = copy(node)
-            self._assign_type(fresh, cls, loops)
-            return fresh
+            # ``transform`` works bottom-up, so the children are typed.
+            types[id(node)] = self._type_of(node, types, cls, loops)
+            return node
 
         typed = transform(e, rewrite)
         if range_position:
             self._check_range_refs(typed, loops)
-        return typed
+        return typed, types[id(typed)]
 
     def _check_range_refs(self, e: Expr, loops: list[str]) -> None:
         for node in walk(e):
@@ -550,7 +548,7 @@ class _Analyzer:
             return TArray(base, len(attr.shape))
         return base
 
-    def _path_type(self, ref: Ref, cls: ClassDef, loops: list[str]) -> Type:
+    def _path_type(self, ref: Ref, types: dict[int, Type], cls: ClassDef, loops: list[str]) -> Type:
         current: Type | None = None
         for i, part in enumerate(ref.parts):
             if i == 0:
@@ -561,11 +559,11 @@ class _Analyzer:
                     continue
                 attr = self._attr_of(cls, part.name)
                 if attr is not None:
-                    current = self._apply_indices(part, self._attr_value_type(attr), ref)
+                    current = self._apply_indices(part, self._attr_value_type(attr), ref, types)
                     continue
                 const = self.data.constants.get(part.name)
                 if const is not None:
-                    current = self._apply_indices(part, self._const_type(const), ref)
+                    current = self._apply_indices(part, self._const_type(const), ref, types)
                     continue
                 if part.name in self.data.enums:
                     self.err(f"enumeration '{part.name}' used as a value", ref)
@@ -581,7 +579,7 @@ class _Analyzer:
             if attr is None:
                 self.err(f"class '{current.class_name}' has no attribute '{part.name}'", ref)
                 return INT_T
-            current = self._apply_indices(part, self._attr_value_type(attr), ref)
+            current = self._apply_indices(part, self._attr_value_type(attr), ref, types)
         return current if current is not None else INT_T
 
     def _const_type(self, const: ConstDecl) -> Type:
@@ -600,9 +598,9 @@ class _Analyzer:
             return TArray(base, 1)
         return base
 
-    def _apply_indices(self, part: RefPart, t: Type, ref: Ref) -> Type:
+    def _apply_indices(self, part: RefPart, t: Type, ref: Ref, types: dict[int, Type]) -> Type:
         for idx in part.indices:
-            if idx.ty is not None and idx.ty != INT_T:
+            if types[id(idx)] != INT_T:
                 self.err(f"index into '{part.name}' must be an integer", ref)
         if not part.indices:
             return t
@@ -615,52 +613,48 @@ class _Analyzer:
             )
         return t.elem
 
-    def _assign_type(self, e: Expr, cls: ClassDef, loops: list[str]) -> None:
-        """The type of ``e``, whose children (indices too) are typed."""
+    def _type_of(self, e: Expr, types: dict[int, Type], cls: ClassDef, loops: list[str]) -> Type:
+        """The type of ``e``, whose children (indices too) are in ``types``."""
         if isinstance(e, EnumRef):
-            e.ty = INT_T
-        elif isinstance(e, Ref):
-            e.ty = self._path_type(e, cls, loops)
-        elif isinstance(e, IntLit):
-            e.ty = INT_T
-        elif isinstance(e, RealLit):
-            e.ty = REAL_T
-        elif isinstance(e, BoolLit):
-            e.ty = BOOL_T
-        elif isinstance(e, SetLit):
+            return INT_T
+        if isinstance(e, Ref):
+            return self._path_type(e, types, cls, loops)
+        if isinstance(e, RealLit):
+            return REAL_T
+        if isinstance(e, BoolLit):
+            return BOOL_T
+        if isinstance(e, SetLit):
             for el in e.elems:
-                if el.ty != INT_T:
+                if types[id(el)] != INT_T:
                     self.err("set literals hold integers", e)
-            e.ty = SET_T
-        elif isinstance(e, ArrayLit):
+            return SET_T
+        if isinstance(e, ArrayLit):
             for el in e.elems:
-                if el.ty != INT_T:
+                if types[id(el)] != INT_T:
                     self.err("array literals hold integer expressions", e)
-            e.ty = TArray(INT_T, 1)
-        elif isinstance(e, UnOp):
+            return TArray(INT_T, 1)
+        if isinstance(e, UnOp):
+            t = types[id(e.operand)]
             if e.op == "not":
-                if e.operand.ty != BOOL_T:
-                    self.err(f"'not' needs a bool operand, got {e.operand.ty}", e)
-                e.ty = BOOL_T
-            else:
-                if not _is_numeric(e.operand.ty):
-                    self.err(f"negation needs a numeric operand, got {e.operand.ty}", e)
-                e.ty = e.operand.ty if _is_numeric(e.operand.ty) else INT_T
-        elif isinstance(e, Call):
+                if t != BOOL_T:
+                    self.err(f"'not' needs a bool operand, got {t}", e)
+                return BOOL_T
+            if not _is_numeric(t):
+                self.err(f"negation needs a numeric operand, got {t}", e)
+                return INT_T
+            return t
+        if isinstance(e, Call):
             if e.name == "cardinality":
-                if len(e.args) != 1 or e.args[0].ty != SET_T:
+                if len(e.args) != 1 or types[id(e.args[0])] != SET_T:
                     self.err("cardinality takes one set argument", e)
-                e.ty = INT_T
             else:
                 self.err(f"unknown function '{e.name}' in expression", e)
-                e.ty = INT_T
-        elif isinstance(e, BinOp):
-            e.ty = self._binop_type(e)
-        else:
-            e.ty = INT_T
+            return INT_T
+        if isinstance(e, BinOp):
+            return self._binop_type(e, types[id(e.left)], types[id(e.right)])
+        return INT_T  # an integer literal
 
-    def _binop_type(self, e: BinOp) -> Type:
-        lt, rt = e.left.ty, e.right.ty
+    def _binop_type(self, e: BinOp, lt: Type, rt: Type) -> Type:
         op = e.op
         if op in ("+", "-", "*", "/"):
             if not (_is_numeric(lt) and _is_numeric(rt)):
@@ -714,6 +708,7 @@ class _Analyzer:
                 if cls is None:
                     ok = False
                     break
+                owner = cls
                 attr = self._attr_of(cls, seg)
                 if attr is None:
                     self.err(f"'{cls.name}' has no attribute '{seg}'", asg)
@@ -728,9 +723,9 @@ class _Analyzer:
                 if attr is None and ok:
                     self.err("assignment path names no attribute", asg)
                 continue
-            self._check_assigned_value(asg, attr)
+            self._check_assigned_value(asg, attr, self.sizes[owner.name, attr.name])
 
-    def _check_assigned_value(self, asg: Assignment, attr: Attribute) -> None:
+    def _check_assigned_value(self, asg: Assignment, attr: Attribute, dims: list) -> None:
         expected = attr.type.name if isinstance(attr.type, (ObjectType, EnumType)) else None
         if expected and asg.type_name != expected:
             self.err(
@@ -738,38 +733,32 @@ class _Analyzer:
                 f" '{attr.name}' holds {expected}",
                 asg,
             )
-        self._match_value(asg.value, attr, ".".join(asg.path), asg)
-
-    def _shape_dims(self, attr: Attribute) -> list[int]:
-        dims = []
-        for bound in attr.shape:
-            size = self.shape_size(bound, attr.name)
-            dims.append(size if size else 1)
-        return dims
+        self._match_value(asg.value, attr, dims, ".".join(asg.path), asg)
 
     def _shape_enum(self, attr: Attribute, axis: int) -> EnumDecl | None:
-        if axis >= len(attr.shape):
-            return None
         bound = attr.shape[axis]
         if isinstance(bound, Ref) and bound.simple_name in self.data.enums:
             return self.data.enums[bound.simple_name]
         return None
 
-    def _match_value(self, value: DataValue, attr: Attribute, where: str, asg) -> None:
+    def _match_value(self, value: DataValue, attr: Attribute, dims: list, where: str, asg) -> None:
+        """Check ``value`` against ``attr`` with its last ``len(dims)`` array
+        sizes left; a size that is None was reported with the declaration."""
         if isinstance(value, VOmit):
             return
-        if attr.shape:
+        if dims:
             if not isinstance(value, VList):
                 self.err(f"'{where}' is an array; expected an array literal", asg)
                 return
-            dims = self._shape_dims(attr)
-            cells, problem = positionalize(value, dims[0], self._shape_enum(attr, 0))
+            if dims[0] is None:
+                return
+            axis = len(attr.shape) - len(dims)
+            cells, problem = positionalize(value, dims[0], self._shape_enum(attr, axis))
             if problem:
                 self.err(f"'{where}': {problem}", asg)
                 return
-            inner = Attribute(attr.name, attr.type, attr.shape[1:], attr.domain, span=attr.span)
             for i, cell in enumerate(cells, start=1):
-                self._match_value(cell, inner, f"{where}[{i}]", asg)
+                self._match_value(cell, attr, dims[1:], f"{where}[{i}]", asg)
             return
         if isinstance(attr.type, ObjectType):
             if not isinstance(value, VObj):
@@ -791,7 +780,8 @@ class _Analyzer:
                     asg,
                 )
             for sub, sub_attr in zip(value.items, target.attributes):
-                self._match_value(sub, sub_attr, f"{where}.{sub_attr.name}", asg)
+                dims = self.sizes[target.name, sub_attr.name]
+                self._match_value(sub, sub_attr, dims, f"{where}.{sub_attr.name}", asg)
             return
         if isinstance(attr.type, EnumType):
             enum = self.data.enums[attr.type.name]

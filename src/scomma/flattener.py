@@ -1055,12 +1055,7 @@ def flatten(tm: TypedModel) -> tuple[FlatModel, PassTrace]:
     trace = PassTrace()
     before = node_count(state)
     for name, pass_fn in PIPELINE:
-        try:
-            state = pass_fn(state)
-        except FlattenError:
-            raise
-        except Exception as exc:  # defensive: attach the pass name
-            raise FlattenError(str(exc), name) from exc
+        state = pass_fn(state)
         after = node_count(state)
         trace.record(name, before, after)
         before = after

@@ -9,8 +9,9 @@ enum label tables needed to render solutions, and an optional objective.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Union
 
 from . import nodes
@@ -230,9 +231,8 @@ def flatness_violations(fm: FlatModel) -> list[tuple[str, SourceSpan | None]]:
                             f" for '{part.name}'",
                             idx.span or node.span,
                         ))
-    names = [v.name for v in fm.variables] + list(fm.tables)
-    dupes = {n for n in names if names.count(n) > 1}
-    for n in sorted(dupes):
+    counts = Counter(chain((v.name for v in fm.variables), fm.tables))
+    for n in sorted(n for n, k in counts.items() if k > 1):
         problems.append((f"duplicate flat name '{n}'", None))
     for v in fm.variables:
         if v.enum_tag is not None and v.base != SET:

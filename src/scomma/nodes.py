@@ -3,8 +3,9 @@
 The same expression nodes serve both the source AST and the flat IR; flatness
 is a restriction (single-part references, no enum literals, no data-constant
 names), not a separate node set.  Nodes compare structurally — source spans
-and type annotations are excluded from equality so that round-trip and
-transformation tests can compare trees directly.
+are excluded from equality so that round-trip and transformation tests can
+compare trees directly.  Expression nodes are slotted: a node holds its
+declared fields and nothing else, and is not mutated once built.
 """
 
 from __future__ import annotations
@@ -21,37 +22,36 @@ from .diagnostics import SourceSpan
 ARITH_OPS = ("+", "-", "*", "/")
 
 
-@dataclass
+@dataclass(slots=True)
 class Expr:
     """Base class for expression nodes."""
 
     span: SourceSpan | None = field(default=None, kw_only=True, compare=False, repr=False)
-    ty: object | None = field(default=None, kw_only=True, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(Expr):
     value: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class RealLit(Expr):
     value: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit(Expr):
     value: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class SetLit(Expr):
     """Explicit set value, ``{1, 3, 5}``."""
 
     elems: tuple[Expr, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class ArrayLit(Expr):
     """Array of expressions, ``[a, b, c]``; legal only as a global-constraint
     argument."""
@@ -67,7 +67,7 @@ class RefPart:
     indices: tuple[Expr, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class Ref(Expr):
     """A (possibly dotted, possibly indexed) reference: ``man[m].rank[w]``.
 
@@ -85,7 +85,7 @@ class Ref(Expr):
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class EnumRef(Expr):
     """A resolved enumeration literal (``Tracy``); replaced by its 1-based
     ordinal during enumeration substitution."""
@@ -95,20 +95,20 @@ class EnumRef(Expr):
     ordinal: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class BinOp(Expr):
     op: str = "+"
     left: Expr = None  # type: ignore[assignment]
     right: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class UnOp(Expr):
     op: str = "neg"  # "neg" or "not"
     operand: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Expr):
     """Function-style expression (``cardinality(s)``) or, at item level, a
     global-constraint call (``alldifferent(q)``)."""

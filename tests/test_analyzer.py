@@ -1,20 +1,10 @@
 import pytest
 
 from conftest import analyze_ok, compile_corpus, parse_data_ok, parse_ok
-from scomma.analyzer import BOOL_T, analyze, linearize_inheritance
+from scomma.analyzer import analyze, linearize_inheritance
 from scomma.cli import corpus_dir
 from scomma.diagnostics import DiagnosticSink
-from scomma.nodes import (
-    Constraint,
-    DomainInterval,
-    EnumType,
-    Forall,
-    GlobalCall,
-    IfElse,
-    IntRange,
-    Objective,
-    walk,
-)
+from scomma.nodes import EnumType
 
 
 def analyze_err(model_text, data_text=None):
@@ -97,6 +87,18 @@ class TestStructure:
         errors = analyze_err("class A { int a[0] in [1,2]; }")
         assert any("not positive" in e.message for e in errors)
 
+    @pytest.mark.parametrize("model, data, owner", [
+        ("class A { int a[m] in [0,1]; }", "int A.a := [1,0];", "A.a"),
+        ("class A { int a[2,m] in [0,1]; }", "int A.a := [[1,0],[0,1]];", "A.a"),
+        ("class A { B b; }\nclass B { int c[m] in [0,1]; int d in [0,1]; }",
+         "B A.b := {[1,0], 1};", "B.c"),
+    ], ids=["1-D", "2-D", "in-object-literal"])
+    def test_bad_array_size_is_reported_once(self, model, data, owner):
+        errors = analyze_err(model, data)
+        assert [e.message for e in errors] == [
+            f"array size 'm' of '{owner}' is not a constant or enum"
+        ]
+
 
 class TestLinearize:
     def test_superclass_attributes_first(self):
@@ -143,27 +145,17 @@ class TestLinearize:
 
 
 class TestTyping:
-    def test_every_expr_node_annotated_and_bool_contexts(self):
-        tm, _, _ = compile_corpus("packing")
-        for cls in tm.class_map.values():
-            for zone in cls.zones:
-                for item in zone.items:
-                    self._check_item(item)
-
-    def _check_item(self, item):
-        if isinstance(item, Constraint):
-            assert item.expr.ty == BOOL_T
-            for node in walk(item.expr):
-                assert node.ty is not None
-        elif isinstance(item, Forall):
-            for sub in item.body:
-                self._check_item(sub)
-        elif isinstance(item, IfElse):
-            assert item.cond.ty == BOOL_T
-            for sub in item.then_items:
-                self._check_item(sub)
-            for sub in item.else_items or ():
-                self._check_item(sub)
+    @pytest.mark.parametrize("zone, message", [
+        ("x + 1;", "constraint must be bool, got int"),
+        ("if (x) x = 1;", "if condition must be bool, got int"),
+        ("forall(i in 1..(x = 1)) x = i;", "loop bound must be int, got bool"),
+        ("[minimize] x = 1;", "objective must be numeric, got bool"),
+        ("not x;", "'not' needs a bool operand, got int"),
+        ("cardinality(x) = 1;", "cardinality takes one set argument"),
+    ])
+    def test_context_diagnostic_text(self, zone, message):
+        errors = analyze_err(f"class A {{ int x in [0,5]; constraint z {{ {zone} }} }}")
+        assert message in [e.message for e in errors]
 
     def test_loop_variable_scoping(self):
         errors = analyze_err(
@@ -240,47 +232,3 @@ class TestStability:
         _, d1 = analyze(model)
         _, d2 = analyze(parse_ok(bad))
         assert [x.render() for x in d1] == [x.render() for x in d2]
-
-    @pytest.mark.parametrize("name", ["queens-10", "stable", "sudoku"])
-    def test_input_model_is_not_typed_in_place(self, name):
-        model = parse_ok((corpus_dir() / f"{name}.scm").read_text())
-        data = None
-        for imp in model.imports:
-            part = parse_data_ok((corpus_dir() / imp).read_text())
-            data = part if data is None else data.merged_with(part)[0]
-        analyze_ok(model, data)
-        exprs = list(_model_exprs(model))
-        assert exprs
-        assert [node for e in exprs for node in walk(e) if node.ty is not None] == []
-
-
-def _model_exprs(model):
-    """Every expression of a parsed model: attribute shapes and domains, and
-    the expressions of all constraint-zone items."""
-
-    def of_items(items):
-        for item in items:
-            if isinstance(item, (Constraint, Objective)):
-                yield item.expr
-            elif isinstance(item, GlobalCall):
-                yield from item.args
-            elif isinstance(item, Forall):
-                if isinstance(item.range, IntRange):
-                    yield item.range.lo
-                    yield item.range.hi
-                yield from of_items(item.body)
-            elif isinstance(item, IfElse):
-                yield item.cond
-                yield from of_items(item.then_items)
-                yield from of_items(item.else_items or ())
-
-    for cls in model.classes:
-        for attr in cls.attributes:
-            yield from attr.shape
-            if isinstance(attr.domain, DomainInterval):
-                yield attr.domain.lo
-                yield attr.domain.hi
-            elif attr.domain is not None:
-                yield from attr.domain.elems
-        for zone in cls.zones:
-            yield from of_items(zone.items)

@@ -3,7 +3,8 @@ import shutil
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, compile_corpus
+from scomma import flattener
 from scomma.cli import corpus_dir, main
 
 
@@ -131,6 +132,22 @@ class TestCompile:
         assert "Traceback" not in err
         [line] = err.splitlines()
         assert line.startswith("error: internal error: RecursionError: maximum recursion")
+
+    def test_fault_in_a_pass_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        # only what a pass raises about the model is a diagnostic; a fault in
+        # a pass reaches the caller as itself
+        def broken(state):
+            raise ZeroDivisionError("division by zero")
+
+        tm, _, _ = compile_corpus("queens-10")
+        monkeypatch.setattr(flattener, "PIPELINE",
+                            flattener.PIPELINE[:2] + (("unroll_loops", broken),))
+        with pytest.raises(ZeroDivisionError):
+            flattener.flatten(tm)
+        code, _, err = run(capsys, "compile", str(corpus_dir() / "queens-10.scm"),
+                           "--emit-flat", "--out", str(tmp_path / "q.fsc"))
+        assert code == 1
+        assert err == "error: internal error: ZeroDivisionError: division by zero\n"
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

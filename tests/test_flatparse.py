@@ -265,3 +265,25 @@ def test_each_bad_table_gives_one_diagnostic():
         (12, "expected a number table value"),
         (13, "expected a number table value"),
     ]
+
+
+def test_each_duplicate_name_is_reported_once():
+    # 'x' is declared twice as a variable, 't' as a variable and a table
+    text = """variables:
+
+  int x in [0,5];
+  int x in [0,5];
+  int t in [0,5];
+
+constant-arrays:
+
+  t := [1,2];
+
+constraints:
+
+  x < 3;
+"""
+    assert diagnostics(text) == [
+        (1, "duplicate flat name 't'"),
+        (1, "duplicate flat name 'x'"),
+    ]

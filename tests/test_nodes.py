@@ -1,7 +1,11 @@
-"""The shared traversals of ``nodes``: ``walk`` and ``map_item``."""
+"""The shared traversals of ``nodes``: ``walk`` and ``map_item``; and the
+rule that expression nodes hold their declared fields and nothing else."""
 
 import random
 
+import pytest
+
+from scomma import nodes
 from scomma.nodes import (
     BinOp,
     Constraint,
@@ -173,3 +177,17 @@ class TestMapItem:
         assert out.range == NameRange("E")
         assert render_expr(out.body[0].expr) == "q[i]>2"
         assert isinstance(out.body[0].expr.left, Ref)
+
+
+EXPR_CLASSES = sorted(
+    (c for c in vars(nodes).values() if isinstance(c, type) and issubclass(c, nodes.Expr)),
+    key=lambda c: c.__name__,
+)
+
+
+@pytest.mark.parametrize("cls", EXPR_CLASSES, ids=lambda c: c.__name__)
+def test_expression_nodes_are_slotted(cls):
+    node = cls()
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(node, "ty", "int")
