@@ -6,7 +6,10 @@ all its problems in one run, in a stable order.  On success it returns a
 :class:`TypedModel` whose classes are inheritance-linearized, whose type
 names are resolved and whose enumeration literals are marked as such; every
 expression node it does not rewrite is shared with the parsed model.  Types
-stay inside the analyzer.
+stay inside the analyzer.  An attribute or constraint zone is resolved,
+checked and typed once, in the class that declares it, and its subclasses
+share the result, so each of its diagnostics appears once and names that
+class.
 """
 
 from __future__ import annotations
@@ -193,10 +196,11 @@ class _Analyzer:
         self.data = data
         self.sink = DiagnosticSink()
         self.class_map: dict[str, ClassDef] = {}
-        self.objective_count = 0
-        # Each attribute's array sizes, keyed by (class name, attribute name):
+        self.objectives: list[Objective] = []
+        # Each attribute's array sizes, keyed by the id of the resolved
+        # attribute that its declaring class and every subclass share:
         # resolved once, with None for a size that is already reported.
-        self.sizes: dict[tuple[str, str], list[int | None]] = {}
+        self.sizes: dict[int, list[int | None]] = {}
 
     def _span(self, node) -> SourceSpan:
         span = getattr(node, "span", None)
@@ -218,15 +222,18 @@ class _Analyzer:
         if self.sink.failed or linear is None:
             return None
         self.class_map = {c.name: c for c in linear.classes}
-        self._resolve_attribute_types()
+        declared = self._resolve_attribute_types()
         self._check_composition_acyclic()
         if self.sink.failed:
             return None
-        self._check_shapes_and_domains()
-        typed_classes = tuple(self._type_class(self.class_map[c.name]) for c in linear.classes)
+        self._check_shapes_and_domains(declared)
+        typed_classes = self._type_zones(declared)
         self._check_assignments()
-        if self.objective_count > 1:
-            self.err(f"model declares {self.objective_count} objectives; at most one is allowed")
+        if len(self.objectives) > 1:
+            self.err(
+                f"model declares {len(self.objectives)} objectives; at most one is allowed",
+                self.objectives[1],
+            )
         if self.sink.failed:
             return None
         typed = Model(linear.name, linear.imports, typed_classes, linear.main_class)
@@ -247,40 +254,41 @@ class _Analyzer:
         if self.model.main_class not in {c.name for c in self.model.classes}:
             self.err(f"main class '{self.model.main_class}' is not defined")
 
-    def _resolve_attribute_types(self) -> None:
-        for cls in self.class_map.values():
-            resolved = []
-            for attr in cls.attributes:
-                t = attr.type
-                if isinstance(t, NamedType):
-                    if t.name in self.data.enums:
-                        t = EnumType(t.name)
-                    elif t.name in self.class_map:
-                        t = ObjectType(t.name)
-                    else:
-                        self.err(
-                            f"unknown type '{t.name}' for attribute '{cls.name}.{attr.name}'"
-                            " (not a base type, enum, or class)",
-                            attr,
-                        )
-                elif isinstance(t, SetType) and t.elem != "int":
-                    if t.elem not in self.data.enums:
-                        self.err(
-                            f"set element type '{t.elem}' of '{cls.name}.{attr.name}'"
-                            " is not an enum",
-                            attr,
-                        )
-                if isinstance(t, ObjectType) and attr.domain is not None:
-                    self.err(
-                        f"object-typed attribute '{cls.name}.{attr.name}' cannot have a domain",
-                        attr,
-                    )
-                resolved.append(
-                    Attribute(attr.name, t, attr.shape, attr.domain, attr.enum_tag, span=attr.span)
+    def _resolve_attribute_types(self) -> tuple[ClassDef, ...]:
+        """The classes as declared, each with its own attributes' types
+        resolved once there.  The linearized classes in ``class_map`` share
+        the resolved attributes with the classes that declare them."""
+        resolved: dict[int, Attribute] = {}  # keyed by the id of the parsed attribute
+        declared = []
+        for cls in self.model.classes:
+            own = tuple(self._resolve_attribute(cls.name, attr) for attr in cls.attributes)
+            resolved.update(zip(map(id, cls.attributes), own))
+            declared.append(ClassDef(cls.name, cls.superclass, own, cls.zones, span=cls.span))
+        for name, cls in self.class_map.items():
+            attributes = tuple(resolved[id(attr)] for attr in cls.attributes)
+            self.class_map[name] = ClassDef(name, None, attributes, cls.zones, span=cls.span)
+        return tuple(declared)
+
+    def _resolve_attribute(self, cls_name: str, attr: Attribute) -> Attribute:
+        owner = f"{cls_name}.{attr.name}"
+        t = attr.type
+        if isinstance(t, NamedType):
+            if t.name in self.data.enums:
+                t = EnumType(t.name)
+            elif t.name in self.class_map:
+                t = ObjectType(t.name)
+            else:
+                self.err(
+                    f"unknown type '{t.name}' for attribute '{owner}'"
+                    " (not a base type, enum, or class)",
+                    attr,
                 )
-            self.class_map[cls.name] = ClassDef(
-                cls.name, None, tuple(resolved), cls.zones, span=cls.span
-            )
+        elif isinstance(t, SetType) and t.elem != "int":
+            if t.elem not in self.data.enums:
+                self.err(f"set element type '{t.elem}' of '{owner}' is not an enum", attr)
+        if isinstance(t, ObjectType) and attr.domain is not None:
+            self.err(f"object-typed attribute '{owner}' cannot have a domain", attr)
+        return Attribute(attr.name, t, attr.shape, attr.domain, attr.enum_tag, span=attr.span)
 
     def _check_composition_acyclic(self) -> None:
         graph = {
@@ -358,11 +366,11 @@ class _Analyzer:
                 return None
         return None
 
-    def _check_shapes_and_domains(self) -> None:
-        for cls in self.class_map.values():
+    def _check_shapes_and_domains(self, declared: tuple[ClassDef, ...]) -> None:
+        for cls in declared:
             for attr in cls.attributes:
                 owner = f"{cls.name}.{attr.name}"
-                self.sizes[cls.name, attr.name] = [
+                self.sizes[id(attr)] = [
                     self.shape_size(bound, owner) for bound in attr.shape
                 ]
                 if isinstance(attr.type, ObjectType) and len(attr.shape) > 1:
@@ -391,16 +399,19 @@ class _Analyzer:
 
     # -- zone typing ------------------------------------------------------------
 
-    def _type_class(self, cls: ClassDef) -> ClassDef:
-        zones = tuple(
-            ConstraintZone(
-                z.name,
-                tuple(self._type_item(it, cls, []) for it in z.items),
-                span=z.span,
-            )
-            for z in cls.zones
+    def _type_zones(self, declared: tuple[ClassDef, ...]) -> tuple[ClassDef, ...]:
+        """The linearized classes with their zones typed, each zone once in
+        the class that declares it and shared with the subclasses."""
+        typed: dict[int, ConstraintZone] = {}  # keyed by the id of the parsed zone
+        for cls in declared:
+            scope = self.class_map[cls.name]
+            for z in cls.zones:
+                items = tuple(self._type_item(it, scope, []) for it in z.items)
+                typed[id(z)] = ConstraintZone(z.name, items, span=z.span)
+        return tuple(
+            ClassDef(c.name, None, c.attributes, tuple(typed[id(z)] for z in c.zones), span=c.span)
+            for c in self.class_map.values()
         )
-        return ClassDef(cls.name, None, cls.attributes, zones, span=cls.span)
 
     def _type_item(
         self,
@@ -450,7 +461,7 @@ class _Analyzer:
                 self.err("objectives may not appear inside conditionals", item)
             if in_loop:
                 self.err("objectives may not appear inside loops", item)
-            self.objective_count += 1
+            self.objectives.append(item)
             expr, t = self._type_expr(item.expr, cls, loops)
             if not _is_numeric(t):
                 self.err(f"objective must be numeric, got {t}", item)
@@ -708,7 +719,6 @@ class _Analyzer:
                 if cls is None:
                     ok = False
                     break
-                owner = cls
                 attr = self._attr_of(cls, seg)
                 if attr is None:
                     self.err(f"'{cls.name}' has no attribute '{seg}'", asg)
@@ -723,7 +733,7 @@ class _Analyzer:
                 if attr is None and ok:
                     self.err("assignment path names no attribute", asg)
                 continue
-            self._check_assigned_value(asg, attr, self.sizes[owner.name, attr.name])
+            self._check_assigned_value(asg, attr, self.sizes[id(attr)])
 
     def _check_assigned_value(self, asg: Assignment, attr: Attribute, dims: list) -> None:
         expected = attr.type.name if isinstance(attr.type, (ObjectType, EnumType)) else None
@@ -780,7 +790,7 @@ class _Analyzer:
                     asg,
                 )
             for sub, sub_attr in zip(value.items, target.attributes):
-                dims = self.sizes[target.name, sub_attr.name]
+                dims = self.sizes[id(sub_attr)]
                 self._match_value(sub, sub_attr, dims, f"{where}.{sub_attr.name}", asg)
             return
         if isinstance(attr.type, EnumType):

@@ -15,9 +15,13 @@ Template fragments:
 Lists count as defined only when non-empty, so ``isDefined`` doubles as an
 emptiness guard around optional sections.
 
-Parsing checks what it can without a model: the head of each field path
-outside a foreach body against its template's concept, and each rule name
-against the rewrite registry, each reported at its own token.
+``FIELDS`` is the one schema of the concepts: for each concept, the fields a
+template may read and the getter that computes each one from a node.  A node
+is the triple ``(concept, obj, prec)`` for the flat model's own concepts and
+for expressions alike.  Parsing checks what it can without a model: the head
+of each field path outside a foreach body against its template's concept in
+``FIELDS``, and each rule name against the rewrite registry, each reported at
+its own token.
 """
 
 from __future__ import annotations
@@ -26,58 +30,118 @@ from dataclasses import dataclass, field
 
 from ..diagnostics import Diagnostic
 from ..errors import BackendError
+from ..ir import SET, IntSet
 from ..lexer import EOF, IDENT, INT, KEYWORD, STRING
+from ..nodes import BoolLit, Expr, Ref
 from ..parser import ParseAbort, TokenCursor
-from ..printer import UNARY_PREC, operand_precs, render_real
+from ..printer import UNARY_PREC, operand_precs
 from .rules import rule_named
 
 DESCRIPTOR_EXTENSION = ".bd"
 
-# concept -> field -> getter(expr, opmap): the fields each expression concept
-# exposes to templates.  Compiled templates read them straight off the Expr;
-# the engine's ``_expr_view`` builds the dict view from the same table.  An
-# expression-valued field is the pair ``(expr, prec)``: the expression and the
-# precedence its parent renders it at.
-EXPR_FIELDS: dict[str, dict] = {
-    "IntLit": {"value": lambda e, om: str(e.value)},
-    "RealLit": {"value": lambda e, om: render_real(e.value)},
+MISSING = object()  # a field that is not defined on this node
+
+
+def expr_node(e: Expr, prec: int) -> tuple:
+    """The node of expression ``e`` rendered at parent precedence ``prec``.
+    Its concept is the node class name, except for references
+    (``Ref``/``IndexedRef``) and booleans (``TrueLit``/``FalseLit``)."""
+    t = type(e)
+    if t is Ref:
+        return ("IndexedRef" if e.parts[0].indices else "Ref", e, prec)
+    if t is BoolLit:
+        return ("TrueLit" if e.value else "FalseLit", e, prec)
+    if t.__name__ not in FIELDS:
+        raise BackendError(f"cannot render expression node {t.__name__}")
+    return (t.__name__, e, prec)
+
+
+def _nodes(concept: str, objs) -> list[tuple]:
+    return [(concept, obj, -1) for obj in objs]
+
+
+def _exprs(es) -> list[tuple]:
+    return [expr_node(x, -1) for x in es]
+
+
+# concept -> field -> getter(obj, opmap): every concept a template may be
+# declared for, with the fields it shows.  A node is ``(concept, obj, prec)``:
+# ``obj`` is what the getters read (a Constraint's is ``(index, constraint)``,
+# an EnumType's ``(name, labels)``) and ``prec`` the precedence its parent
+# renders it at, -1 outside expressions.  A field is a string, a number, a
+# node, a list of these, or MISSING.
+FIELDS: dict[str, dict] = {
+    "Problem": {
+        "name": lambda fm, om: fm.name,
+        "variables": lambda fm, om: _nodes("Variable", fm.variables),
+        "constraints": lambda fm, om: _nodes("Constraint", enumerate(fm.constraints)),
+        "enums": lambda fm, om: _nodes("EnumType", fm.enum_types.items()),
+        "tables": lambda fm, om: _nodes("ConstArray", fm.tables.values()),
+        "objective": lambda fm, om: (
+            MISSING if fm.objective is None else ("Objective", fm.objective, -1)),
+    },
+    "Variable": {
+        "name": lambda v, om: v.name,
+        "type": lambda v, om: v.type_label,
+        "base": lambda v, om: v.base if v.base != SET else "set of int",
+        "array": lambda v, om: ("ArrayShape", v.shape, -1) if v.shape else MISSING,
+        "domain": lambda v, om: ("Domain", v.domain, -1),
+        "enum_tag": lambda v, om: v.enum_tag or MISSING,
+    },
+    "ArrayShape": {
+        "row": lambda shape, om: shape[0],
+        "col": lambda shape, om: shape[1] if len(shape) == 2 else MISSING,
+    },
+    "Domain": {
+        "lo": lambda d, om: d.members[0] if type(d) is IntSet else d.lo,
+        "hi": lambda d, om: d.members[-1] if type(d) is IntSet else d.hi,
+        "values": lambda d, om: list(d.members) if type(d) is IntSet else MISSING,
+    },
+    "Constraint": {
+        "expr": lambda ic, om: expr_node(ic[1].expr, -1),
+        "index": lambda ic, om: ic[0],
+        "origin": lambda ic, om: ic[1].origin,
+    },
+    "Objective": {
+        "kind": lambda o, om: o.kind,
+        "expr": lambda o, om: expr_node(o.expr, -1),
+    },
+    "EnumType": {
+        "name": lambda nv, om: nv[0],
+        "values": lambda nv, om: list(nv[1]),
+    },
+    "ConstArray": {
+        "name": lambda t, om: t.name,
+        "values": lambda t, om: MISSING if len(t.shape) == 2 else list(t.values),
+        "rows": lambda t, om: _nodes("Row", t.rows()) if len(t.shape) == 2 else MISSING,
+        "row": lambda t, om: t.shape[0],
+        "col": lambda t, om: t.shape[1] if len(t.shape) == 2 else MISSING,
+    },
+    "Row": {"values": lambda row, om: list(row)},
+    "IntLit": {"value": lambda e, om: e.value},
+    "RealLit": {"value": lambda e, om: e.value},
     "TrueLit": {},
     "FalseLit": {},
     "Ref": {"name": lambda e, om: e.parts[0].name},
     "IndexedRef": {
         "name": lambda e, om: e.parts[0].name,
-        "indices": lambda e, om: [(x, -1) for x in e.parts[0].indices],
+        "indices": lambda e, om: _exprs(e.parts[0].indices),
     },
     "BinOp": {
         "op": lambda e, om: om.get(e.op, e.op),
-        "left": lambda e, om: (e.left, operand_precs(e)[0]),
-        "right": lambda e, om: (e.right, operand_precs(e)[1]),
+        "left": lambda e, om: expr_node(e.left, operand_precs(e)[0]),
+        "right": lambda e, om: expr_node(e.right, operand_precs(e)[1]),
     },
     "UnOp": {
         "op": lambda e, om: om.get(e.op, "not " if e.op == "not" else "-"),
-        "operand": lambda e, om: (e.operand, UNARY_PREC),
+        "operand": lambda e, om: expr_node(e.operand, UNARY_PREC),
     },
     "Call": {
         "name": lambda e, om: e.name,
-        "args": lambda e, om: [(x, -1) for x in e.args],
+        "args": lambda e, om: _exprs(e.args),
     },
-    "ArrayLit": {"elems": lambda e, om: [(x, -1) for x in e.elems]},
-    "SetLit": {"elems": lambda e, om: [(x, -1) for x in e.elems]},
-}
-
-# Concepts a template may be declared for, with the fields each exposes: the
-# flat model's own concepts, then the expression concepts of EXPR_FIELDS.
-CONCEPT_FIELDS: dict[str, frozenset[str]] = {
-    "Problem": frozenset({"name", "variables", "constraints", "enums", "tables", "objective"}),
-    "Variable": frozenset({"name", "type", "base", "array", "domain", "enum_tag"}),
-    "ArrayShape": frozenset({"row", "col"}),
-    "Domain": frozenset({"lo", "hi", "values"}),
-    "Constraint": frozenset({"expr", "index", "origin"}),
-    "Objective": frozenset({"kind", "expr"}),
-    "EnumType": frozenset({"name", "values"}),
-    "ConstArray": frozenset({"name", "values", "rows", "row", "col"}),
-    "Row": frozenset({"values"}),
-    **{concept: frozenset(fields) for concept, fields in EXPR_FIELDS.items()},
+    "ArrayLit": {"elems": lambda e, om: _exprs(e.elems)},
+    "SetLit": {"elems": lambda e, om: _exprs(e.elems)},
 }
 
 UNSUPPORTED_CONSTRUCTS = ("set_matrix", "matrix", "set_variable", "real_variable")
@@ -198,7 +262,7 @@ class _DescriptorParser(TokenCursor):
             self.advance()
             concept_tok = self.expect_ident("template declaration")
             concept = concept_tok.text
-            if concept not in CONCEPT_FIELDS:
+            if concept not in FIELDS:
                 raise self.fail(f"unknown concept '{concept}'", concept_tok.span)
             self.expect_symbol(":", "template declaration")
             frags = self._fragments(concept, ";")
@@ -280,7 +344,7 @@ class _DescriptorParser(TokenCursor):
         first = self.cur
         if first.kind not in (IDENT, KEYWORD):
             raise self.fail("expected a field name")
-        if concept is not None and first.text not in CONCEPT_FIELDS[concept]:
+        if concept is not None and first.text not in FIELDS[concept]:
             self.sink.error(
                 f"template for '{concept}' {verb} unknown field '{first.text}'", first.span
             )

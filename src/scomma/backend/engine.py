@@ -1,8 +1,11 @@
 """Template rendering and target emission.
 
 A descriptor's templates are compiled into closures on its first ``emit`` and
-cached with it.  A field resolves on the node being rendered, and in a foreach
-body on the loop item first, then on the enclosing frames, across template
+cached with it.  Every node is a ``(concept, obj, prec)`` triple, and every
+field is read through ``descriptor.FIELDS`` when a template reads it; no view
+of the model is built.  A field resolves on the node being rendered, and in a
+foreach body on the loop item first (the loop variable, then the item's own
+fields if it is a node), then on the enclosing frames, across template
 boundaries; the scope is a linked ``(frame, parent)`` chain.  Where that rule
 fixes the answer the field is read directly: a head at a template's top level
 from the template's own node, the innermost loop variable from the item.
@@ -21,125 +24,38 @@ from importlib import resources
 from pathlib import Path
 
 from ..errors import BackendError
-from ..ir import FlatModel, FlatVar, IntSet, REAL, SET, Table, flatness_violations
-from ..nodes import BoolLit, Expr, Ref
+from ..ir import REAL, SET, FlatModel, flatness_violations
 from ..printer import join_tight, needs_parens, render_real
 from .descriptor import (
-    BackendDescriptor, CONCEPT_FIELDS, Cond, DESCRIPTOR_EXTENSION, EXPR_FIELDS, FieldRef,
-    Lit, parse_descriptor,
+    DESCRIPTOR_EXTENSION, FIELDS, MISSING, BackendDescriptor, Cond, FieldRef, Lit,
+    parse_descriptor,
 )
 from .rules import rule_named
 
-MISSING = object()
 _NOT_FOUND = object()  # no frame in the scope defines the field
-
-
-def _expr_concept(e: Expr) -> str:
-    """The concept of ``e``: its node class name, except for references
-    (``Ref``/``IndexedRef``) and booleans (``TrueLit``/``FalseLit``)."""
-    t = type(e)
-    if t is Ref:
-        return "IndexedRef" if e.parts[0].indices else "Ref"
-    if t is BoolLit:
-        return "TrueLit" if e.value else "FalseLit"
-    if t.__name__ not in EXPR_FIELDS:
-        raise BackendError(f"cannot render expression node {t.__name__}")
-    return t.__name__
-
-
-def _expr_view(e: Expr, opmap: dict[str, str]) -> dict:
-    concept = _expr_concept(e)
-    fields = EXPR_FIELDS[concept]
-    return {"__concept__": concept, **{name: get(e, opmap) for name, get in fields.items()}}
-
-
-def _num_text(v) -> str:
-    return render_real(v) if isinstance(v, float) else str(v)
-
-
-def _domain_node(var: FlatVar) -> dict:
-    d = var.domain
-    if isinstance(d, IntSet):
-        lo, hi, values = min(d.members), max(d.members), [str(v) for v in d.members]
-    else:
-        lo, hi, values = d.lo, d.hi, MISSING
-    return {"__concept__": "Domain", "lo": _num_text(lo), "hi": _num_text(hi), "values": values}
-
-
-def _variable_node(var: FlatVar) -> dict:
-    if var.shape:
-        array = {
-            "__concept__": "ArrayShape",
-            "row": str(var.shape[0]),
-            "col": str(var.shape[1]) if len(var.shape) == 2 else MISSING,
-        }
-    else:
-        array = MISSING
-    return {
-        "__concept__": "Variable",
-        "name": var.name,
-        "type": var.type_label,
-        "base": var.base if var.base != SET else "set of int",
-        "array": array,
-        "domain": _domain_node(var),
-        "enum_tag": var.enum_tag if var.enum_tag else MISSING,
-    }
-
-
-def _table_node(t: Table) -> dict:
-    matrix = len(t.shape) == 2
-    return {
-        "__concept__": "ConstArray",
-        "name": t.name,
-        "values": MISSING if matrix else [_num_text(v) for v in t.values],
-        "rows": [
-            {"__concept__": "Row", "values": [_num_text(v) for v in row]}
-            for row in t.rows()
-        ] if matrix else MISSING,
-        "row": str(t.shape[0]),
-        "col": str(t.shape[1]) if matrix else MISSING,
-    }
-
-
-def _problem_node(fm: FlatModel) -> dict:
-    return {
-        "__concept__": "Problem",
-        "name": fm.name,
-        "variables": [_variable_node(v) for v in fm.variables],
-        "constraints": [
-            {"__concept__": "Constraint", "expr": (c.expr, -1), "index": str(i),
-             "origin": c.origin}
-            for i, c in enumerate(fm.constraints)
-        ],
-        "enums": [
-            {"__concept__": "EnumType", "name": name, "values": list(values)}
-            for name, values in fm.enum_types.items()
-        ],
-        "tables": [_table_node(t) for t in fm.tables.values()],
-        "objective": MISSING if fm.objective is None else {
-            "__concept__": "Objective", "kind": fm.objective.kind,
-            "expr": (fm.objective.expr, -1),
-        },
-    }
 
 
 def _find(head: str, scope, opmap: dict[str, str]):
     """The value of ``head`` in the innermost frame that defines it.  A
     foreach frame is ``(item, parent, var)``: ``var`` names the item, and an
-    item that is a node shows its own fields.  Every node view defines
-    ``__concept__``, so ``_find("__concept__", ...)`` names the concept of
-    the innermost node."""
+    item that is a node shows its own fields."""
     while scope is not None:
-        frame = scope[0]
-        if len(scope) == 3:
-            if head == scope[2]:
-                return frame
-        elif type(frame) is not dict:
-            frame = _expr_view(frame, opmap)
-        if type(frame) is dict and head in frame:
-            return frame[head]
+        node = scope[0]
+        if len(scope) == 3 and head == scope[2]:
+            return node
+        if type(node) is tuple:
+            get = FIELDS[node[0]].get(head)
+            if get is not None:
+                return get(node[1], opmap)
         scope = scope[1]
     return _NOT_FOUND
+
+
+def _concept_at(scope) -> str:
+    """The concept of the innermost node in ``scope``."""
+    while type(scope[0]) is not tuple:
+        scope = scope[1]
+    return scope[0][0]
 
 
 def _walk(value, path: tuple[str, ...], tolerant: bool, opmap: dict[str, str]):
@@ -147,13 +63,12 @@ def _walk(value, path: tuple[str, ...], tolerant: bool, opmap: dict[str, str]):
     for seg in path[1:]:
         if value is MISSING:
             return MISSING
-        if type(value) is tuple:
-            value = _expr_view(value[0], opmap)
-        if type(value) is not dict or seg not in value:
+        get = FIELDS[value[0]].get(seg) if type(value) is tuple else None
+        if get is None:
             if tolerant:
                 return MISSING
             raise BackendError(f"'{'.'.join(path)}': no field '{seg}'")
-        value = value[seg]
+        value = get(value[1], opmap)
     return value
 
 
@@ -172,11 +87,10 @@ def _compile(bd: BackendDescriptor):
         if t is str:
             return value
         if t is tuple:
-            e, prec = value
-            text = templates[_expr_concept(e)]((e, scope))
-            return f"({text})" if needs_parens(e, prec) else text
-        if t is dict:
-            return templates[value["__concept__"]]((value, scope))
+            text = templates[value[0]]((value, scope))
+            return f"({text})" if needs_parens(value[1], value[2]) else text
+        if t is float:
+            return render_real(value)
         if t is list:
             raise BackendError("a list field must be rendered with foreach")
         return str(value)
@@ -196,20 +110,17 @@ def _compile(bd: BackendDescriptor):
             return lambda scope, text=frag.text: text
         path, segs = frag.path, len(frag.path) > 1
         head = path[0]
-        get = EXPR_FIELDS.get(concept, {}).get(head)
+        get = FIELDS[concept].get(head) if concept is not None else None
         if head == var:
             read = lambda scope: scope[0]  # noqa: E731
         elif get is not None:
-            read = lambda scope: get(scope[0], opmap)  # noqa: E731
-        elif head in CONCEPT_FIELDS.get(concept, ()):
-            read = lambda scope: scope[0][head]  # noqa: E731
+            read = lambda scope: get(scope[0][1], opmap)  # noqa: E731
         else:
             read = lambda scope: _find(head, scope, opmap)  # noqa: E731
 
         def resolve(value, scope):
             if value is _NOT_FOUND:
-                concept_here = _find("__concept__", scope, opmap)
-                raise BackendError(f"unknown field '{head}' on {concept_here}")
+                raise BackendError(f"unknown field '{head}' on {_concept_at(scope)}")
             return _walk(value, path, False, opmap)
 
         if isinstance(frag, FieldRef):
@@ -218,8 +129,8 @@ def _compile(bd: BackendDescriptor):
                 if segs or value is _NOT_FOUND:
                     value = resolve(value, scope)
                 if value is MISSING:
-                    concept_here = _find("__concept__", scope, opmap)
-                    raise BackendError(f"field '{'.'.join(path)}' is not defined on {concept_here}")
+                    raise BackendError(
+                        f"field '{'.'.join(path)}' is not defined on {_concept_at(scope)}")
                 return value_text(value, scope)
 
             return field_text
@@ -248,10 +159,10 @@ def _compile(bd: BackendDescriptor):
         return foreach
 
     templates = {c: sequence(bd.templates[c], c, None) if c in bd.templates else absent(c)
-                 for c in CONCEPT_FIELDS}
+                 for c in FIELDS}
     header, footer = sequence(bd.header, "Problem", None), sequence(bd.footer, "Problem", None)
 
-    def render(problem: dict) -> str:
+    def render(problem: tuple) -> str:
         scope = (problem, None)
         return header(scope) + templates["Problem"](scope) + footer(scope)
 
@@ -308,7 +219,7 @@ def emit(fm: FlatModel, bd: BackendDescriptor) -> str:
     _check_supported(fm, bd)
     if bd._render is None:
         bd._render = _compile(bd)
-    text = bd._render(_problem_node(fm))
+    text = bd._render(("Problem", fm, -1))
     if not text.endswith("\n"):
         text += "\n"
     return text

@@ -4,7 +4,10 @@ from conftest import analyze_ok, compile_corpus, parse_data_ok, parse_ok
 from scomma.analyzer import analyze, linearize_inheritance
 from scomma.cli import corpus_dir
 from scomma.diagnostics import DiagnosticSink
+from scomma.flattener import flatten
 from scomma.nodes import EnumType
+from scomma.printer import render_expr
+from scomma.solver import build_space, optimize
 
 
 def analyze_err(model_text, data_text=None):
@@ -83,6 +86,19 @@ class TestStructure:
         )
         assert any("at most one" in e.message for e in errors)
 
+    def test_objective_count_error_is_at_the_second_objective(self):
+        model = parse_ok(
+            "class A {\n"
+            "  int x in [0,5];\n"
+            "  constraint z { [minimize] x; [maximize] x; }\n"
+            "}",
+            "m.scm",
+        )
+        _tm, diags = analyze(model, None)
+        assert [d.render() for d in diags] == [
+            "m.scm:3:32: error: model declares 2 objectives; at most one is allowed"
+        ]
+
     def test_shape_must_be_positive(self):
         errors = analyze_err("class A { int a[0] in [1,2]; }")
         assert any("not positive" in e.message for e in errors)
@@ -143,6 +159,42 @@ class TestLinearize:
         )
         analyze_ok(model)
 
+
+    def test_inherited_objective_is_counted_once(self):
+        model = parse_ok(
+            "class B extends A { int b in [0,3]; }\n"
+            "class A { int a in [0,3]; constraint z { [maximize] a; } }"
+        )
+        fm, _trace = flatten(analyze_ok(model))
+        best, _stats = optimize(build_space(fm))
+        assert best.objective_value == 3
+
+    def test_inherited_zone_resolves_names_in_its_declaring_class(self):
+        # A's zone is typed once, in A, where 'red' is the enum literal; B's
+        # attribute of the same name does not capture it
+        model = parse_ok(
+            "class B extends A { int red in [0,1]; }\n"
+            "class A { Color c; constraint z { c = red; } }"
+        )
+        fm, _trace = flatten(analyze_ok(model, parse_data_ok("enum Color := {blue, red};")))
+        assert [render_expr(c.expr) for c in fm.constraints] == ["c=2"]
+
+    @pytest.mark.parametrize("model, rendered", [
+        ("class B extends A { }\nclass A { Foo f; }", [
+            "m.scm:2:11: error: unknown type 'Foo' for attribute 'A.f'"
+            " (not a base type, enum, or class)",
+        ]),
+        ("class R { B b; }\n"
+         "class A { int a[m] in [0,1]; constraint z { a[1] + true; } }\n"
+         "class B extends A { }", [
+             "m.scm:2:17: error: array size 'm' of 'A.a' is not a constant or enum",
+             "m.scm:2:50: error: '+' needs numeric operands, got int and bool",
+             "m.scm:2:45: error: constraint must be bool, got int",
+         ]),
+    ], ids=["attribute-type", "size-and-zone"])
+    def test_inherited_member_is_reported_once_under_its_declaring_class(self, model, rendered):
+        _tm, diags = analyze(parse_ok(model, "m.scm"), None)
+        assert [d.render() for d in diags] == rendered
 
 class TestTyping:
     @pytest.mark.parametrize("zone, message", [

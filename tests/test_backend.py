@@ -13,7 +13,7 @@ from scomma.backend import (
     list_targets,
     parse_descriptor,
 )
-from scomma.backend.descriptor import CONCEPT_FIELDS
+from scomma.backend.descriptor import FIELDS, MISSING, expr_node
 from scomma.backend.rules import (
     REGISTRY,
     decompose_set_matrix,
@@ -297,43 +297,41 @@ class TestEmission:
         bd = find_target(target)
         assert compile_to_target(fm, bd) == compile_to_target(fm, bd)
 
-    def test_expression_accessor_table_is_the_declared_schema(self):
-        # engine.EXPR_FIELDS is the one definition of the expression views;
-        # the dict views below are built from it
-        assert set(CONCEPT_FIELDS) - set(engine.EXPR_FIELDS) == {
-            "Problem", "Variable", "ArrayShape", "Domain", "Constraint", "Objective",
-            "EnumType", "ConstArray", "Row",
-        }
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_every_node_reads_through_fields(self, name):
+        # descriptor.FIELDS is the one schema: templates are checked against
+        # it and the engine reads every field through it.  Walk every node
+        # from the Problem, calling every getter.
+        _tm, fm, _ = compile_corpus(name)
+        seen = set()
+        stack = [("Problem", fm, -1)]
+        while stack:
+            value = stack.pop()
+            if isinstance(value, list):
+                stack.extend(value)
+            elif isinstance(value, tuple):  # a node: (concept, obj, prec)
+                concept, obj, _prec = value
+                assert concept in FIELDS, concept
+                seen.add(concept)
+                stack.extend(get(obj, {}) for get in FIELDS[concept].values())
+            else:
+                assert value is MISSING or type(value) in (str, int, float), value
+        assert {"Problem", "Variable", "Constraint", "IntLit"} <= seen
 
-    def test_every_flat_expression_node_has_a_concept_row(self):
-        # one sample per concept of each Expr class a flat model may hold
+    def test_every_flat_expression_class_has_a_fields_row(self):
+        # one sample per concept of each Expr class a flat model may hold;
+        # the rows they do not name are the flat model's own concepts
         samples = [simple_ref("x"), simple_ref("x", IntLit(1)),
                    BoolLit(True), BoolLit(False)]
         samples += [cls() for cls in Expr.__subclasses__()
                     if cls not in (Ref, BoolLit, *FLATNESS_BANNED)]
         assert {type(e) for e in samples} == set(Expr.__subclasses__()) - set(FLATNESS_BANNED)
-        concepts = [engine._expr_concept(e) for e in samples]
-        assert sorted(concepts) == sorted(engine.EXPR_FIELDS)
-
-    @pytest.mark.parametrize("name", CORPUS_NAMES)
-    def test_concept_views_expose_exactly_the_declared_fields(self, name):
-        # descriptor.CONCEPT_FIELDS is what templates are checked against;
-        # the engine builds the views they render.  Both encode the schema.
-        _tm, fm, _ = compile_corpus(name)
-        seen = set()
-        stack = [engine._problem_node(fm)]
-        while stack:
-            value = stack.pop()
-            if isinstance(value, tuple):  # an expression field: (expr, prec)
-                value = engine._expr_view(value[0], {})
-            if isinstance(value, list):
-                stack.extend(value)
-            elif isinstance(value, dict):
-                concept = value["__concept__"]
-                seen.add(concept)
-                assert set(value) - {"__concept__"} == CONCEPT_FIELDS[concept], concept
-                stack.extend(value.values())
-        assert {"Problem", "Variable", "Constraint", "IntLit"} <= seen
+        concepts = {expr_node(e, -1)[0] for e in samples}
+        assert len(concepts) == len(samples)
+        assert set(FIELDS) - concepts == {
+            "Problem", "Variable", "ArrayShape", "Domain", "Constraint", "Objective",
+            "EnumType", "ConstArray", "Row",
+        }
 
 
 # One small model for the render-time lookup rules: a variable with an
@@ -422,6 +420,17 @@ class TestRenderSemantics:
             '   ";") ;'
         ))
         assert text == "xint,aint,x,a,1,3,5,/x1,x3,x5,;/;\n"
+
+    def test_expression_loop_items_show_their_own_fields(self, render_fm):
+        # an expression item is a node like any other: ``value`` is the
+        # IntLit index's own field, not a lookup in the enclosing frames
+        text = render(render_fm, (
+            'template Problem : (foreach c in constraints ? c "\\n") ;'
+            ' template Constraint : expr ; template BinOp : left op right ;'
+            ' template IntLit : value ; template Ref : name ; template SetLit : "S" ;'
+            ' template IndexedRef : name "[" (foreach i in indices ? value "/" i) "]" ;'
+        ))
+        assert text == "(x+a[1/1])*a[2/2]<=7\na[1/1]<>a[2/2]\nxinS\n"
 
     def test_paths_through_expression_fields(self, render_fm):
         # opmap spellings show through a path; a sub-expression reached by a
