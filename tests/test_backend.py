@@ -33,6 +33,15 @@ def setmat_model():
     return fm
 
 
+def flat_expression_samples():
+    """One sample per concept of each Expr class a flat model may hold."""
+    samples = [simple_ref("x"), simple_ref("x", IntLit(1)),
+               BoolLit(True), BoolLit(False)]
+    samples += [cls() for cls in Expr.__subclasses__()
+                if cls not in (Ref, BoolLit, *FLATNESS_BANNED)]
+    return samples
+
+
 class TestDescriptorParsing:
     def test_builtin_flat_descriptor_has_core_templates(self):
         flat = find_target("flat")
@@ -318,16 +327,17 @@ class TestEmission:
                 assert value is MISSING or type(value) in (str, int, float), value
         assert {"Problem", "Variable", "Constraint", "IntLit"} <= seen
 
-    def test_every_flat_expression_class_has_a_fields_row(self):
-        # one sample per concept of each Expr class a flat model may hold;
-        # the rows they do not name are the flat model's own concepts
-        samples = [simple_ref("x"), simple_ref("x", IntLit(1)),
-                   BoolLit(True), BoolLit(False)]
-        samples += [cls() for cls in Expr.__subclasses__()
-                    if cls not in (Ref, BoolLit, *FLATNESS_BANNED)]
+    def test_every_flat_expression_node_has_a_concept_row(self):
+        # each Expr class a flat model may hold maps onto its own FIELDS row
+        samples = flat_expression_samples()
         assert {type(e) for e in samples} == set(Expr.__subclasses__()) - set(FLATNESS_BANNED)
         concepts = {expr_node(e, -1)[0] for e in samples}
         assert len(concepts) == len(samples)
+        assert concepts <= set(FIELDS)
+
+    def test_expression_accessor_table_is_the_declared_schema(self):
+        # the FIELDS rows no expression names are the flat model's own concepts
+        concepts = {expr_node(e, -1)[0] for e in flat_expression_samples()}
         assert set(FIELDS) - concepts == {
             "Problem", "Variable", "ArrayShape", "Domain", "Constraint", "Objective",
             "EnumType", "ConstArray", "Row",
