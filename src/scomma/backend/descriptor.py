@@ -202,7 +202,7 @@ class _DescriptorParser(TokenCursor):
             return None
         if "Problem" not in bd.templates:
             self.sink.error("descriptor has no Problem template (the entry point)",
-                            self.tokens[0].span)
+                            self.first.span)
             return None
         return bd
 

@@ -92,7 +92,7 @@ class _FlatParser(TokenCursor):
         try:
             entry(self)
         except ParseAbort:
-            if self.pos > start and self.tokens[self.pos - 1].is_symbol(";"):
+            if self.pos > start and self.prev.is_symbol(";"):
                 return
             while self.cur.kind != EOF and self._header() is None:
                 if self.advance().is_symbol(";"):
@@ -203,5 +203,5 @@ def parse_flat(
     fm = p.run(p.parse, name)
     if fm is not None:
         for problem, span in flatness_violations(fm):
-            p.sink.error(problem, span or p.tokens[0].span)
+            p.sink.error(problem, span or p.first.span)
     return p.result(fm)

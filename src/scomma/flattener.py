@@ -1028,7 +1028,8 @@ def build_flat_model(state: FlattenState) -> FlatModel:
             )
         elif isinstance(item, Objective):
             if objective is not None:
-                raise FlattenError("more than one objective after flattening", "build")
+                where = "" if item.span is None else f"{item.span}: "
+                raise FlattenError(f"{where}more than one objective after flattening", "build")
             objective = FlatObjective(item.kind, item.expr)
         else:
             raise FlattenError(f"unlowered {type(item).__name__} at build time", "build")

@@ -1,20 +1,23 @@
 """The one scanner behind every text input: models, data files, ``.bd``
-descriptors and flat text read back.
+descriptors, flat text read back and the values of a solution file.
 
-``scan`` matches one compiled master regex at each position (the ``re``
-module's "Writing a Tokenizer" recipe) and never rejects its input: an
-unknown character becomes a one-character SYMBOL token and an unterminated
-string a STRING token up to the end of its line.  It returns the tokens with
-the first such problem as a diagnostic.  ``tokenize`` raises that diagnostic
-as :class:`LexError`, the parsers' ``TokenCursor`` records it and parses on,
-and ``count_tokens`` (the whitespace-independent size measure of the
-benchmark report, which also measures emitted target files in foreign
-syntaxes) ignores it.
+``scan`` is a generator: it matches one compiled master regex at each
+position (the ``re`` module's "Writing a Tokenizer" recipe) and yields each
+token as it is matched, so no reader holds the token list of its text.  It
+never rejects its input: an unknown character becomes a one-character SYMBOL
+token and an unterminated string a STRING token up to the end of its line,
+and the first such problem is passed to a ``report`` callback when the scan
+reaches it.  The parsers' ``TokenCursor`` records it and parses on;
+``tokenize``, the one caller that builds a list, raises it as
+:class:`LexError`; and ``count_tokens`` (the whitespace-independent size
+measure of the benchmark report, which also measures emitted target files in
+foreign syntaxes) counts the tokens as they pass and ignores it.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, SourceSpan, error
@@ -92,11 +95,14 @@ class LexError(Exception):
         super().__init__(diagnostic.render())
 
 
-def scan(text: str, filename: str = "<input>") -> tuple[list[Token], Diagnostic | None]:
-    """The tokens of ``text``, ending with an EOF token, and the diagnostic
-    for its first unknown character or unterminated string, if any."""
-    tokens: list[Token] = []
-    problem: Diagnostic | None = None
+def scan(
+    text: str, filename: str = "<input>", report: Callable[[Diagnostic], None] | None = None
+) -> Iterator[Token]:
+    """The tokens of ``text``, one at a time, ending with an EOF token.  When
+    the scan reaches the first unknown character or unterminated string, it
+    passes that problem's diagnostic to ``report`` before it yields the
+    token."""
+    pending = report is not None
     match = _TOKEN.match
     line, line_start, pos = 1, 0, 0
     while m := match(text, pos):
@@ -112,41 +118,43 @@ def scan(text: str, filename: str = "<input>") -> tuple[list[Token], Diagnostic 
             continue
         span = SourceSpan(filename, span_line, column, len(raw))
         if kind == "number":
-            tokens.append(
+            yield (
                 Token(INT, raw, int(raw), span) if raw.isdecimal()
                 else Token(REAL, raw, float(raw), span)
             )
         elif kind == "name":
             if raw in KEYWORDS:
                 raw = _SHARED[raw]
-                tokens.append(Token(KEYWORD, raw, _BOOLS.get(raw, raw), span))
+                yield Token(KEYWORD, raw, _BOOLS.get(raw, raw), span)
             else:
-                tokens.append(Token(IDENT, raw, raw, span))
+                yield Token(IDENT, raw, raw, span)
         elif kind == "string":
             closed = m["closed"] is not None
             body = raw[1:-1] if closed else raw[1:]
             value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
-            if not closed and problem is None:
-                problem = error("unterminated string literal", span)
-            tokens.append(Token(STRING, raw, value, span))
+            if not closed and pending:
+                pending = False
+                report(error("unterminated string literal", span))
+            yield Token(STRING, raw, value, span)
         else:
             raw = _SHARED.get(raw, raw)
-            if kind == "other" and problem is None:
-                problem = error(f"unexpected character {raw!r}", span)
-            tokens.append(Token(SYMBOL, raw, raw, span))
-    tokens.append(Token(EOF, "", None, SourceSpan(filename, line, pos - line_start + 1, 1)))
-    return tokens, problem
+            if kind == "other" and pending:
+                pending = False
+                report(error(f"unexpected character {raw!r}", span))
+            yield Token(SYMBOL, raw, raw, span)
+    yield Token(EOF, "", None, SourceSpan(filename, line, pos - line_start + 1, 1))
+
+
+def _raise(problem: Diagnostic) -> None:
+    raise LexError(problem)
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    """Scan ``text`` into tokens, ending with an EOF token; raise
+    """Scan ``text`` into a list of tokens, ending with an EOF token; raise
     :class:`LexError` on its first unknown character or unterminated string."""
-    tokens, problem = scan(text, filename)
-    if problem is not None:
-        raise LexError(problem)
-    return tokens
+    return list(scan(text, filename, _raise))
 
 
 def count_tokens(text: str) -> int:
     """Number of lexical tokens in ``text``, ignoring whitespace and comments."""
-    return len(scan(text, "<count>")[0]) - 1
+    return sum(1 for _ in scan(text, "<count>")) - 1

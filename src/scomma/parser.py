@@ -10,9 +10,16 @@ Down Operator Precedence", 1973) over ``printer.BINARY_OPS``, the table the
 printer and the backends render with; unary ``not`` and ``-`` bind tighter
 than every binary operator.  A parenthesis level costs two stack frames, so
 expressions nest over four hundred deep.
+
+Every reader of scomma text (these two, ``flatparse``, the ``.bd`` descriptor
+parser and the solution-line reader) is a ``TokenCursor``: it pulls tokens
+one at a time from the scanner's generator and never backtracks, so no
+reader holds the token list of its text.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from .diagnostics import Diagnostic, DiagnosticSink, SourceSpan
 from .lexer import EOF, IDENT, INT, REAL, Token, scan
@@ -72,29 +79,51 @@ class ParseAbort(Exception):
 class TokenCursor:
     """Token stream navigation plus diagnostic plumbing, shared by every
     reader of scomma text: models, data, descriptors, flat text and the
-    values of a solution file."""
+    values of a solution file.
+
+    The cursor pulls tokens from the scanner's generator as the parse
+    advances, and holds at most four: ``cur`` and the three that ``peek``
+    may look at beyond it (a flat section header is three tokens before its
+    ':').  It also keeps ``prev``, the token ``advance`` last stepped over,
+    and ``first``, the text's first token.  The scanner's lexical problem
+    goes to the front of the diagnostics when the scan reaches it, and
+    ``run`` scans whatever text the parse did not reach, so the diagnostics
+    do not depend on how far the parse got."""
 
     def __init__(self, text: str, filename: str):
         self.sink = DiagnosticSink()
         self.filename = filename
-        self.tokens, problem = scan(text, filename)
-        if problem is not None:
-            self.sink.items.append(problem)
+        self._text = text
+        self._problem: Diagnostic | None = None
+        self._tokens = scan(text, filename, self._report)
+        self._ahead: deque[Token] = deque()
         self.pos = 0
+        self.prev: Token | None = None
+        self.cur = self.first = next(self._tokens)
+
+    def _report(self, problem: Diagnostic) -> None:
+        self._problem = problem
+        self.sink.items.insert(0, problem)
 
     # -- stream primitives ---------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
     def peek(self, offset: int = 1) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        """The token ``offset`` places past ``cur`` (at most three), or the
+        EOF token when the text ends before it."""
+        ahead = self._ahead
+        while len(ahead) < offset:
+            last = ahead[-1] if ahead else self.cur
+            if last.kind == EOF:
+                return last
+            ahead.append(next(self._tokens))
+        return ahead[offset - 1] if offset else self.cur
 
     def advance(self) -> Token:
         tok = self.cur
         if tok.kind != EOF:
             self.pos += 1
+            self.prev = tok
+            self.cur = self._ahead.popleft() if self._ahead else next(self._tokens)
         return tok
 
     def at_symbol(self, *texts: str) -> bool:
@@ -132,14 +161,23 @@ class TokenCursor:
 
     def run(self, parse, *args):
         """``parse(*args)``, or None once it aborts on a reported error or
-        finds its input nested deeper than the stack allows."""
+        finds its input nested deeper than the stack allows.  Then the rest
+        of the text is scanned, keeping no token, for a lexical problem the
+        parse did not reach."""
         try:
-            return parse(*args)
+            value = parse(*args)
         except ParseAbort:
-            return None
+            value = None
         except RecursionError:
             self.sink.error("input nested too deeply", self.cur.span)
-            return None
+            value = None
+            # the scanner may be the frame that hit the limit, and a generator
+            # that raises is finished: scan the text again from its start
+            if self._problem is None:
+                self._tokens = scan(self._text, self.filename, self._report)
+        for _ in self._tokens:
+            pass
+        return value
 
     def result(self, value):
         """The ``(value_or_None, diagnostics)`` pair an entry point returns."""

@@ -62,6 +62,17 @@ class TestCompile:
         assert code == 1
         assert f"{model}:2:" in err and "error:" in err
 
+    def test_objective_doubled_by_flattening_is_positioned(self, tmp_path, capsys):
+        # one objective declared, instantiated once per object of A and of B
+        model = tmp_path / "m.scm"
+        model.write_text("class R { A a; B b; }\n"
+                         "class A { int a in [0,1]; constraint z { [minimize] a; } }\n"
+                         "class B extends A { }\n")
+        code, _, err = run(capsys, "compile", str(model), "--target", "flat")
+        assert code == 1
+        assert err.strip() == (
+            f"error: [build] {model}:2:42: more than one objective after flattening")
+
     def test_no_rewrites_direct_generation(self, tmp_path, capsys):
         model = tmp_path / "setmat.scm"
         model.write_text((FIXTURES / "setmat.scm").read_text())

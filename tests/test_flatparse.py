@@ -1,8 +1,11 @@
+import tracemalloc
+
 import pytest
 
 from conftest import CORPUS_NAMES, compile_corpus, compile_text
 from test_golden import EXPRESSION_MODEL, OBJECT_DATA, OBJECT_MODEL
 from scomma.backend import compile_to_target, find_target
+from scomma.cli import corpus_dir
 from scomma.flatparse import parse_flat
 
 
@@ -287,3 +290,20 @@ constraints:
         (1, "duplicate flat name 't'"),
         (1, "duplicate flat name 'x'"),
     ]
+
+
+def test_reading_flat_text_costs_about_the_model_it_returns():
+    # queens-30's flat text is 14,806 tokens.  Read as they are scanned, the
+    # peak is what the model keeps (ratio 1.0); scanned into a list before
+    # parsing, the peak was twice that (ratio 2.0).
+    model = (corpus_dir() / "queens-18.scm").read_text(encoding="utf-8")
+    text = compile_to_target(compile_text(model, "int n := 30;")[1], find_target("flat"))
+    tracemalloc.start()
+    try:
+        fm, diags = parse_flat(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fm is not None, [d.render() for d in diags]
+    assert len(fm.constraints) == 3 * 30 * 29 // 2
+    assert peak < 1.4 * kept, (peak, kept)

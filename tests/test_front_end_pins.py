@@ -15,9 +15,13 @@ import pytest
 
 from conftest import CORPUS_NAMES, FIXTURES, compile_corpus
 from scomma.backend import compile_to_target, find_target
-from scomma.cli import corpus_dir
-from scomma.lexer import count_tokens
-from scomma.parser import TokenCursor, parse_expression
+from scomma.backend.descriptor import parse_descriptor
+from scomma.cli import _parse_value, corpus_dir
+from scomma.errors import ContractError
+from scomma.flatparse import parse_flat
+from scomma.ir import INT, FlatModel, FlatVar, IntInterval
+from scomma.lexer import EOF, count_tokens
+from scomma.parser import TokenCursor, parse_data, parse_expression, parse_model
 
 TARGETS = Path(__file__).parent.parent / "src" / "scomma" / "backend" / "targets"
 
@@ -25,11 +29,13 @@ TARGETS = Path(__file__).parent.parent / "src" / "scomma" / "backend" / "targets
 def stream_digest(text: str, filename: str) -> str:
     """Digest of the token stream and scanner diagnostics the parsers see."""
     cursor = TokenCursor(text, filename)
-    rows = [
-        (t.kind, t.text, repr(t.value), t.span.filename, t.span.line, t.span.column,
-         t.span.length)
-        for t in cursor.tokens
-    ]
+    rows = []
+    while True:
+        t = cursor.advance()
+        rows.append((t.kind, t.text, repr(t.value), t.span.filename, t.span.line,
+                     t.span.column, t.span.length))
+        if t.kind == EOF:
+            break
     rows.append(tuple(d.render() for d in cursor.sink.items))
     rows.append(count_tokens(text))
     return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()[:20]
@@ -158,3 +164,69 @@ def test_malformed_expression_diagnostics(text, expected):
     expr, diags = parse_expression(text)
     assert expr is None
     assert [d.render() for d in diags] == expected
+
+
+# A reader that stops before a later lexical problem still reports that
+# problem, ahead of every other diagnostic.  The flat reader stops at text
+# before its first section header, and the solution-line reader at a value it
+# cannot read.
+def test_flat_reader_stopping_early_reports_a_later_character_first():
+    _fm, diags = parse_flat("x = 1;\nconstraints:\n x = @;\n", "f.fsc")
+    assert [d.render() for d in diags] == [
+        "f.fsc:3:6: error: unexpected character '@'",
+        "f.fsc:1:1: error: expected a section header such as 'variables:'",
+    ]
+
+
+def test_solution_line_reader_stopping_early_quotes_a_later_character():
+    fm = FlatModel(name="f", variables=[FlatVar("x", INT, (), IntInterval(0, 3))])
+    with pytest.raises(ContractError) as exc:
+        _parse_value("x @", fm, fm.variables[0], 1)
+    assert str(exc.value) == "solution line 1: unexpected character '@'"
+
+
+# The model, data and descriptor readers recover at each statement and only
+# stop early where the input nests deeper than the stack, here on the line
+# before the '@'.  Where on that line the depth guard trips depends on the
+# stack, so its column is not pinned.
+NESTED_PAST_THE_STACK = {
+    "model": (parse_model,
+              "class A {\n  int x in [0,1];\n  constraint c { x = " + "(" * 3000 + "1\n@ }\n}\n",
+              "m.scm:4:1: error: unexpected character '@'"),
+    "data": (parse_data, "int a := " + "[" * 3000 + "1\n@;\n",
+             "d.dat:2:1: error: unexpected character '@'"),
+    "descriptor": (parse_descriptor,
+                   "target t;\ntemplate Problem: " + "(isDefined(objective) ? " * 3000 + '"x"\n@;\n',
+                   "t.bd:3:1: error: unexpected character '@'"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(NESTED_PAST_THE_STACK))
+def test_reader_stopped_by_the_depth_guard_reports_a_later_character_first(reader):
+    parse, text, lexical = NESTED_PAST_THE_STACK[reader]
+    filename = lexical.split(":")[0]
+    result, diags = parse(text, filename)
+    assert result is None
+    assert diags[0].render() == lexical
+    assert [(d.severity, d.span.line, d.message) for d in diags[1:]] == [
+        ("error", diags[0].span.line - 1, "input nested too deeply")
+    ]
+
+
+def test_the_cursor_looks_at_most_four_tokens_ahead(monkeypatch):
+    held = []
+    peek = TokenCursor.peek
+
+    def recording_peek(self, offset=1):
+        tok = peek(self, offset)
+        held.append(1 + len(self._ahead))
+        return tok
+
+    monkeypatch.setattr(TokenCursor, "peek", recording_peek)
+    reader = {".scm": parse_model, ".dat": parse_data, ".bd": parse_descriptor}
+    for path in source_files().values():
+        _result, diags = reader[path.suffix](path.read_text(encoding="utf-8"), path.name)
+        assert not any(d.is_error for d in diags), path
+    _tm, fm, _ = compile_corpus("stable")
+    assert parse_flat(compile_to_target(fm, find_target("flat")))[0] is not None
+    assert held and max(held) <= 4
