@@ -10,11 +10,21 @@ stay inside the analyzer.  An attribute or constraint zone is resolved,
 checked and typed once, in the class that declares it, and its subclasses
 share the result, so each of its diagnostics appears once and names that
 class.
+
+The analyzer is the one reader of data values.  One walk checks every
+constant and every variable-assignment against its declaration's type and
+array sizes, reports each problem at the declaration or assignment, and
+returns the value resolved (see :class:`TypedModel`); the flattener and the
+model interpreter consume that form and look up no label themselves.  A
+label reads in the enum that its declaration names; a bare label, in an
+expression or as the value of an ``int`` constant, must belong to exactly
+one enum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import prod
 
 from .diagnostics import Diagnostic, DiagnosticSink, SourceSpan
 from .errors import EvalError
@@ -68,6 +78,7 @@ from .nodes import (
     transform,
     walk,
 )
+from .printer import render_type
 
 # ---------------------------------------------------------------------------
 # Expression types
@@ -137,7 +148,17 @@ def _is_numeric(t: Type) -> bool:
 
 @dataclass
 class TypedModel:
-    """An analyzed model: linearized classes, resolved types, marked enum literals."""
+    """An analyzed model: linearized classes, resolved types, marked enum
+    literals, and data values resolved against their declarations.
+
+    In a resolved value a label is a ``VInt``, its ordinal in the enum that
+    its declaration names; an array is one positional ``VList`` of all its
+    cells in row-major order, with keyed entries laid out by their axis's
+    enum and ``VOmit`` in the gaps; an object literal is a ``VObj`` of its
+    elements, each resolved against its attribute.  A constant's type names
+    no class, and its ``shape`` has one bound per axis: the declared bounds,
+    or the sizes of its literal when none were declared.
+    """
 
     model: Model
     enums: dict[str, EnumDecl]
@@ -201,6 +222,7 @@ class _Analyzer:
         # attribute that its declaring class and every subclass share:
         # resolved once, with None for a size that is already reported.
         self.sizes: dict[int, list[int | None]] = {}
+        self.constants: dict[str, ConstDecl] = {}
 
     def _span(self, node) -> SourceSpan:
         span = getattr(node, "span", None)
@@ -227,8 +249,9 @@ class _Analyzer:
         if self.sink.failed:
             return None
         self._check_shapes_and_domains(declared)
+        self._resolve_constants()
         typed_classes = self._type_zones(declared)
-        self._check_assignments()
+        assignments = self._check_assignments()
         if len(self.objectives) > 1:
             self.err(
                 f"model declares {len(self.objectives)} objectives; at most one is allowed",
@@ -240,9 +263,9 @@ class _Analyzer:
         return TypedModel(
             model=typed,
             enums=dict(self.data.enums),
-            constants=dict(self.data.constants),
+            constants=self.constants,
             class_map={c.name: c for c in typed_classes},
-            assignments=list(self.data.assignments),
+            assignments=assignments,
         )
 
     def _check_class_names(self) -> None:
@@ -397,6 +420,43 @@ class _Analyzer:
                         attr,
                     )
 
+    def _resolve_constants(self) -> None:
+        """Check each data constant against its type and sizes and keep it
+        resolved in ``self.constants``."""
+        for name, const in self.data.constants.items():
+            t = const.type
+            if isinstance(t, NamedType) and t.name in self.data.enums:
+                t = EnumType(t.name)
+            shape = const.shape
+            if shape:
+                sizes = [self.shape_size(bound, name) for bound in shape]
+            else:
+                sizes = _literal_sizes(const.value)
+                shape = tuple(IntLit(n) for n in sizes)
+            decl = ConstDecl(name, t, shape, const.value, span=const.span)
+            if isinstance(t, (IntType, RealType, BoolType, EnumType)):
+                decl.value = self._resolve(const.value, decl, sizes, name, const)
+            else:
+                self.err(
+                    f"constant '{name}' has type '{render_type(t)}'; a constant is"
+                    " int, real, bool or of an enum type",
+                    const,
+                )
+            self.constants[name] = decl
+
+    def _label_enum(self, label: str, node) -> EnumDecl | None:
+        """The enum that declares ``label``, or None when none does.  A label
+        that more than one enum declares is reported at ``node``."""
+        owners = [enum for enum in self.data.enums.values() if label in enum.values]
+        if len(owners) > 1:
+            self.err(
+                f"label '{label}' is a value of enums"
+                f" {', '.join(enum.name for enum in owners)}; a bare label must"
+                " belong to exactly one enum",
+                node,
+            )
+        return owners[0] if owners else None
+
     # -- zone typing ------------------------------------------------------------
 
     def _type_zones(self, declared: tuple[ClassDef, ...]) -> tuple[ClassDef, ...]:
@@ -512,10 +572,9 @@ class _Analyzer:
                     and self._attr_of(cls, name) is None
                     and name not in self.data.constants
                 ):
-                    for enum in self.data.enums.values():
-                        if name in enum.values:
-                            node = EnumRef(enum.name, name, enum.ordinal(name), span=node.span)
-                            break
+                    enum = self._label_enum(name, node)
+                    if enum is not None:
+                        node = EnumRef(enum.name, name, enum.ordinal(name), span=node.span)
             # ``transform`` works bottom-up, so the children are typed.
             types[id(node)] = self._type_of(node, types, cls, loops)
             return node
@@ -572,7 +631,7 @@ class _Analyzer:
                 if attr is not None:
                     current = self._apply_indices(part, self._attr_value_type(attr), ref, types)
                     continue
-                const = self.data.constants.get(part.name)
+                const = self.constants.get(part.name)
                 if const is not None:
                     current = self._apply_indices(part, self._const_type(const), ref, types)
                     continue
@@ -602,11 +661,6 @@ class _Analyzer:
             base = INT_T
         if const.shape:
             return TArray(base, len(const.shape))
-        if isinstance(const.value, VList):
-            inner = const.value
-            if inner.items and isinstance(inner.items[0], VList):
-                return TArray(base, 2)
-            return TArray(base, 1)
         return base
 
     def _apply_indices(self, part: RefPart, t: Type, ref: Ref, types: dict[int, Type]) -> Type:
@@ -701,9 +755,11 @@ class _Analyzer:
         self.err(f"unknown operator '{op}'", e)
         return INT_T
 
-    # -- data assignments ---------------------------------------------------------
+    # -- data values ------------------------------------------------------------
 
-    def _check_assignments(self) -> None:
+    def _check_assignments(self) -> list[Assignment]:
+        """The variable-assignments, each with its value resolved."""
+        resolved = []
         for asg in self.data.assignments:
             if asg.path[0] != self.model.main_class:
                 self.err(
@@ -712,30 +768,38 @@ class _Analyzer:
                     asg,
                 )
                 continue
-            cls = self.class_map[self.model.main_class]
-            attr: Attribute | None = None
-            ok = True
-            for seg in asg.path[1:]:
-                if cls is None:
-                    ok = False
-                    break
-                attr = self._attr_of(cls, seg)
-                if attr is None:
-                    self.err(f"'{cls.name}' has no attribute '{seg}'", asg)
-                    ok = False
-                    break
-                cls = (
-                    self.class_map.get(attr.type.name)
-                    if isinstance(attr.type, ObjectType)
-                    else None
-                )
-            if not ok or attr is None:
-                if attr is None and ok:
-                    self.err("assignment path names no attribute", asg)
-                continue
-            self._check_assigned_value(asg, attr, self.sizes[id(attr)])
+            attr = self._assigned_attribute(asg)
+            if attr is not None:
+                resolved.append(replace(asg, value=self._check_assigned_value(asg, attr)))
+        return resolved
 
-    def _check_assigned_value(self, asg: Assignment, attr: Attribute, dims: list) -> None:
+    def _assigned_attribute(self, asg: Assignment) -> Attribute | None:
+        """The attribute that ``asg``'s path names; None when it names none,
+        which is reported."""
+        cls = self.class_map[self.model.main_class]
+        attr: Attribute | None = None
+        for seg in asg.path[1:]:
+            if attr is not None:
+                if not isinstance(attr.type, ObjectType):
+                    self.err(f"'{attr.name}' is not an object; cannot access '{seg}'", asg)
+                    return None
+                if attr.shape:
+                    self.err(
+                        f"'{attr.name}' is an object array; an assignment path cannot"
+                        " go through it",
+                        asg,
+                    )
+                    return None
+                cls = self.class_map[attr.type.name]
+            attr = self._attr_of(cls, seg)
+            if attr is None:
+                self.err(f"'{cls.name}' has no attribute '{seg}'", asg)
+                return None
+        if attr is None:
+            self.err("assignment path names no attribute", asg)
+        return attr
+
+    def _check_assigned_value(self, asg: Assignment, attr: Attribute) -> DataValue:
         expected = attr.type.name if isinstance(attr.type, (ObjectType, EnumType)) else None
         if expected and asg.type_name != expected:
             self.err(
@@ -743,78 +807,106 @@ class _Analyzer:
                 f" '{attr.name}' holds {expected}",
                 asg,
             )
-        self._match_value(asg.value, attr, dims, ".".join(asg.path), asg)
+        return self._resolve(asg.value, attr, self.sizes[id(attr)], ".".join(asg.path), asg)
 
-    def _shape_enum(self, attr: Attribute, axis: int) -> EnumDecl | None:
-        bound = attr.shape[axis]
+    def _shape_enum(self, decl: Attribute | ConstDecl, axis: int) -> EnumDecl | None:
+        bound = decl.shape[axis]
         if isinstance(bound, Ref) and bound.simple_name in self.data.enums:
             return self.data.enums[bound.simple_name]
         return None
 
-    def _match_value(self, value: DataValue, attr: Attribute, dims: list, where: str, asg) -> None:
-        """Check ``value`` against ``attr`` with its last ``len(dims)`` array
-        sizes left; a size that is None was reported with the declaration."""
+    def _resolve(
+        self, value: DataValue, decl: Attribute | ConstDecl, dims: list, where: str, node
+    ) -> DataValue:
+        """``value`` checked against ``decl`` with its last ``len(dims)`` array
+        sizes left, and resolved as :class:`TypedModel` describes; an array
+        comes back as the ``VList`` of its cells in row-major order.  A size
+        that is None was reported with the declaration.  A problem is
+        reported at ``node``, and its value is a placeholder: analysis fails."""
+        if dims and not isinstance(value, (VList, VOmit)):
+            self.err(f"'{where}' is an array; expected an array literal", node)
+            return VList(())
+        if None in dims:
+            return VList(())
         if isinstance(value, VOmit):
-            return
+            if isinstance(decl, ConstDecl):
+                self.err(f"constant '{where}' needs a value, not '_'", node)
+            return VList((value,) * prod(dims)) if dims else value
         if dims:
-            if not isinstance(value, VList):
-                self.err(f"'{where}' is an array; expected an array literal", asg)
-                return
-            if dims[0] is None:
-                return
-            axis = len(attr.shape) - len(dims)
-            cells, problem = positionalize(value, dims[0], self._shape_enum(attr, axis))
+            axis = len(decl.shape) - len(dims)
+            cells, problem = positionalize(value, dims[0], self._shape_enum(decl, axis))
             if problem:
-                self.err(f"'{where}': {problem}", asg)
-                return
+                self.err(f"'{where}': {problem}", node)
+                return VList(())
+            out: list[DataValue] = []
             for i, cell in enumerate(cells, start=1):
-                self._match_value(cell, attr, dims[1:], f"{where}[{i}]", asg)
-            return
-        if isinstance(attr.type, ObjectType):
+                sub = self._resolve(cell, decl, dims[1:], f"{where}[{i}]", node)
+                out.extend(sub.items if len(dims) > 1 else (sub,))
+            return VList(tuple(out))
+        t = decl.type
+        if isinstance(t, ObjectType):
             if not isinstance(value, VObj):
-                self.err(f"'{where}' holds an object; expected an object literal", asg)
-                return
-            target = self.class_map[attr.type.name]
+                self.err(f"'{where}' holds an object; expected an object literal", node)
+                return value
+            target = self.class_map[t.name]
             if len(value.items) > len(target.attributes):
                 self.err(
                     f"object literal for '{where}' has {len(value.items)} elements but"
                     f" class '{target.name}' has {len(target.attributes)} attributes",
-                    asg,
+                    node,
                 )
-                return
+                return value
             if len(value.items) < len(target.attributes):
                 missing = [a.name for a in target.attributes[len(value.items):]]
                 self.warn(
                     f"object literal for '{where}' leaves {', '.join(missing)} unassigned;"
                     " treated as decision variables",
-                    asg,
+                    node,
                 )
-            for sub, sub_attr in zip(value.items, target.attributes):
-                dims = self.sizes[id(sub_attr)]
-                self._match_value(sub, sub_attr, dims, f"{where}.{sub_attr.name}", asg)
-            return
-        if isinstance(attr.type, EnumType):
-            enum = self.data.enums[attr.type.name]
+            return VObj(tuple(
+                self._resolve(sub, a, self.sizes[id(a)], f"{where}.{a.name}", node)
+                for sub, a in zip(value.items, target.attributes)
+            ))
+        if isinstance(t, EnumType):
+            enum = self.data.enums[t.name]
             if isinstance(value, VSym):
-                if value.name not in enum.values:
-                    self.err(f"'{value.name}' is not a value of enum '{enum.name}'", asg)
+                if value.name in enum.values:
+                    return VInt(enum.ordinal(value.name))
+                self.err(f"'{value.name}' is not a value of enum '{enum.name}'", node)
             elif isinstance(value, VInt):
                 if not (1 <= value.value <= len(enum.values)):
                     self.err(
                         f"ordinal {value.value} for '{where}' outside 1..{len(enum.values)}",
-                        asg,
+                        node,
                     )
             else:
-                self.err(f"'{where}' expects a value of enum '{enum.name}'", asg)
-            return
-        if isinstance(attr.type, IntType) and not isinstance(value, VInt):
-            self.err(f"'{where}' expects an integer value", asg)
-        elif isinstance(attr.type, RealType) and not isinstance(value, (VReal, VInt)):
-            self.err(f"'{where}' expects a real value", asg)
-        elif isinstance(attr.type, BoolType) and not isinstance(value, VBool):
-            self.err(f"'{where}' expects true or false", asg)
-        elif isinstance(attr.type, SetType):
-            self.err(f"set attribute '{where}' cannot be assigned from data", asg)
+                self.err(f"'{where}' expects a value of enum '{enum.name}'", node)
+            return value
+        if isinstance(t, IntType) and isinstance(value, VSym) and isinstance(decl, ConstDecl):
+            # an int constant may hold a label: its declaration names no enum
+            enum = self._label_enum(value.name, node)
+            if enum is not None:
+                return VInt(enum.ordinal(value.name))
+            self.err(f"'{where}': '{value.name}' is not a value of any enum", node)
+        elif isinstance(t, IntType) and not isinstance(value, VInt):
+            self.err(f"'{where}' expects an integer value", node)
+        elif isinstance(t, RealType) and not isinstance(value, (VReal, VInt)):
+            self.err(f"'{where}' expects a real value", node)
+        elif isinstance(t, BoolType) and not isinstance(value, VBool):
+            self.err(f"'{where}' expects true or false", node)
+        elif isinstance(t, SetType):
+            self.err(f"set attribute '{where}' cannot be assigned from data", node)
+        return value
+
+
+def _literal_sizes(value: DataValue) -> list[int]:
+    """The array sizes of an undeclared constant: one per nesting level of
+    its literal, read from the first entry, up to two."""
+    if not isinstance(value, VList):
+        return []
+    if value.items and isinstance(value.items[0], VList):
+        return [len(value.items), len(value.items[0].items)]
+    return [len(value.items)]
 
 
 # ---------------------------------------------------------------------------

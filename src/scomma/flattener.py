@@ -4,7 +4,10 @@ Six passes run in a fixed order:
 
 1. ``substitute_enums``    — enum literals become 1-based ordinals, enum types
    become integer ranges, enum-sized shapes become cardinalities; the label
-   tables are kept for rendering solutions.
+   tables of the enums that types, shapes, loop ranges and expressions use
+   are kept for rendering solutions.  Data values arrive already resolved by
+   the analyzer (labels as ordinals, arrays positional and row-major), so
+   this pass reads none of them.
 2. ``substitute_data``     — scalar constants are replaced by their values,
    constant arrays become lookup tables, and variable-assignments are laid
    out into per-object slot bindings.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .analyzer import TypedModel, const_scalar_value, positionalize
+from .analyzer import TypedModel, const_scalar_value
 from .errors import EvalError, FlattenError
 from .evaluate import arith
 from .ir import (
@@ -78,9 +81,6 @@ from .nodes import (
     Ref,
     RefPart,
     SetType,
-    VInt,
-    VList,
-    VObj,
     VOmit,
     map_item,
     transform,
@@ -213,15 +213,6 @@ def _rebuild_zones(state: FlattenState, fn) -> None:
         state.classes[name] = ClassDef(cls.name, None, cls.attributes, zones, span=cls.span)
 
 
-def _enum_of_keys(keys: tuple[str, ...], state: FlattenState, what: str) -> EnumDecl:
-    for enum in state.enums.values():
-        if all(k in enum.values for k in keys):
-            return enum
-    raise FlattenError(
-        f"{what}: keys {list(keys)} do not all belong to one enum", "substitute_enums"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Pass 1: enumeration substitution
 # ---------------------------------------------------------------------------
@@ -296,37 +287,10 @@ def substitute_enums(state: FlattenState) -> FlattenState:
     _rebuild_zones(state, lambda item: (map_range(item),))
     _rebuild_zones(state, lambda item: (map_item(item, sub_expr),))
 
-    def sub_value(v: DataValue) -> DataValue:
-        from .nodes import VSym
-
-        if isinstance(v, VSym):
-            for enum in state.enums.values():
-                if v.name in enum.values:
-                    use(enum.name)
-                    return VInt(enum.ordinal(v.name))
-            raise FlattenError(f"unresolvable enum literal '{v.name}'", "substitute_enums")
-        if isinstance(v, VList):
-            if v.keys:
-                # keyed entries are laid out here, while the key enum is known
-                enum = _enum_of_keys(v.keys, state, "keyed array")
-                use(enum.name)
-                cells, problem = positionalize(v, len(enum.values), enum)
-                if problem:
-                    raise FlattenError(f"keyed array: {problem}", "substitute_enums")
-                return VList(tuple(sub_value(i) for i in cells), None)
-            return VList(tuple(sub_value(i) for i in v.items), None)
-        if isinstance(v, VObj):
-            return VObj(tuple(sub_value(i) for i in v.items))
-        return v
-
     state.constants = {
-        n: ConstDecl(c.name, c.type, tuple(sub_bound(b) for b in c.shape), sub_value(c.value),
-                     span=c.span)
+        n: replace(c, shape=tuple(sub_bound(b) for b in c.shape))
         for n, c in state.constants.items()
     }
-    state.assignments = [
-        replace(a, value=sub_value(a.value)) for a in state.assignments
-    ]
     state.enum_types = used
     return state
 
@@ -336,50 +300,12 @@ def substitute_enums(state: FlattenState) -> FlattenState:
 # ---------------------------------------------------------------------------
 
 
-def _const_dims(decl: ConstDecl, state: FlattenState) -> tuple[int, ...]:
-    dims = []
-    for bound in decl.shape:
-        if isinstance(bound, IntLit):
-            dims.append(bound.value)
-        elif isinstance(bound, Ref) and bound.simple_name in state.const_scalars:
-            dims.append(int(state.const_scalars[bound.simple_name]))
-        else:
-            raise FlattenError(
-                f"array size of constant '{decl.name}' is not constant", "substitute_data"
-            )
-    if dims:
-        return tuple(dims)
-    # infer from the literal when no shape was declared
-    v = decl.value
-    if isinstance(v, VList):
-        if v.items and isinstance(v.items[0], VList):
-            return (len(v.items), len(v.items[0].items))
-        return (len(v.items),)
-    return ()
-
-
-def _plain(v: DataValue, what: str):
-    value = const_scalar_value(v)
-    if value is None:
-        raise FlattenError(f"{what} must be a constant value", "substitute_data")
-    return value
-
-
 def substitute_data(state: FlattenState) -> FlattenState:
-    # Constant declarations become scalars or lookup tables (keyed entries
-    # were already laid out positionally by enumeration substitution).
+    # Constant declarations become scalars or lookup tables; an array's
+    # cells are row-major already, and its shape holds each of its sizes.
     for name, decl in state.constants.items():
-        value = decl.value
-        if not isinstance(value, VList):
-            state.const_scalars[name] = _plain(value, f"constant '{name}'")
-    for name, decl in state.constants.items():
-        value = decl.value
-        if not isinstance(value, VList):
-            continue
-        dims = _const_dims(decl, state)
-        cells = _layout_list(value, dims, f"constant '{name}'")
-        flat = tuple(_plain(c, f"constant '{name}'") for c in cells)
-        state.const_tables[name] = Table(name, dims, flat)
+        if not decl.shape:
+            state.const_scalars[name] = const_scalar_value(decl.value)
 
     def sub_expr(e: Expr) -> Expr:
         def repl(node: Expr) -> Expr:
@@ -388,6 +314,12 @@ def substitute_data(state: FlattenState) -> FlattenState:
             return node
 
         return _substitute_and_fold(e, repl, state.const_tables)
+
+    for name, decl in state.constants.items():
+        if decl.shape:
+            dims = tuple(sub_expr(b).value for b in decl.shape)
+            values = tuple(const_scalar_value(c) for c in decl.value.items)
+            state.const_tables[name] = Table(name, dims, values)
 
     # resolve constant names inside attribute shapes and domains
     for name, cls in state.classes.items():
@@ -410,26 +342,6 @@ def substitute_data(state: FlattenState) -> FlattenState:
 _PRIMITIVE_TYPES = (IntType, RealType, BoolType, SetType)
 
 
-def _layout_list(value: VList, dims: tuple[int, ...], what: str) -> list[DataValue]:
-    """Row-major cell layout of a positional (possibly nested) array literal."""
-    if not dims:
-        raise FlattenError(f"{what}: array value assigned to a scalar", "substitute_data")
-    cells, problem = positionalize(value, dims[0], None)
-    if problem:
-        raise FlattenError(f"{what}: {problem}", "substitute_data")
-    if len(dims) == 1:
-        return cells
-    out: list[DataValue] = []
-    for i, cell in enumerate(cells, start=1):
-        if isinstance(cell, VOmit):
-            out.extend(VOmit() for _ in range(dims[1]))
-            continue
-        if not isinstance(cell, VList):
-            raise FlattenError(f"{what}[{i}]: expected a row literal", "substitute_data")
-        out.extend(_layout_list(cell, dims[1:], f"{what}[{i}]"))
-    return out
-
-
 def _build_binding(state: FlattenState) -> dict:
     """Instance slot values for the whole object tree under the main class."""
 
@@ -449,23 +361,18 @@ def _build_binding(state: FlattenState) -> dict:
 
     binding = fresh(state.classes[state.main])
     for asg in state.assignments:
-        slot_owner = binding
+        owner = binding
         cls = state.classes[state.main]
-        attr = None
         for seg in asg.path[1:-1]:
-            attr = _attr_named(cls, seg)
-            slot_owner = slot_owner[seg]
-            cls = state.classes[attr.type.name]
+            owner = owner[seg]
+            cls = state.classes[_attr_named(cls, seg).type.name]
         attr = _attr_named(cls, asg.path[-1])
-        _bind_value(slot_owner, attr, asg.value, state, ".".join(asg.path))
+        _bind(owner[attr.name], attr, asg.value, state)
     return binding
 
 
 def _attr_named(cls: ClassDef, name: str) -> Attribute:
-    for a in cls.attributes:
-        if a.name == name:
-            return a
-    raise FlattenError(f"class '{cls.name}' has no attribute '{name}'", "substitute_data")
+    return next(a for a in cls.attributes if a.name == name)
 
 
 def _attr_dims(attr: Attribute, state: FlattenState) -> tuple[int, ...]:
@@ -482,40 +389,21 @@ def _attr_dims(attr: Attribute, state: FlattenState) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def _bind_value(slot_owner, attr: Attribute, value: DataValue, state: FlattenState, where: str) -> None:
-    if isinstance(value, VOmit):
-        return
-    primitive = isinstance(attr.type, _PRIMITIVE_TYPES)
-    if not attr.shape:
-        if primitive:
-            slot_owner[attr.name][()] = _plain(value, where)
-        else:
-            _bind_object(slot_owner[attr.name], attr, value, state, where)
-        return
-    dims = _attr_dims(attr, state)
-    if not isinstance(value, VList):
-        raise FlattenError(f"{where}: array attribute needs an array literal", "substitute_data")
-    for idx, cell in zip(iter_indices(dims), _layout_list(value, dims, where)):
+def _bind(slot, attr: Attribute, value: DataValue, state: FlattenState) -> None:
+    """Record ``attr``'s resolved data ``value`` in its binding ``slot``."""
+    if attr.shape:
+        cells = zip(iter_indices(_attr_dims(attr, state)), value.items)
+    else:
+        cells = [((), value)]
+    for idx, cell in cells:
         if isinstance(cell, VOmit):
             continue
-        cell_where = f"{where}[{','.join(map(str, idx))}]"
-        if primitive:
-            slot_owner[attr.name][idx] = _plain(cell, cell_where)
-        else:
-            _bind_object(slot_owner[attr.name][idx[0] - 1], attr, cell, state, cell_where)
-
-
-def _bind_object(obj_binding: dict, attr: Attribute, value: DataValue, state: FlattenState, where: str) -> None:
-    if not isinstance(value, VObj):
-        raise FlattenError(f"{where}: expected an object literal", "substitute_data")
-    target = state.classes[attr.type.name]
-    if len(value.items) > len(target.attributes):
-        raise FlattenError(
-            f"{where}: object literal has more elements than '{target.name}' has attributes",
-            "substitute_data",
-        )
-    for sub_attr, sub_value in zip(target.attributes, value.items):
-        _bind_value(obj_binding, sub_attr, sub_value, state, f"{where}.{sub_attr.name}")
+        if isinstance(attr.type, _PRIMITIVE_TYPES):
+            slot[idx] = const_scalar_value(cell)
+            continue
+        obj = slot[idx[0] - 1] if idx else slot
+        for sub_attr, sub_value in zip(state.classes[attr.type.name].attributes, cell.items):
+            _bind(obj[sub_attr.name], sub_attr, sub_value, state)
 
 
 # ---------------------------------------------------------------------------

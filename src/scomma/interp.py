@@ -8,7 +8,9 @@ compiles them, once per model.
 source model natively — loops iterate, conditionals branch, object paths are
 followed through an instance tree — and names its decision slots with the
 same prefix scheme the flattener uses so solution sets can be compared
-directly.
+directly.  It reads data values in the form the analyzer resolved them to
+(labels as ordinals, arrays positional and row-major), so it looks up no
+label and lays out no keyed list itself.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .analyzer import TypedModel, positionalize
+from .analyzer import TypedModel
 from .errors import EvalError, UnsupportedModelError
 from .evaluate import compile_check
 from .ir import (
@@ -27,6 +29,7 @@ from .ir import (
     REAL,
     SET,
     Solution,
+    Table,
     iter_indices,
 )
 from .nodes import (
@@ -57,13 +60,7 @@ from .nodes import (
     SetLit,
     SetType,
     UnOp,
-    VBool,
-    VInt,
-    VList,
-    VObj,
     VOmit,
-    VReal,
-    VSym,
 )
 
 # ---------------------------------------------------------------------------
@@ -155,55 +152,16 @@ class ModelInterpreter:
 
     # -- construction -----------------------------------------------------------
 
-    def _value_of(self, v):
-        if isinstance(v, VInt):
-            return v.value
-        if isinstance(v, VReal):
-            return v.value
-        if isinstance(v, VBool):
-            return v.value
-        if isinstance(v, VSym):
-            for enum in self.enums.values():
-                if v.name in enum.values:
-                    return enum.ordinal(v.name)
-            raise EvalError(f"unknown enum literal '{v.name}'")
-        raise EvalError("unexpected data value")
-
     def _load_constants(self) -> None:
+        """Scalars first, since an array's shape may name one."""
         for name, decl in self.tm.constants.items():
-            v = decl.value
-            if isinstance(v, VList):
-                self.constants[name] = self._const_array(v)
-            else:
-                self.constants[name] = self._value_of(v)
-
-    def _const_array(self, v: VList):
-        items = self._positional(v)
-        out = []
-        for item in items:
-            if isinstance(item, VList):
-                out.append(self._positional_values(item))
-            else:
-                out.append(self._value_of(item))
-        return out
-
-    def _positional(self, v: VList) -> list:
-        if not v.keys:
-            return list(v.items)
-        enum = self._enum_for_keys(v.keys)
-        cells, problem = positionalize(v, len(enum.values), enum)
-        if problem:
-            raise EvalError(problem)
-        return cells
-
-    def _positional_values(self, v: VList) -> list:
-        return [self._value_of(x) for x in self._positional(v)]
-
-    def _enum_for_keys(self, keys):
-        for enum in self.enums.values():
-            if all(k in enum.values for k in keys):
-                return enum
-        raise EvalError(f"keys {list(keys)} match no enum")
+            if not decl.shape:
+                self.constants[name] = decl.value.value
+        for name, decl in self.tm.constants.items():
+            if decl.shape:
+                dims = tuple(self._const_eval_static(b) for b in decl.shape)
+                values = tuple(cell.value for cell in decl.value.items)
+                self.constants[name] = Table(name, dims, values)
 
     def _shape_dims(self, attr: Attribute) -> list[int]:
         dims = []
@@ -225,7 +183,7 @@ class ModelInterpreter:
             name = e.simple_name
             if name in self.enums:
                 return len(self.enums[name].values)
-            if name in self.constants and not isinstance(self.constants[name], list):
+            if name in self.constants and not isinstance(self.constants[name], Table):
                 return self.constants[name]
         if isinstance(e, UnOp) and e.op == "neg":
             return -self._const_eval_static(e.operand)
@@ -286,64 +244,26 @@ class ModelInterpreter:
     def _apply_assignments(self) -> None:
         for asg in self.tm.assignments:
             obj = self.root
-            cls = self.tm.class_map[self.tm.model.main_class]
-            attr = None
-            for seg in asg.path[1:]:
-                attr = next(a for a in cls.attributes if a.name == seg)
-                if seg != asg.path[-1]:
-                    obj = obj.attrs[seg]
-                    cls = self.tm.class_map[attr.type.name]
-            self._assign(obj, attr, asg.value)
+            for seg in asg.path[1:-1]:
+                obj = obj.attrs[seg]
+            attr = next(a for a in obj.cls.attributes if a.name == asg.path[-1])
+            self._assign(obj.attrs[attr.name], attr, asg.value)
 
-    def _assign(self, obj: _Obj, attr: Attribute, value) -> None:
-        if isinstance(value, VOmit):
-            return
-        primitive = isinstance(attr.type, (IntType, RealType, BoolType, SetType, EnumType))
-        if primitive and not attr.shape:
-            obj.attrs[attr.name]["cells"][()] = self._coerce(attr, value)
-            return
-        if primitive:
-            dims = self._shape_dims(attr)
-            cells = self._layout(value, dims)
-            for idx, v in cells:
-                obj.attrs[attr.name]["cells"][idx] = self._coerce(attr, v)
-            return
-        if not attr.shape:
-            self._assign_object(obj.attrs[attr.name], attr, value)
-            return
-        items = self._positional(value)
-        for i, item in enumerate(items, start=1):
-            if isinstance(item, VOmit):
+    def _assign(self, entry, attr: Attribute, value) -> None:
+        """Record ``attr``'s resolved data ``value`` in its ``entry``."""
+        if attr.shape:
+            cells = zip(iter_indices(self._shape_dims(attr)), value.items)
+        else:
+            cells = [((), value)]
+        for idx, cell in cells:
+            if isinstance(cell, VOmit):
                 continue
-            self._assign_object(obj.attrs[attr.name][i - 1], attr, item)
-
-    def _assign_object(self, child: _Obj, attr: Attribute, value) -> None:
-        if not isinstance(value, VObj):
-            raise EvalError(f"'{attr.name}' expects an object literal")
-        target = self.tm.class_map[attr.type.name]
-        for sub_attr, sub_value in zip(target.attributes, value.items):
-            self._assign(child, sub_attr, sub_value)
-
-    def _coerce(self, attr: Attribute, value):
-        return self._value_of(value)
-
-    def _layout(self, value, dims) -> list[tuple[tuple[int, ...], object]]:
-        if not isinstance(value, VList):
-            raise EvalError("array attribute expects an array literal")
-        out = []
-        rows = self._positional(value)
-        if len(dims) == 1:
-            for i, cell in enumerate(rows, start=1):
-                if not isinstance(cell, VOmit):
-                    out.append(((i,), cell))
-            return out
-        for i, row in enumerate(rows, start=1):
-            if isinstance(row, VOmit):
+            if isinstance(entry, dict):  # a primitive attribute
+                entry["cells"][idx] = cell.value
                 continue
-            for j, cell in enumerate(self._positional(row), start=1):
-                if not isinstance(cell, VOmit):
-                    out.append(((i, j), cell))
-        return out
+            child = entry[idx[0] - 1] if idx else entry
+            for sub_attr, sub_value in zip(child.cls.attributes, cell.items):
+                self._assign(child.attrs[sub_attr.name], sub_attr, sub_value)
 
     # -- decision slots ------------------------------------------------------------
 
@@ -508,8 +428,8 @@ class ModelInterpreter:
             return [self._eval(x, obj, loops, env) for x in e.elems]
         if isinstance(e, Ref):
             target, dims = self._locate_array(e, obj, loops, env)
-            if isinstance(target, list):  # constant array
-                return list(target)
+            if isinstance(target, Table):  # constant array
+                return list(target.values)
             return [self._cell_value(target, idx, env) for idx in iter_indices(dims)]
         raise EvalError("alldifferent argument must be an array")
 
@@ -524,7 +444,7 @@ class ModelInterpreter:
         name = ref.parts[0].name
         if len(ref.parts) == 1 and not ref.parts[0].indices and name in self.constants:
             arr = self.constants[name]
-            if not isinstance(arr, list):
+            if not isinstance(arr, Table):
                 raise EvalError(f"'{name}' is not an array")
             return arr, None
         entry, _ = self._walk_path(ref, obj, loops, env, want_array=True)
@@ -667,13 +587,9 @@ class ModelInterpreter:
         value = self.constants[name]
         if not idx:
             return value
-        if not isinstance(value, list):
+        if not isinstance(value, Table):
             raise EvalError(f"constant '{name}' is not an array")
-        if len(idx) == 1:
-            if not (1 <= idx[0] <= len(value)):
-                raise EvalError(f"index {idx[0]} out of range for '{name}'")
-            return value[idx[0] - 1]
-        row = value[idx[0] - 1]
-        if not isinstance(row, list) or not (1 <= idx[1] <= len(row)):
-            raise EvalError(f"index {list(idx)} out of range for '{name}'")
-        return row[idx[1] - 1]
+        try:
+            return value.lookup(idx)
+        except IndexError:
+            raise EvalError(f"index {list(idx)} out of range for '{name}'") from None

@@ -5,7 +5,7 @@ from scomma.analyzer import analyze, linearize_inheritance
 from scomma.cli import corpus_dir
 from scomma.diagnostics import DiagnosticSink
 from scomma.flattener import flatten
-from scomma.nodes import EnumType
+from scomma.nodes import EnumType, IntLit, VInt, VList, VObj, VOmit
 from scomma.printer import render_expr
 from scomma.solver import build_space, optimize
 
@@ -284,3 +284,66 @@ class TestStability:
         _, d1 = analyze(model)
         _, d2 = analyze(parse_ok(bad))
         assert [x.render() for x in d1] == [x.render() for x in d2]
+
+
+SHARED_LABELS = "enum A := {x, y};\nenum B := {y, x, z};\n"
+
+
+class TestDataValues:
+    def test_bare_label_of_two_enums_is_an_error_at_the_label(self):
+        errors = analyze_err("class R {\n  B free;\n  constraint c { free = x; }\n}",
+                             SHARED_LABELS)
+        assert [(e.message, e.span.line, e.span.column) for e in errors] == [(
+            "label 'x' is a value of enums A, B; a bare label must belong to exactly"
+            " one enum", 3, 25)]
+
+    @pytest.mark.parametrize("model, data", [
+        ("class R { int x in [0,3]; B free; constraint c { x = 1; } }", ""),
+        ("class R { int a[2] in [0,3]; constraint c { forall(x in 1..2) a[x] = x; } }", ""),
+        ("class R { int a in [0,3]; constraint c { a = x; } }", "int x := 2;\n"),
+    ], ids=["attribute", "loop-variable", "constant"])
+    def test_a_name_in_scope_takes_precedence_over_a_shared_label(self, model, data):
+        analyze_ok(parse_ok(model), parse_data_ok(SHARED_LABELS + data))
+
+    def test_an_int_constant_label_must_name_one_enum(self):
+        errors = analyze_err("class R { int a in [0,3]; }", SHARED_LABELS + "int k := y;\n")
+        assert [(e.message, e.span.line) for e in errors] == [(
+            "label 'y' is a value of enums A, B; a bare label must belong to exactly"
+            " one enum", 3)]
+        tm = analyze_ok(parse_ok("class R { int a in [0,3]; }"),
+                        parse_data_ok(SHARED_LABELS + "enum C := {w};\nint k := w;\n"))
+        assert tm.constants["k"].value == VInt(1)
+
+    def test_values_arrive_resolved(self):
+        tm = analyze_ok(
+            parse_ok("class R {\n  B pick;\n  int v[B, 2] in [0,9];\n  P p[2];\n}\n"
+                     "class P { B b; int w[B] in [0,9]; }"),
+            parse_data_ok(
+                SHARED_LABELS
+                + "int m := [[1, 2], [3, 4]];\nint t[B] := [z: 3, y: 1, x: 2];\n"
+                "B R.pick := x;\nint R.v := [x: [5, _], z: [7, 8]];\n"
+                "P R.p := [{z, [x: 4]}, _];\n"),
+        )
+        assert tm.constants["m"].shape == (IntLit(2), IntLit(2))
+        assert tm.constants["m"].value == VList((VInt(1), VInt(2), VInt(3), VInt(4)))
+        assert tm.constants["t"].value == VList((VInt(1), VInt(2), VInt(3)))
+        assert [a.value for a in tm.assignments] == [
+            VInt(2),
+            VList((VOmit(), VOmit(), VInt(5), VOmit(), VInt(7), VInt(8))),
+            VList((VObj((VInt(3), VList((VOmit(), VInt(4), VOmit())))), VOmit())),
+        ]
+
+    @pytest.mark.parametrize("data, message", [
+        ("int k[2] := [1, _];", "constant 'k[2]' needs a value, not '_'"),
+        ("int k := [a: 1];", "'k': keyed array entries require an enum-sized array"),
+        ("int k := [[1, 2], [3]];", "'k[2]': array literal has 1 entries, expected 2"),
+        ("int k[2] := 1;", "'k' is an array; expected an array literal"),
+        ("int k := {1};", "'k' expects an integer value"),
+        ("B k := w;", "'w' is not a value of enum 'B'"),
+        ("R k := 1;", "constant 'k' has type 'R'; a constant is int, real, bool or of an"
+                      " enum type"),
+    ], ids=["gap", "keys-without-an-enum", "ragged-rows", "scalar-for-array",
+            "object-for-int", "label-of-another-enum", "class-typed"])
+    def test_constants_are_checked_like_assignments(self, data, message):
+        errors = analyze_err("class R { int a in [0,3]; }", SHARED_LABELS + data)
+        assert [(e.message, e.span.line, e.span.column) for e in errors] == [(message, 3, 1)]

@@ -355,3 +355,65 @@ class TestRendering:
             enum_types={"small": ("One", "Two")},
         )
         assert render_solution(fm, Solution({("x", ()): 2})) == "x = Two"
+
+
+SHARED_LABELS = "enum A := {x, y};\nenum B := {y, x, z};\n"
+
+
+class TestDataValues:
+    """Data values are read once, by analysis, against their declarations."""
+
+    @pytest.mark.parametrize("model, data, argv, expected", [
+        # a label reads in the enum its declaration names, not the first
+        # enum that declares it
+        ("class R {\n  B pick;\n  B free;\n  constraint c { free = pick; }\n}",
+         SHARED_LABELS + "B R.pick := x;\n", ("solve", "--all"),
+         (0, "free = x\n----------\n==========\n", "")),
+        # keys are laid out by the axis's enum, even when they fit a smaller one
+        ("class R {\n  int v[Big] in [0,3];\n  constraint c { v[3] <= 1; }\n}",
+         "enum Small := {x, y};\nenum Big := {x, y, z};\nR R.v := [x: 1, y: 2];\n",
+         ("solve", "--all"),
+         (0, "v = [1, 2, 0]\n----------\nv = [1, 2, 1]\n----------\n==========\n", "")),
+        ("class R { int a in [0,1]; }", "int k[3] := [1,2];\nint j[2] := [1,2,3];\n",
+         ("compile", "--target", "flat"),
+         (1, "", "{data}:1:1: error: 'k': array literal has 2 entries, expected 3\n"
+                 "{data}:2:1: error: 'j': array literal has 3 entries, expected 2\n"
+                 "error: analysis failed\n")),
+        ("class R { int a in [0,1]; }", "int n := -2;\nint k[n] := [1,2];\n",
+         ("compile", "--target", "flat"),
+         (1, "", "{data}:2:7: error: constant 'n' used as array size of 'k' must be a"
+                 " positive integer\nerror: analysis failed\n")),
+        ("class R { int a in [0,1]; }", "int k := foo;\n", ("compile", "--target", "flat"),
+         (1, "", "{data}:1:1: error: 'k': 'foo' is not a value of any enum\n"
+                 "error: analysis failed\n")),
+        ("class R {\n  B free;\n  constraint c { free = x; }\n}", SHARED_LABELS,
+         ("solve", "--all"),
+         (1, "", "{model}:3:25: error: label 'x' is a value of enums A, B; a bare label"
+                 " must belong to exactly one enum\nerror: analysis failed\n")),
+        ("class R { int a in [0,3]; P p[2]; }\nclass P { int x in [0,3]; }",
+         "int R.a.b := 1;\nint R.p.x := 1;\n", ("solve",),
+         (1, "", "{data}:1:1: error: 'a' is not an object; cannot access 'b'\n"
+                 "{data}:2:1: error: 'p' is an object array; an assignment path cannot"
+                 " go through it\nerror: analysis failed\n")),
+    ], ids=["shared-label", "keys-of-a-smaller-enum", "two-bad-constants",
+            "negative-size", "unknown-label", "bare-shared-label", "path-through-non-object"])
+    def test_cli_output(self, tmp_path, capsys, model, data, argv, expected):
+        model_path, data_path = tmp_path / "m.scm", tmp_path / "m.dat"
+        model_path.write_text(model)
+        data_path.write_text(data)
+        command, *flags = argv
+        code, out, err = run(capsys, command, str(model_path), str(data_path), *flags,
+                             *(["--out", str(tmp_path / "m.fsc")] if command == "compile" else []))
+        want_code, want_out, want_err = expected
+        assert (code, out, err) == (
+            want_code, want_out, want_err.format(model=model_path, data=data_path))
+
+    def test_enum_types_list_only_the_enums_the_model_uses(self, tmp_path, capsys):
+        model_path, data_path = tmp_path / "m.scm", tmp_path / "m.dat"
+        model_path.write_text("class R {\n  B pick;\n  B free;\n  constraint c { free = pick; }\n}")
+        data_path.write_text(SHARED_LABELS + "B R.pick := x;\n")
+        code, _, _ = run(capsys, "compile", str(model_path), str(data_path), "--emit-flat",
+                         "--out", str(tmp_path / "m.fsc"))
+        assert code == 0
+        assert (tmp_path / "m.fsc").read_text().split("enum-types:")[1].split() == [
+            "B", ":=", "{y,x,z};"]

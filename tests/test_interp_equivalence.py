@@ -80,3 +80,31 @@ class TestReducedInstances:
             "int Plant.target := 3;",
         )
         assert_equivalent(tm, fm)
+
+
+class TestDataValues:
+    """Both oracles read data as analysis resolved it."""
+
+    def test_label_reads_in_the_enum_its_declaration_names(self):
+        tm, fm = compile_text(
+            "class R {\n  B pick;\n  B free;\n  constraint c { free = pick; }\n}",
+            "enum A := {x, y};\nenum B := {y, x, z};\nB R.pick := x;\n",
+        )
+        assert_equivalent(tm, fm)
+        assert flat_solution_set(fm) == {frozenset({(("free", ()), 2)})}
+
+    def test_keys_are_laid_out_by_the_axis_enum(self):
+        # the keys fit the smaller enum too; p[2] (label z) is the gap.  The
+        # objects hold whole arrays, so each is data or decisions throughout.
+        tm, fm = compile_text(
+            "class R {\n  P p[Big];\n"
+            "  constraint c { forall(i in 1..2) p[2].w[i] <= p[3].w[i]; }\n}\n"
+            "class P { int w[2] in [0,1]; }",
+            "enum Small := {x, y};\nenum Big := {y, z, x};\n"
+            "P R.p := [x: {[1, 0]}, y: {[0, 1]}];\n",
+        )
+        assert_equivalent(tm, fm)
+        assert flat_solution_set(fm) == {
+            frozenset({(("p_2_w", (1,)), 0), (("p_2_w", (2,)), 0)}),
+            frozenset({(("p_2_w", (1,)), 1), (("p_2_w", (2,)), 0)}),
+        }
