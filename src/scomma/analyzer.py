@@ -19,6 +19,11 @@ model interpreter consume that form and look up no label themselves.  A
 label reads in the enum that its declaration names; a bare label, in an
 expression or as the value of an ``int`` constant, must belong to exactly
 one enum.
+
+The analyzer is also the one resolver of array sizes and domains: it hands
+on each shape bound as the literal of its size, or as the enum that sizes
+its axis, and each domain with literal bounds or elements, and checks every
+``int`` data value assigned to an attribute against that domain.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .nodes import (
     DataValue,
     DomainInterval,
     DomainSet,
+    DomainSpec,
     EnumDecl,
     EnumRef,
     EnumType,
@@ -158,6 +164,13 @@ class TypedModel:
     elements, each resolved against its attribute.  A constant's type names
     no class, and its ``shape`` has one bound per axis: the declared bounds,
     or the sizes of its literal when none were declared.
+
+    Every shape bound, of an attribute or a constant, is an ``IntLit`` of its
+    size that keeps the bound's span, or a ``Ref`` naming the enum that sizes
+    that axis (pass 1 records the enum's use from it).  Every domain is None,
+    a ``DomainInterval`` whose bounds are ``IntLit``s (``RealLit``s too for a
+    ``real``), or a ``DomainSet`` of ``IntLit``s; :func:`shape_dims` reads a
+    shape's sizes.
     """
 
     model: Model
@@ -181,6 +194,15 @@ def const_scalar_value(v: DataValue):
     if isinstance(v, VBool):
         return int(v.value)
     return None
+
+
+def shape_dims(shape: tuple[Expr, ...], enums: dict[str, EnumDecl]) -> tuple[int, ...]:
+    """The sizes of a resolved shape: a literal bound is its size, an enum
+    bound the enum's."""
+    return tuple(
+        bound.value if isinstance(bound, IntLit) else len(enums[bound.simple_name].values)
+        for bound in shape
+    )
 
 
 def positionalize(
@@ -218,10 +240,6 @@ class _Analyzer:
         self.sink = DiagnosticSink()
         self.class_map: dict[str, ClassDef] = {}
         self.objectives: list[Objective] = []
-        # Each attribute's array sizes, keyed by the id of the resolved
-        # attribute that its declaring class and every subclass share:
-        # resolved once, with None for a size that is already reported.
-        self.sizes: dict[int, list[int | None]] = {}
         self.constants: dict[str, ConstDecl] = {}
 
     def _span(self, node) -> SourceSpan:
@@ -244,11 +262,11 @@ class _Analyzer:
         if self.sink.failed or linear is None:
             return None
         self.class_map = {c.name: c for c in linear.classes}
-        declared = self._resolve_attribute_types()
+        declared = self._map_attributes(self.model.classes, self._resolve_attribute)
         self._check_composition_acyclic()
         if self.sink.failed:
             return None
-        self._check_shapes_and_domains(declared)
+        declared = self._map_attributes(declared, self._resolve_shape_and_domain)
         self._resolve_constants()
         typed_classes = self._type_zones(declared)
         assignments = self._check_assignments()
@@ -277,14 +295,16 @@ class _Analyzer:
         if self.model.main_class not in {c.name for c in self.model.classes}:
             self.err(f"main class '{self.model.main_class}' is not defined")
 
-    def _resolve_attribute_types(self) -> tuple[ClassDef, ...]:
-        """The classes as declared, each with its own attributes' types
-        resolved once there.  The linearized classes in ``class_map`` share
-        the resolved attributes with the classes that declare them."""
-        resolved: dict[int, Attribute] = {}  # keyed by the id of the parsed attribute
+    def _map_attributes(
+        self, classes: tuple[ClassDef, ...], fn
+    ) -> tuple[ClassDef, ...]:
+        """``classes`` as declared, each attribute replaced by ``fn(class name,
+        attribute)`` once, in the class that declares it.  The linearized
+        classes in ``class_map`` share the results with those classes."""
+        resolved: dict[int, Attribute] = {}  # keyed by the id of the attribute replaced
         declared = []
-        for cls in self.model.classes:
-            own = tuple(self._resolve_attribute(cls.name, attr) for attr in cls.attributes)
+        for cls in classes:
+            own = tuple(fn(cls.name, attr) for attr in cls.attributes)
             resolved.update(zip(map(id, cls.attributes), own))
             declared.append(ClassDef(cls.name, cls.superclass, own, cls.zones, span=cls.span))
         for name, cls in self.class_map.items():
@@ -341,31 +361,42 @@ class _Analyzer:
 
     # -- shapes and domains -----------------------------------------------------
 
-    def shape_size(self, bound: Expr, owner: str) -> int | None:
-        """Resolve one shape bound to a positive integer, or report why not."""
+    def _resolve_bound(self, bound: Expr, owner: str) -> Expr:
+        """One shape bound resolved as :class:`TypedModel` describes; a bound
+        that does not resolve is reported and returned as it was."""
         if isinstance(bound, IntLit):
             if bound.value < 1:
                 self.err(f"array size {bound.value} of '{owner}' is not positive", bound)
-                return None
-            return bound.value
+            return bound
         if isinstance(bound, Ref) and bound.simple_name:
             name = bound.simple_name
             if name in self.data.enums:
-                return len(self.data.enums[name].values)
+                return bound
             if name in self.data.constants:
                 val = const_scalar_value(self.data.constants[name].value)
                 if isinstance(val, int) and val >= 1:
-                    return val
+                    return IntLit(val, span=bound.span)
                 self.err(
                     f"constant '{name}' used as array size of '{owner}' must be a"
                     " positive integer",
                     bound,
                 )
-                return None
+                return bound
             self.err(f"array size '{name}' of '{owner}' is not a constant or enum", bound)
-            return None
+            return bound
         self.err(f"array size of '{owner}' must be a literal, constant, or enum name", bound)
-        return None
+        return bound
+
+    def _sizes(self, shape: tuple[Expr, ...]) -> list[int | None]:
+        """The array sizes of a shape that ``_resolve_bound`` returned; None
+        for a bound that did not resolve."""
+        enums = self.data.enums
+        return [
+            len(enums[b.simple_name].values) if isinstance(b, Ref) and b.simple_name in enums
+            else b.value if isinstance(b, IntLit) and b.value >= 1
+            else None
+            for b in shape
+        ]
 
     def _const_eval(self, e: Expr):
         """Evaluate an expression over data constants; None when not constant."""
@@ -389,36 +420,53 @@ class _Analyzer:
                 return None
         return None
 
-    def _check_shapes_and_domains(self, declared: tuple[ClassDef, ...]) -> None:
-        for cls in declared:
-            for attr in cls.attributes:
-                owner = f"{cls.name}.{attr.name}"
-                self.sizes[id(attr)] = [
-                    self.shape_size(bound, owner) for bound in attr.shape
-                ]
-                if isinstance(attr.type, ObjectType) and len(attr.shape) > 1:
-                    self.err(
-                        f"object array '{owner}' has {len(attr.shape)} dimensions;"
-                        " an object array takes one",
-                        attr,
-                    )
-                dom = attr.domain
-                if isinstance(dom, DomainInterval):
-                    lo = self._const_eval(dom.lo)
-                    hi = self._const_eval(dom.hi)
-                    if lo is None or hi is None:
-                        self.err(f"domain bounds of '{owner}' must be constant", attr)
-                    elif lo > hi:
-                        self.err(f"domain of '{owner}' is empty: [{lo},{hi}]", attr)
-                elif isinstance(dom, DomainSet):
-                    for v in dom.elems:
-                        if self._const_eval(v) is None:
-                            self.err(f"domain values of '{owner}' must be constant", attr)
-                if isinstance(attr.type, EnumType) and dom is not None:
-                    self.err(
-                        f"'{owner}' has enum type {attr.type.name}; its domain is implicit",
-                        attr,
-                    )
+    def _resolve_shape_and_domain(self, cls_name: str, attr: Attribute) -> Attribute:
+        owner = f"{cls_name}.{attr.name}"
+        shape = tuple(self._resolve_bound(bound, owner) for bound in attr.shape)
+        if isinstance(attr.type, ObjectType) and len(shape) > 1:
+            self.err(
+                f"object array '{owner}' has {len(shape)} dimensions;"
+                " an object array takes one",
+                attr,
+            )
+        domain = self._resolve_domain(attr, owner)
+        if isinstance(attr.type, EnumType) and attr.domain is not None:
+            self.err(
+                f"'{owner}' has enum type {attr.type.name}; its domain is implicit",
+                attr,
+            )
+        return Attribute(attr.name, attr.type, shape, domain, attr.enum_tag, span=attr.span)
+
+    def _resolve_domain(self, attr: Attribute, owner: str) -> DomainSpec | None:
+        """``attr``'s domain with literal bounds or elements; None when it has
+        none or when its problem is reported.  Only a ``real`` interval may
+        have bounds that are not integers."""
+        dom = attr.domain
+        if isinstance(dom, DomainInterval):
+            lo = self._const_eval(dom.lo)
+            hi = self._const_eval(dom.hi)
+            if lo is None or hi is None:
+                self.err(f"domain bounds of '{owner}' must be constant", attr)
+            elif not isinstance(attr.type, RealType) and (
+                isinstance(lo, float) or isinstance(hi, float)
+            ):
+                self.err(f"domain bounds of '{owner}' must be integers", attr)
+            elif lo > hi:
+                self.err(f"domain of '{owner}' is empty: [{lo},{hi}]", attr)
+            else:
+                return DomainInterval(_number(lo, dom.lo), _number(hi, dom.hi))
+        elif isinstance(dom, DomainSet):
+            values = [self._const_eval(v) for v in dom.elems]
+            for v in values:
+                if v is None:
+                    self.err(f"domain values of '{owner}' must be constant", attr)
+            if None in values:
+                return None
+            if any(isinstance(v, float) for v in values):
+                self.err(f"domain values of '{owner}' must be integers", attr)
+            else:
+                return DomainSet(tuple(_number(v, e) for v, e in zip(values, dom.elems)))
+        return None
 
     def _resolve_constants(self) -> None:
         """Check each data constant against its type and sizes and keep it
@@ -427,9 +475,9 @@ class _Analyzer:
             t = const.type
             if isinstance(t, NamedType) and t.name in self.data.enums:
                 t = EnumType(t.name)
-            shape = const.shape
-            if shape:
-                sizes = [self.shape_size(bound, name) for bound in shape]
+            if const.shape:
+                shape = tuple(self._resolve_bound(bound, name) for bound in const.shape)
+                sizes = self._sizes(shape)
             else:
                 sizes = _literal_sizes(const.value)
                 shape = tuple(IntLit(n) for n in sizes)
@@ -807,7 +855,7 @@ class _Analyzer:
                 f" '{attr.name}' holds {expected}",
                 asg,
             )
-        return self._resolve(asg.value, attr, self.sizes[id(attr)], ".".join(asg.path), asg)
+        return self._resolve(asg.value, attr, self._sizes(attr.shape), ".".join(asg.path), asg)
 
     def _shape_enum(self, decl: Attribute | ConstDecl, axis: int) -> EnumDecl | None:
         bound = decl.shape[axis]
@@ -864,7 +912,7 @@ class _Analyzer:
                     node,
                 )
             return VObj(tuple(
-                self._resolve(sub, a, self.sizes[id(a)], f"{where}.{a.name}", node)
+                self._resolve(sub, a, self._sizes(a.shape), f"{where}.{a.name}", node)
                 for sub, a in zip(value.items, target.attributes)
             ))
         if isinstance(t, EnumType):
@@ -890,6 +938,10 @@ class _Analyzer:
             self.err(f"'{where}': '{value.name}' is not a value of any enum", node)
         elif isinstance(t, IntType) and not isinstance(value, VInt):
             self.err(f"'{where}' expects an integer value", node)
+        elif isinstance(t, IntType) and isinstance(decl, Attribute) and not _admits(
+            decl.domain, value.value
+        ):
+            self.err(f"assigned value {value.value} for '{where}' lies outside its domain", node)
         elif isinstance(t, RealType) and not isinstance(value, (VReal, VInt)):
             self.err(f"'{where}' expects a real value", node)
         elif isinstance(t, BoolType) and not isinstance(value, VBool):
@@ -897,6 +949,21 @@ class _Analyzer:
         elif isinstance(t, SetType):
             self.err(f"set attribute '{where}' cannot be assigned from data", node)
         return value
+
+
+def _admits(domain: DomainSpec | None, value: int) -> bool:
+    """Whether a resolved integer ``domain`` holds ``value``; no domain holds
+    every value."""
+    if isinstance(domain, DomainInterval):
+        return domain.lo.value <= value <= domain.hi.value
+    if isinstance(domain, DomainSet):
+        return any(e.value == value for e in domain.elems)
+    return True
+
+
+def _number(value: int | float, source: Expr) -> Expr:
+    """The literal of a constant ``value`` that ``source`` evaluated to."""
+    return (RealLit if isinstance(value, float) else IntLit)(value, span=source.span)
 
 
 def _literal_sizes(value: DataValue) -> list[int]:

@@ -8,9 +8,11 @@ Six passes run in a fixed order:
    are kept for rendering solutions.  Data values arrive already resolved by
    the analyzer (labels as ordinals, arrays positional and row-major), so
    this pass reads none of them.
-2. ``substitute_data``     — scalar constants are replaced by their values,
-   constant arrays become lookup tables, and variable-assignments are laid
-   out into per-object slot bindings.
+2. ``substitute_data``     — scalar constants in constraints are replaced by
+   their values, constant arrays become lookup tables, and
+   variable-assignments are laid out into per-object slot bindings.  Shapes
+   and domains arrive resolved by the analyzer (sizes and bounds as
+   literals), so no pass folds them.
 3. ``unroll_loops``        — every forall is replaced by one copy of its body
    per range value with the loop variable substituted (outermost first).
 4. ``expand_composition``  — the object tree reachable from the main class is
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .analyzer import TypedModel, const_scalar_value
+from .analyzer import TypedModel, const_scalar_value, shape_dims
 from .errors import EvalError, FlattenError
 from .evaluate import arith
 from .ir import (
@@ -258,10 +260,6 @@ def substitute_enums(state: FlattenState) -> FlattenState:
                 atype = SetType("int")
                 if domain is None:
                     domain = DomainInterval(IntLit(1), IntLit(len(decl.values)))
-            if isinstance(domain, DomainInterval):
-                domain = DomainInterval(sub_expr(domain.lo), sub_expr(domain.hi))
-            elif isinstance(domain, DomainSet):
-                domain = DomainSet(tuple(sub_expr(v) for v in domain.elems))
             attrs.append(Attribute(a.name, atype, shape, domain, tag, span=a.span))
         state.classes[name] = ClassDef(cls.name, None, tuple(attrs), cls.zones, span=cls.span)
 
@@ -317,22 +315,8 @@ def substitute_data(state: FlattenState) -> FlattenState:
 
     for name, decl in state.constants.items():
         if decl.shape:
-            dims = tuple(sub_expr(b).value for b in decl.shape)
             values = tuple(const_scalar_value(c) for c in decl.value.items)
-            state.const_tables[name] = Table(name, dims, values)
-
-    # resolve constant names inside attribute shapes and domains
-    for name, cls in state.classes.items():
-        attrs = []
-        for a in cls.attributes:
-            shape = tuple(sub_expr(b) for b in a.shape)
-            domain = a.domain
-            if isinstance(domain, DomainInterval):
-                domain = DomainInterval(sub_expr(domain.lo), sub_expr(domain.hi))
-            elif isinstance(domain, DomainSet):
-                domain = DomainSet(tuple(sub_expr(v) for v in domain.elems))
-            attrs.append(Attribute(a.name, a.type, shape, domain, a.enum_tag, span=a.span))
-        state.classes[name] = ClassDef(cls.name, None, tuple(attrs), cls.zones, span=cls.span)
+            state.const_tables[name] = Table(name, shape_dims(decl.shape, state.enums), values)
 
     _rebuild_zones(state, lambda item: (map_item(item, sub_expr),))
     state.binding = _build_binding(state)
@@ -353,7 +337,7 @@ def _build_binding(state: FlattenState) -> dict:
             else:
                 target = state.classes[a.type.name]
                 if a.shape:
-                    n = _attr_dims(a, state)[0]
+                    n = shape_dims(a.shape, state.enums)[0]
                     out[a.name] = [fresh(target) for _ in range(n)]
                 else:
                     out[a.name] = fresh(target)
@@ -375,24 +359,10 @@ def _attr_named(cls: ClassDef, name: str) -> Attribute:
     return next(a for a in cls.attributes if a.name == name)
 
 
-def _attr_dims(attr: Attribute, state: FlattenState) -> tuple[int, ...]:
-    dims = []
-    for bound in attr.shape:
-        folded = fold_expr(bound, state.const_tables)
-        if isinstance(folded, IntLit) and folded.value >= 1:
-            dims.append(folded.value)
-        else:
-            raise FlattenError(
-                f"array size of '{attr.name}' did not resolve to a positive constant",
-                "substitute_data",
-            )
-    return tuple(dims)
-
-
 def _bind(slot, attr: Attribute, value: DataValue, state: FlattenState) -> None:
     """Record ``attr``'s resolved data ``value`` in its binding ``slot``."""
     if attr.shape:
-        cells = zip(iter_indices(_attr_dims(attr, state)), value.items)
+        cells = zip(iter_indices(shape_dims(attr.shape, state.enums)), value.items)
     else:
         cells = [((), value)]
     for idx, cell in cells:
@@ -523,38 +493,22 @@ class _Expander:
     # -- variable creation --------------------------------------------------------
 
     def _domain_of(self, attr: Attribute, owner: str) -> Domain:
+        """``attr``'s domain, which analysis resolved to literals."""
         base = _base_of(attr)
         dom = attr.domain
         if dom is None:
             if base == BOOL:
                 return IntInterval(0, 1)
+            where = "" if attr.span is None else f"{attr.span}: "
             raise FlattenError(
-                f"'{owner}' is a decision variable but has no finite domain",
+                f"{where}'{owner}' is a decision variable but has no finite domain",
                 "expand_composition",
             )
         if isinstance(dom, DomainSet):
-            values = []
-            for v in dom.elems:
-                folded = fold_expr(v, self.state.const_tables)
-                if not isinstance(folded, IntLit):
-                    raise FlattenError(
-                        f"domain value of '{owner}' is not a constant integer",
-                        "expand_composition",
-                    )
-                values.append(folded.value)
-            return IntSet(tuple(values))
-        lo = fold_expr(dom.lo, self.state.const_tables)
-        hi = fold_expr(dom.hi, self.state.const_tables)
+            return IntSet(tuple(v.value for v in dom.elems))
         if base == REAL:
-            if not isinstance(lo, (IntLit, RealLit)) or not isinstance(hi, (IntLit, RealLit)):
-                raise FlattenError(f"domain of '{owner}' is not constant", "expand_composition")
-            return RealInterval(float(lo.value), float(hi.value))
-        if not isinstance(lo, IntLit) or not isinstance(hi, IntLit):
-            raise FlattenError(f"domain of '{owner}' is not a constant integer interval",
-                               "expand_composition")
-        if lo.value > hi.value:
-            raise FlattenError(f"domain of '{owner}' is empty", "expand_composition")
-        return IntInterval(lo.value, hi.value)
+            return RealInterval(float(dom.lo.value), float(dom.hi.value))
+        return IntInterval(dom.lo.value, dom.hi.value)
 
     def make_var(
         self, name: str, attr: Attribute, dims: tuple[int, ...], owner: str
@@ -569,18 +523,8 @@ class _Expander:
         self.variables.append(var)
         return var
 
-    def pin(self, var: FlatVar, index: tuple[int, ...], value: object, owner: str) -> None:
-        if isinstance(value, bool):
-            rhs: Expr = BoolLit(value)
-        elif isinstance(value, float):
-            rhs = RealLit(value)
-        else:
-            if value not in var.domain:
-                raise FlattenError(
-                    f"assigned value {value} for '{owner}' lies outside its domain",
-                    "expand_composition",
-                )
-            rhs = IntLit(value)
+    def pin(self, var: FlatVar, index: tuple[int, ...], value: object) -> None:
+        rhs = _literal(value)
         lhs = Ref((RefPart(var.name, tuple(IntLit(i) for i in index)),))
         self.add_item(Constraint(BinOp("=", lhs, rhs)), "data")
 
@@ -597,9 +541,9 @@ class _Expander:
                 continue
             owner = f"{label}.{attr.name}" if label else attr.name
             if isinstance(attr.type, _PRIMITIVE_TYPES):
+                dims = shape_dims(attr.shape, self.state.enums)
                 slots[attr.name] = self._expand_primitive(
-                    prefix + attr.name, attr, _attr_dims(attr, self.state), binding[attr.name],
-                    owner,
+                    prefix + attr.name, attr, dims, binding[attr.name], owner
                 )
             elif attr.shape:
                 slots[attr.name] = self._expand_object_array(
@@ -632,7 +576,7 @@ class _Expander:
         var = self.make_var(name, attr, dims, owner)
         for idx in indices:
             if idx in cells:
-                self.pin(var, idx, cells[idx], owner)
+                self.pin(var, idx, cells[idx])
         return _SlotArray(name, None)
 
     def _expand_object_array(self, prefix: str, attr: Attribute, bindings: list, owner: str):

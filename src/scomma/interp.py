@@ -6,11 +6,14 @@ in slot order, against the flat constraints as :mod:`scomma.evaluate`
 compiles them, once per model.
 ``ModelInterpreter`` never flattens anything: it executes the analyzed
 source model natively — loops iterate, conditionals branch, object paths are
-followed through an instance tree — and names its decision slots with the
-same prefix scheme the flattener uses so solution sets can be compared
-directly.  It reads data values in the form the analyzer resolved them to
-(labels as ordinals, arrays positional and row-major), so it looks up no
-label and lays out no keyed list itself.
+followed through an instance tree — and makes and names its decision slots
+the way the flattener makes its variables, so solution sets and candidate
+counts can be compared directly: an array that the data fills only in part
+is a slot per cell, and each assigned cell's slot is pinned to its value.
+It reads data values, array sizes and domains in the form the analyzer
+resolved them to (labels as ordinals, arrays positional and row-major,
+sizes and domain bounds as literals), so it looks up no label, lays out no
+keyed list and evaluates no constant expression itself.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .analyzer import TypedModel
+from .analyzer import TypedModel, shape_dims
 from .errors import EvalError, UnsupportedModelError
 from .evaluate import compile_check
 from .ir import (
@@ -145,6 +148,7 @@ class ModelInterpreter:
         self.enums = tm.enums
         self.constants: dict[str, object] = {}
         self.slots: list[_DecSlot] = []
+        self.pins: list[tuple[_DecSlot, object]] = []  # (slot, its assigned value)
         self._load_constants()
         self.root = self._build_object(tm.main, "")
         self._apply_assignments()
@@ -153,45 +157,12 @@ class ModelInterpreter:
     # -- construction -----------------------------------------------------------
 
     def _load_constants(self) -> None:
-        """Scalars first, since an array's shape may name one."""
-        for name, decl in self.tm.constants.items():
-            if not decl.shape:
-                self.constants[name] = decl.value.value
         for name, decl in self.tm.constants.items():
             if decl.shape:
-                dims = tuple(self._const_eval_static(b) for b in decl.shape)
                 values = tuple(cell.value for cell in decl.value.items)
-                self.constants[name] = Table(name, dims, values)
-
-    def _shape_dims(self, attr: Attribute) -> list[int]:
-        dims = []
-        for bound in attr.shape:
-            val = self._const_eval_static(bound)
-            if not isinstance(val, int) or val < 1:
-                raise EvalError(f"shape of '{attr.name}' is not a positive constant")
-            dims.append(val)
-        return dims
-
-    def _const_eval_static(self, e: Expr):
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, RealLit):
-            return e.value
-        if isinstance(e, EnumRef):
-            return e.ordinal
-        if isinstance(e, Ref) and e.simple_name:
-            name = e.simple_name
-            if name in self.enums:
-                return len(self.enums[name].values)
-            if name in self.constants and not isinstance(self.constants[name], Table):
-                return self.constants[name]
-        if isinstance(e, UnOp) and e.op == "neg":
-            return -self._const_eval_static(e.operand)
-        if isinstance(e, BinOp) and e.op in ("+", "-", "*"):
-            a = self._const_eval_static(e.left)
-            b = self._const_eval_static(e.right)
-            return {"+": a + b, "-": a - b, "*": a * b}[e.op]
-        raise EvalError("expression is not statically constant")
+                self.constants[name] = Table(name, shape_dims(decl.shape, self.enums), values)
+            else:
+                self.constants[name] = decl.value.value
 
     def _domain_values(self, attr: Attribute) -> list:
         t = attr.type
@@ -203,9 +174,7 @@ class ModelInterpreter:
         if isinstance(t, SetType):
             if not isinstance(dom, DomainInterval):
                 raise UnsupportedModelError(["set attribute without an interval universe"])
-            lo = self._const_eval_static(dom.lo)
-            hi = self._const_eval_static(dom.hi)
-            universe = list(range(lo, hi + 1))
+            universe = list(range(dom.lo.value, dom.hi.value + 1))
             return [
                 frozenset(u for i, u in enumerate(universe) if mask >> i & 1)
                 for mask in range(1 << len(universe))
@@ -215,27 +184,21 @@ class ModelInterpreter:
         if dom is None:
             raise EvalError(f"attribute '{attr.name}' has no finite domain")
         if isinstance(dom, DomainSet):
-            return sorted({self._const_eval_static(v) for v in dom.elems})
-        lo = self._const_eval_static(dom.lo)
-        hi = self._const_eval_static(dom.hi)
-        return list(range(lo, hi + 1))
+            return sorted({v.value for v in dom.elems})
+        return list(range(dom.lo.value, dom.hi.value + 1))
 
     def _build_object(self, cls: ClassDef, label: str) -> _Obj:
         obj = _Obj(cls)
         for attr in cls.attributes:
+            dims = shape_dims(attr.shape, self.enums)
             if isinstance(attr.type, (IntType, RealType, BoolType, SetType, EnumType)):
-                if attr.shape:
-                    dims = self._shape_dims(attr)
-                    obj.attrs[attr.name] = {"dims": dims, "cells": {}}
-                else:
-                    obj.attrs[attr.name] = {"dims": None, "cells": {}}
+                obj.attrs[attr.name] = {"dims": dims, "cells": {}}
             else:
                 target = self.tm.class_map[attr.type.name]
-                if attr.shape:
-                    n = self._shape_dims(attr)[0]
+                if dims:
                     obj.attrs[attr.name] = [
                         self._build_object(target, f"{label}.{attr.name}[{i}]")
-                        for i in range(1, n + 1)
+                        for i in range(1, dims[0] + 1)
                     ]
                 else:
                     obj.attrs[attr.name] = self._build_object(target, f"{label}.{attr.name}")
@@ -252,7 +215,7 @@ class ModelInterpreter:
     def _assign(self, entry, attr: Attribute, value) -> None:
         """Record ``attr``'s resolved data ``value`` in its ``entry``."""
         if attr.shape:
-            cells = zip(iter_indices(self._shape_dims(attr)), value.items)
+            cells = zip(iter_indices(shape_dims(attr.shape, self.enums)), value.items)
         else:
             cells = [((), value)]
         for idx, cell in cells:
@@ -268,59 +231,48 @@ class ModelInterpreter:
     # -- decision slots ------------------------------------------------------------
 
     def _collect_slots(self, obj: _Obj, prefix: str) -> None:
+        """Make the decision slots under ``obj`` as the flattener makes its
+        variables, named by the same prefix scheme."""
         for attr in obj.cls.attributes:
             entry = obj.attrs[attr.name]
+            name = prefix + attr.name
             if isinstance(entry, dict):
-                flat_name = prefix + attr.name
-                if entry["dims"] is None:
-                    if () not in entry["cells"]:
-                        slot = _DecSlot((flat_name, ()), self._domain_values(attr))
-                        entry["cells"][()] = slot
-                        self.slots.append(slot)
-                else:
-                    dims = entry["dims"]
-                    for idx in iter_indices(dims):
-                        if idx not in entry["cells"]:
-                            slot = _DecSlot((flat_name, idx), self._domain_values(attr))
-                            entry["cells"][idx] = slot
-                            self.slots.append(slot)
+                indices = list(iter_indices(entry["dims"]))
+                entry["cells"].update(self._decide(name, attr, entry["cells"], indices))
             elif isinstance(entry, _Obj):
-                self._collect_slots(entry, prefix + attr.name + "_")
-            else:  # object array: grouped scalar naming matches the flattener
+                self._collect_slots(entry, name + "_")
+            else:
+                # an object array: each scalar primitive attribute of its
+                # elements is one array over them, then each element is expanded
+                for a in entry[0].cls.attributes:
+                    scalars = [child.attrs[a.name] for child in entry]
+                    if not isinstance(scalars[0], dict) or scalars[0]["dims"]:
+                        continue
+                    cells = {(i,): s["cells"][()] for i, s in enumerate(scalars, 1) if s["cells"]}
+                    indices = [(i,) for i in range(1, len(entry) + 1)]
+                    for (i,), slot in self._decide(f"{name}_{a.name}", a, cells, indices).items():
+                        scalars[i - 1]["cells"][()] = slot
                 for i, child in enumerate(entry, start=1):
-                    for child_attr in child.cls.attributes:
-                        child_entry = child.attrs[child_attr.name]
-                        if isinstance(child_entry, dict) and child_entry["dims"] is None:
-                            flat_name = prefix + attr.name + "_" + child_attr.name
-                            if () not in child_entry["cells"]:
-                                slot = _DecSlot(
-                                    (flat_name, (i,)), self._domain_values(child_attr)
-                                )
-                                child_entry["cells"][()] = slot
-                                self.slots.append(slot)
-                for i, child in enumerate(entry, start=1):
-                    child_prefix = f"{prefix}{attr.name}_{i}_"
-                    for child_attr in child.cls.attributes:
-                        child_entry = child.attrs[child_attr.name]
-                        if isinstance(child_entry, dict) and child_entry["dims"] is None:
-                            continue
-                        if isinstance(child_entry, dict):
-                            dims = child_entry["dims"]
-                            flat_name = child_prefix + child_attr.name
-                            for idx in iter_indices(dims):
-                                if idx not in child_entry["cells"]:
-                                    slot = _DecSlot(
-                                        (flat_name, idx), self._domain_values(child_attr)
-                                    )
-                                    child_entry["cells"][idx] = slot
-                                    self.slots.append(slot)
-                        elif isinstance(child_entry, _Obj):
-                            self._collect_slots(child_entry, child_prefix + child_attr.name + "_")
-                        else:
-                            raise UnsupportedModelError(
-                                ["object arrays nested inside object arrays are not"
-                                 " enumerable here"]
-                            )
+                    self._collect_slots(child, f"{name}_{i}_")
+
+    def _decide(self, name: str, attr: Attribute, cells: dict, indices: list) -> dict:
+        """The slots of the primitive ``name`` whose cells are ``indices``, of
+        which ``cells`` holds the assigned ones.  When every cell is assigned
+        there are none; otherwise every cell gets a slot over the domain, and
+        an assigned cell's slot is pinned to its value, as the flattener pins
+        a partly assigned array.  Returns the unassigned cells' slots."""
+        if len(cells) == len(indices):
+            return {}
+        values = self._domain_values(attr)
+        free = {}
+        for idx in indices:
+            slot = _DecSlot((name, idx), values)
+            self.slots.append(slot)
+            if idx in cells:
+                self.pins.append((slot, cells[idx]))
+            else:
+                free[idx] = slot
+        return free
 
     # -- evaluation -------------------------------------------------------------
 
@@ -371,7 +323,9 @@ class ModelInterpreter:
         return None
 
     def _satisfied(self, env: dict) -> bool:
-        return self._eval_object_zones(self.root, env)
+        return all(env[slot.key] == value for slot, value in self.pins) and (
+            self._eval_object_zones(self.root, env)
+        )
 
     def _eval_object_zones(self, obj: _Obj, env: dict) -> bool:
         for attr in obj.cls.attributes:
@@ -569,11 +523,11 @@ class ModelInterpreter:
             # primitive attribute
             if not last:
                 raise EvalError(f"'{part.name}' has no attributes")
-            if entry["dims"] is None:
+            if not entry["dims"]:
                 return self._cell_value(entry, (), env), None
             if not idx:
                 if want_array:
-                    return entry, tuple(entry["dims"])
+                    return entry, entry["dims"]
                 raise EvalError(f"array '{part.name}' used as a scalar")
             dims = entry["dims"]
             if len(idx) != len(dims) or any(not (1 <= i <= d) for i, d in zip(idx, dims)):

@@ -333,7 +333,9 @@ class Attribute:
     """A class member: decision variable, set, object, or array thereof.
 
     ``shape`` holds 0 (scalar), 1 (array) or 2 (matrix) bound expressions;
-    each bound is an integer literal, a constant name, or an enum name.
+    each bound is an integer literal, a constant name, or an enum name.  In
+    an analyzed model a constant bound is the literal of its value and the
+    domain's bounds or elements are literals (see ``TypedModel``).
     ``enum_tag`` is set once an enum type has been lowered to its ordinal
     range, so solutions can be rendered with the symbolic labels.
     """

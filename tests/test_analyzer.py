@@ -1,11 +1,23 @@
 import pytest
 
-from conftest import analyze_ok, compile_corpus, parse_data_ok, parse_ok
+from conftest import CORPUS_NAMES, FIXTURES, analyze_ok, compile_corpus, parse_data_ok, parse_ok
 from scomma.analyzer import analyze, linearize_inheritance
 from scomma.cli import corpus_dir
 from scomma.diagnostics import DiagnosticSink
 from scomma.flattener import flatten
-from scomma.nodes import EnumType, IntLit, VInt, VList, VObj, VOmit
+from scomma.nodes import (
+    DomainInterval,
+    DomainSet,
+    EnumType,
+    IntLit,
+    RealLit,
+    Ref,
+    RefPart,
+    VInt,
+    VList,
+    VObj,
+    VOmit,
+)
 from scomma.printer import render_expr
 from scomma.solver import build_space, optimize
 
@@ -347,3 +359,88 @@ class TestDataValues:
     def test_constants_are_checked_like_assignments(self, data, message):
         errors = analyze_err("class R { int a in [0,3]; }", SHARED_LABELS + data)
         assert [(e.message, e.span.line, e.span.column) for e in errors] == [(message, 3, 1)]
+
+
+def analyzed_corpus_and_fixtures():
+    """Every corpus model with its own data or a fixture's, and every fixture
+    model, analyzed."""
+    for name in CORPUS_NAMES:
+        yield name, compile_corpus(name)[0]
+    for name, data in [("stable", "stable3.dat"), ("queens-10", "queens-5.dat"),
+                       ("packing", "packing-mini.dat"), ("golfers", "golfers-tiny.dat")]:
+        yield f"{name}+{data}", compile_corpus(name, data)[0]
+    for path in sorted(FIXTURES.glob("*.scm")):
+        yield path.name, analyze_ok(parse_ok(path.read_text()))
+
+
+class TestShapesAndDomains:
+    """Analysis hands on every shape and domain resolved to numbers."""
+
+    def test_every_shape_and_domain_is_resolved(self):
+        for where, tm in analyzed_corpus_and_fixtures():
+            attributes = [a for c in tm.class_map.values() for a in c.attributes]
+            bounds = [b for a in attributes for b in a.shape]
+            bounds += [b for c in tm.constants.values() for b in c.shape]
+            for b in bounds:
+                assert isinstance(b, IntLit) or (
+                    isinstance(b, Ref) and b.simple_name in tm.enums), (where, b)
+            for a in attributes:
+                dom = a.domain
+                ends = () if dom is None else (
+                    (dom.lo, dom.hi) if isinstance(dom, DomainInterval) else dom.elems)
+                assert all(isinstance(e, (IntLit, RealLit)) for e in ends), (where, a)
+
+    def test_bounds_resolve_to_literals_at_their_positions(self):
+        tm = analyze_ok(
+            parse_ok("class R {\n  int a[n, E] in [lo - 1, n * 2];\n  int s in {n, -lo};\n"
+                     "  real r in [0, h / 2];\n}"),
+            parse_data_ok("enum E := {x, y};\nint n := 3;\nint lo := 1;\nreal h := 1.5;\n"
+                          "int k[n] := [1, 2, 3];\n"),
+        )
+        a, s, r = tm.main.attributes
+        assert a.shape == (IntLit(3), Ref((RefPart("E"),)))
+        assert (a.shape[0].span.line, a.shape[0].span.column) == (2, 9)
+        assert a.domain == DomainInterval(IntLit(0), IntLit(6))
+        assert s.domain == DomainSet((IntLit(3), IntLit(-1)))
+        assert r.domain == DomainInterval(IntLit(0), RealLit(0.75))
+        assert tm.constants["k"].shape == (IntLit(3),)
+
+    @pytest.mark.parametrize("model, data, message", [
+        ("class R { int x in [0, 2.5]; }", None, "domain bounds of 'R.x' must be integers"),
+        ("class R { int x in [n, 3]; }", "real n := 1.5;",
+         "domain bounds of 'R.x' must be integers"),
+        ("class R { int x in {1, 2.5}; }", None, "domain values of 'R.x' must be integers"),
+        ("class R { bool b in [0, 1.5]; }", None, "domain bounds of 'R.b' must be integers"),
+        ("class R { real r in {1, 2.5}; }", None, "domain values of 'R.r' must be integers"),
+    ], ids=["real-bound", "real-constant-bound", "real-element", "bool", "real-set"])
+    def test_a_domain_that_is_not_integral_is_an_error_at_the_attribute(
+        self, model, data, message
+    ):
+        errors = analyze_err(model, data)
+        assert [(e.message, e.span.line, e.span.column) for e in errors] == [(message, 1, 11)]
+
+    @pytest.mark.parametrize("model, data, message", [
+        ("class R { int x in [0,5]; }", "int R.x := 9;",
+         "assigned value 9 for 'R.x' lies outside its domain"),
+        ("class R { int a[2] in [0,5]; }", "int R.a := [1, 9];",
+         "assigned value 9 for 'R.a[2]' lies outside its domain"),
+        ("class R { int s in {1, 3}; }", "int R.s := 2;",
+         "assigned value 2 for 'R.s' lies outside its domain"),
+        ("class R { P p[2]; }\nclass P { int x in [0,3]; }", "P R.p := [{1}, {-1}];",
+         "assigned value -1 for 'R.p[2].x' lies outside its domain"),
+    ], ids=["scalar", "array-cell", "set", "object-element"])
+    def test_an_assigned_value_outside_its_domain_is_an_error_at_the_assignment(
+        self, model, data, message
+    ):
+        errors = analyze_err(model, data)
+        assert [(e.message, e.span.line, e.span.column) for e in errors] == [(message, 1, 1)]
+
+    def test_real_values_and_undomained_ints_are_not_checked(self):
+        analyze_ok(parse_ok("class R { real r in [0, 1]; int z; }"),
+                   parse_data_ok("real R.r := 7.5;\nint R.z := -4;"))
+
+    def test_an_unresolved_domain_adds_no_value_diagnostic(self):
+        errors = analyze_err("class R { int x in [3, 1]; int y in [0, m]; }",
+                             "int R.x := 9;\nint R.y := 9;")
+        assert [e.message for e in errors] == [
+            "domain of 'R.x' is empty: [3,1]", "domain bounds of 'R.y' must be constant"]

@@ -417,3 +417,51 @@ class TestDataValues:
         assert code == 0
         assert (tmp_path / "m.fsc").read_text().split("enum-types:")[1].split() == [
             "B", ":=", "{y,x,z};"]
+
+
+class TestShapesAndDomains:
+    """Analysis resolves every shape and domain; the flattener folds none."""
+
+    @pytest.mark.parametrize("model, data, argv, expected", [
+        ("class R { int x in [0, 2.5]; constraint c { x >= 0; } }", None,
+         ("compile", "--target", "flat"),
+         (1, "", "{model}:1:11: error: domain bounds of 'R.x' must be integers\n"
+                 "error: analysis failed\n")),
+        ("class R { int x in [n, 3]; constraint c { x >= 0; } }", "real n := 1.5;\n",
+         ("compile", "--target", "flat"),
+         (1, "", "{model}:1:11: error: domain bounds of 'R.x' must be integers\n"
+                 "error: analysis failed\n")),
+        ("class R { int x in {1, 2.5}; constraint c { x >= 0; } }", None,
+         ("compile", "--target", "flat"),
+         (1, "", "{model}:1:11: error: domain values of 'R.x' must be integers\n"
+                 "error: analysis failed\n")),
+        # a value outside its domain was compiled as a literal, and the
+        # solver then found no solution without saying why
+        ("class R { int x in [0,5]; int y in [0,5]; constraint c { y = x; } }",
+         "int R.x := 9;\n", ("solve",),
+         (1, "", "{data}:1:1: error: assigned value 9 for 'R.x' lies outside its domain\n"
+                 "error: analysis failed\n")),
+        ("class R { int a[2] in [0,5]; }", "int R.a := [9, _];\n", ("solve",),
+         (1, "", "{data}:1:1: error: assigned value 9 for 'R.a[1]' lies outside its"
+                 " domain\nerror: analysis failed\n")),
+        # which cells are decisions depends on the data, so this check stays
+        # in the flattener, at the attribute
+        ("class R { int z; constraint c { z >= 0; } }", None,
+         ("compile", "--target", "flat"),
+         (1, "", "error: [expand_composition] {model}:1:11: 'z' is a decision variable"
+                 " but has no finite domain\n")),
+    ], ids=["real-bound", "real-constant-bound", "real-element", "scalar-outside-domain",
+            "cell-outside-domain", "no-finite-domain"])
+    def test_cli_output(self, tmp_path, capsys, model, data, argv, expected):
+        model_path, data_path = tmp_path / "m.scm", tmp_path / "m.dat"
+        model_path.write_text(model)
+        files = [str(model_path)]
+        if data is not None:
+            data_path.write_text(data)
+            files.append(str(data_path))
+        command, *flags = argv
+        code, out, err = run(capsys, command, *files, *flags,
+                             *(["--out", str(tmp_path / "m.fsc")] if command == "compile" else []))
+        want_code, want_out, want_err = expected
+        assert (code, out, err) == (
+            want_code, want_out, want_err.format(model=model_path, data=data_path))

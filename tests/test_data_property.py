@@ -3,10 +3,12 @@
 Two small enums are drawn over one overlapping label pool, so a label or a
 set of keys often belongs to both, in different positions.  The model holds
 an enum-typed scalar assigned a label, and an object array over the larger
-enum whose keyed literal covers a random subset of that enum's labels; a
-keyed constant over the same enum caps each object's value.  The solver,
-flat brute force and the model interpreter must all give the solution set
-the test computes from the drawn data itself.
+enum whose keyed literal covers a random subset of that enum's labels; each
+object holds a two-cell array, and a drawn cell may be ``_``, so an array is
+data, decisions or both.  A keyed constant over the same enum caps each
+object's first cell.  The solver, flat brute force and the model
+interpreter must all give the solution set the test computes from the
+drawn data itself.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from scomma.interp import ModelInterpreter, flat_solution_set
 from scomma.solver import build_space, solve
 
 POOL = ("a", "b", "c", "d")
-TOP = 2  # each object's value lies in [0, TOP]
+TOP = 1  # each cell lies in [0, TOP]
 
 
 def model_text(scalar_enum: str, axis_enum: str) -> str:
@@ -32,10 +34,11 @@ class R {{
   constraint c {{
     free = pick;
     forall(i in {axis_enum}) p[i].w[1] <= cap[i];
+    forall(i in {axis_enum}) p[i].w[2] <> p[i].w[1];
     forall(i in 1..n - 1) p[i].w[1] <= p[i + 1].w[1];
   }}
 }}
-class P {{ int w[1] in [0,{TOP}]; }}
+class P {{ int w[2] in [0,{TOP}]; }}
 """
 
 
@@ -46,7 +49,8 @@ def instances(draw):
     scalar = draw(st.sampled_from(enums))
     label = draw(st.sampled_from(scalar))
     keys = draw(st.lists(st.sampled_from(big), min_size=1, max_size=len(big), unique=True))
-    values = {k: draw(st.integers(0, TOP)) for k in keys}
+    cell = st.none() | st.integers(0, TOP)  # None is a '_'
+    values = {k: (draw(cell), draw(cell)) for k in keys}
     caps = {k: draw(st.integers(0, TOP)) for k in draw(st.permutations(big))}
     return enums, big, scalar, label, values, caps
 
@@ -57,20 +61,27 @@ def sources(enums, big, scalar, label, values, caps):
     data += f"int n := {len(big)};\n"
     data += f"int cap[{names[big]}] := [{', '.join(f'{k}: {v}' for k, v in caps.items())}];\n"
     data += f"{names[scalar]} R.pick := {label};\n"
-    data += f"P R.p := [{', '.join(f'{k}: {{[{v}]}}' for k, v in values.items())}];\n"
+    cells = {k: ", ".join("_" if v is None else str(v) for v in pair) for k, pair in values.items()}
+    data += f"P R.p := [{', '.join(f'{k}: {{[{c}]}}' for k, c in cells.items())}];\n"
     return model_text(names[scalar], names[big]), data
 
 
 def expected(big, scalar, label, values, caps):
-    """The solution set read from the drawn data, positions by ``big``."""
-    free = [i for i, k in enumerate(big, 1) if k not in values]
+    """The solution set read from the drawn data, positions by ``big``.  An
+    object's array is one decision unless the data fills both its cells, and
+    then its data cells are pinned."""
+    data = {(i, j): v for i, k in enumerate(big, 1)
+            for j, v in enumerate(values.get(k, (None, None)), 1)}
+    free = [cell for cell, v in data.items() if v is None]
+    decided = {i for i, _ in free}
     out = set()
     for choice in itertools.product(range(TOP + 1), repeat=len(free)):
-        w = {i: values.get(k) for i, k in enumerate(big, 1)}
+        w = dict(data)
         w.update(zip(free, choice))
-        seq = [w[i] for i in range(1, len(big) + 1)]
-        if all(w[i] <= caps[k] for i, k in enumerate(big, 1)) and seq == sorted(seq):
-            sol = {(f"p_{i}_w", (1,)): w[i] for i in free}
+        firsts = [w[i, 1] for i in range(1, len(big) + 1)]
+        if all(w[i, 1] <= caps[k] and w[i, 2] != w[i, 1] for i, k in enumerate(big, 1)) \
+                and firsts == sorted(firsts):
+            sol = {(f"p_{i}_w", (j,)): w[i, j] for i, j in w if i in decided}
             sol[("free", ())] = scalar.index(label) + 1
             out.add(frozenset(sol.items()))
     return out

@@ -333,10 +333,11 @@ class TestExpandComposition:
     def test_pin_outside_domain_rejected(self):
         model = parse_ok("class A { int a[2] in [0,5]; }")
         data = parse_data_ok("int A.a := [9, _];")
-        tm, _ = analyze(model, data)
-        with pytest.raises(FlattenError) as exc:
-            flatten(tm)
-        assert "outside its domain" in str(exc.value)
+        tm, diags = analyze(model, data)
+        assert tm is None
+        assert [(d.severity, d.message, d.span.line, d.span.column) for d in diags] == [
+            ("error", "assigned value 9 for 'A.a[1]' lies outside its domain", 1, 1)
+        ]
 
 
 class TestRemoveConditionals:

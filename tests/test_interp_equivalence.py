@@ -108,3 +108,37 @@ class TestDataValues:
             frozenset({(("p_2_w", (1,)), 0), (("p_2_w", (2,)), 0)}),
             frozenset({(("p_2_w", (1,)), 1), (("p_2_w", (2,)), 0)}),
         }
+
+    def test_a_partly_assigned_array_is_one_decision_with_its_data_pinned(self):
+        tm, fm = compile_text(
+            "class R {\n  int v[3] in [0,3];\n  constraint c { v[3] <= 1; }\n}",
+            "int R.v := [1, 2, _];\n",
+        )
+        assert_equivalent(tm, fm)
+        assert count_candidates(fm) == 64
+        assert flat_solution_set(fm) == {
+            frozenset({(("v", (1,)), 1), (("v", (2,)), 2), (("v", (3,)), v)}) for v in (0, 1)
+        }
+
+    def test_a_partly_assigned_grouped_scalar_is_one_decision_with_its_data_pinned(self):
+        tm, fm = compile_text(
+            "class R {\n  P p[3];\n  constraint c { p[2].x <> p[1].x; p[1].x < p[3].x; }\n}\n"
+            "class P { int x in [0,2]; }",
+            "P R.p := [{1}, _, {2}];\n",
+        )
+        assert_equivalent(tm, fm)
+        assert count_candidates(fm) == 27
+        assert flat_solution_set(fm) == {
+            frozenset({(("p_x", (1,)), 1), (("p_x", (2,)), x), (("p_x", (3,)), 2)})
+            for x in (0, 2)
+        }
+
+    def test_object_arrays_nest_with_the_flattener_naming(self):
+        tm, fm = compile_text(
+            "class R {\n  Q q[2];\n  constraint c { q[1].p[2].x < q[2].p[1].x; }\n}\n"
+            "class Q { P p[2]; }\nclass P { int x in [0,2]; }",
+            "Q R.q := [{[{1}, _]}, _];\n",
+        )
+        assert_equivalent(tm, fm)
+        assert [v.name for v in fm.variables] == ["q_1_p_x", "q_2_p_x"]
+        assert len(flat_solution_set(fm)) == 9
