@@ -241,6 +241,9 @@ class _Analyzer:
         self.class_map: dict[str, ClassDef] = {}
         self.objectives: list[Objective] = []
         self.constants: dict[str, ConstDecl] = {}
+        # the array sizes of each resolved attribute, keyed by its id; None
+        # for a bound that did not resolve
+        self.sizes: dict[int, tuple[int | None, ...]] = {}
 
     def _span(self, node) -> SourceSpan:
         span = getattr(node, "span", None)
@@ -361,42 +364,39 @@ class _Analyzer:
 
     # -- shapes and domains -----------------------------------------------------
 
-    def _resolve_bound(self, bound: Expr, owner: str) -> Expr:
-        """One shape bound resolved as :class:`TypedModel` describes; a bound
-        that does not resolve is reported and returned as it was."""
+    def _resolve_shape(
+        self, shape: tuple[Expr, ...], owner: str
+    ) -> tuple[tuple[Expr, ...], tuple[int | None, ...]]:
+        """``shape`` resolved as :class:`TypedModel` describes, and its sizes.
+        A bound that does not resolve is reported and kept as it was, and its
+        size is None."""
+        resolved = [self._resolve_bound(bound, owner) for bound in shape]
+        return tuple(b for b, _ in resolved), tuple(n for _, n in resolved)
+
+    def _resolve_bound(self, bound: Expr, owner: str) -> tuple[Expr, int | None]:
         if isinstance(bound, IntLit):
             if bound.value < 1:
                 self.err(f"array size {bound.value} of '{owner}' is not positive", bound)
-            return bound
+                return bound, None
+            return bound, bound.value
         if isinstance(bound, Ref) and bound.simple_name:
             name = bound.simple_name
             if name in self.data.enums:
-                return bound
+                return bound, len(self.data.enums[name].values)
             if name in self.data.constants:
                 val = const_scalar_value(self.data.constants[name].value)
                 if isinstance(val, int) and val >= 1:
-                    return IntLit(val, span=bound.span)
+                    return IntLit(val, span=bound.span), val
                 self.err(
                     f"constant '{name}' used as array size of '{owner}' must be a"
                     " positive integer",
                     bound,
                 )
-                return bound
+                return bound, None
             self.err(f"array size '{name}' of '{owner}' is not a constant or enum", bound)
-            return bound
+            return bound, None
         self.err(f"array size of '{owner}' must be a literal, constant, or enum name", bound)
-        return bound
-
-    def _sizes(self, shape: tuple[Expr, ...]) -> list[int | None]:
-        """The array sizes of a shape that ``_resolve_bound`` returned; None
-        for a bound that did not resolve."""
-        enums = self.data.enums
-        return [
-            len(enums[b.simple_name].values) if isinstance(b, Ref) and b.simple_name in enums
-            else b.value if isinstance(b, IntLit) and b.value >= 1
-            else None
-            for b in shape
-        ]
+        return bound, None
 
     def _const_eval(self, e: Expr):
         """Evaluate an expression over data constants; None when not constant."""
@@ -422,7 +422,7 @@ class _Analyzer:
 
     def _resolve_shape_and_domain(self, cls_name: str, attr: Attribute) -> Attribute:
         owner = f"{cls_name}.{attr.name}"
-        shape = tuple(self._resolve_bound(bound, owner) for bound in attr.shape)
+        shape, sizes = self._resolve_shape(attr.shape, owner)
         if isinstance(attr.type, ObjectType) and len(shape) > 1:
             self.err(
                 f"object array '{owner}' has {len(shape)} dimensions;"
@@ -435,7 +435,9 @@ class _Analyzer:
                 f"'{owner}' has enum type {attr.type.name}; its domain is implicit",
                 attr,
             )
-        return Attribute(attr.name, attr.type, shape, domain, attr.enum_tag, span=attr.span)
+        resolved = Attribute(attr.name, attr.type, shape, domain, attr.enum_tag, span=attr.span)
+        self.sizes[id(resolved)] = sizes
+        return resolved
 
     def _resolve_domain(self, attr: Attribute, owner: str) -> DomainSpec | None:
         """``attr``'s domain with literal bounds or elements; None when it has
@@ -447,12 +449,12 @@ class _Analyzer:
             hi = self._const_eval(dom.hi)
             if lo is None or hi is None:
                 self.err(f"domain bounds of '{owner}' must be constant", attr)
+            elif lo > hi:
+                self.err(f"domain of '{owner}' is empty: [{lo},{hi}]", attr)
             elif not isinstance(attr.type, RealType) and (
                 isinstance(lo, float) or isinstance(hi, float)
             ):
                 self.err(f"domain bounds of '{owner}' must be integers", attr)
-            elif lo > hi:
-                self.err(f"domain of '{owner}' is empty: [{lo},{hi}]", attr)
             else:
                 return DomainInterval(_number(lo, dom.lo), _number(hi, dom.hi))
         elif isinstance(dom, DomainSet):
@@ -476,8 +478,7 @@ class _Analyzer:
             if isinstance(t, NamedType) and t.name in self.data.enums:
                 t = EnumType(t.name)
             if const.shape:
-                shape = tuple(self._resolve_bound(bound, name) for bound in const.shape)
-                sizes = self._sizes(shape)
+                shape, sizes = self._resolve_shape(const.shape, name)
             else:
                 sizes = _literal_sizes(const.value)
                 shape = tuple(IntLit(n) for n in sizes)
@@ -855,7 +856,7 @@ class _Analyzer:
                 f" '{attr.name}' holds {expected}",
                 asg,
             )
-        return self._resolve(asg.value, attr, self._sizes(attr.shape), ".".join(asg.path), asg)
+        return self._resolve(asg.value, attr, self.sizes[id(attr)], ".".join(asg.path), asg)
 
     def _shape_enum(self, decl: Attribute | ConstDecl, axis: int) -> EnumDecl | None:
         bound = decl.shape[axis]
@@ -864,7 +865,7 @@ class _Analyzer:
         return None
 
     def _resolve(
-        self, value: DataValue, decl: Attribute | ConstDecl, dims: list, where: str, node
+        self, value: DataValue, decl: Attribute | ConstDecl, dims: tuple, where: str, node
     ) -> DataValue:
         """``value`` checked against ``decl`` with its last ``len(dims)`` array
         sizes left, and resolved as :class:`TypedModel` describes; an array
@@ -912,7 +913,7 @@ class _Analyzer:
                     node,
                 )
             return VObj(tuple(
-                self._resolve(sub, a, self._sizes(a.shape), f"{where}.{a.name}", node)
+                self._resolve(sub, a, self.sizes[id(a)], f"{where}.{a.name}", node)
                 for sub, a in zip(value.items, target.attributes)
             ))
         if isinstance(t, EnumType):
@@ -938,22 +939,22 @@ class _Analyzer:
             self.err(f"'{where}': '{value.name}' is not a value of any enum", node)
         elif isinstance(t, IntType) and not isinstance(value, VInt):
             self.err(f"'{where}' expects an integer value", node)
-        elif isinstance(t, IntType) and isinstance(decl, Attribute) and not _admits(
-            decl.domain, value.value
-        ):
-            self.err(f"assigned value {value.value} for '{where}' lies outside its domain", node)
         elif isinstance(t, RealType) and not isinstance(value, (VReal, VInt)):
             self.err(f"'{where}' expects a real value", node)
         elif isinstance(t, BoolType) and not isinstance(value, VBool):
             self.err(f"'{where}' expects true or false", node)
         elif isinstance(t, SetType):
             self.err(f"set attribute '{where}' cannot be assigned from data", node)
+        elif isinstance(value, VInt) and isinstance(decl, Attribute) and not _admits(
+            decl.domain, value.value
+        ):  # an int or real attribute; a value with a fraction is not checked
+            self.err(f"assigned value {value.value} for '{where}' lies outside its domain", node)
         return value
 
 
 def _admits(domain: DomainSpec | None, value: int) -> bool:
-    """Whether a resolved integer ``domain`` holds ``value``; no domain holds
-    every value."""
+    """Whether a resolved ``domain`` holds the integer ``value``; no domain
+    holds every value."""
     if isinstance(domain, DomainInterval):
         return domain.lo.value <= value <= domain.hi.value
     if isinstance(domain, DomainSet):
@@ -966,14 +967,14 @@ def _number(value: int | float, source: Expr) -> Expr:
     return (RealLit if isinstance(value, float) else IntLit)(value, span=source.span)
 
 
-def _literal_sizes(value: DataValue) -> list[int]:
+def _literal_sizes(value: DataValue) -> tuple[int, ...]:
     """The array sizes of an undeclared constant: one per nesting level of
     its literal, read from the first entry, up to two."""
     if not isinstance(value, VList):
-        return []
+        return ()
     if value.items and isinstance(value.items[0], VList):
-        return [len(value.items), len(value.items[0].items)]
-    return [len(value.items)]
+        return (len(value.items), len(value.items[0].items))
+    return (len(value.items),)
 
 
 # ---------------------------------------------------------------------------

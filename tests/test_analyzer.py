@@ -412,7 +412,11 @@ class TestShapesAndDomains:
         ("class R { int x in {1, 2.5}; }", None, "domain values of 'R.x' must be integers"),
         ("class R { bool b in [0, 1.5]; }", None, "domain bounds of 'R.b' must be integers"),
         ("class R { real r in {1, 2.5}; }", None, "domain values of 'R.r' must be integers"),
-    ], ids=["real-bound", "real-constant-bound", "real-element", "bool", "real-set"])
+        # an empty interval is reported as empty, whatever its bounds
+        ("class R { int x in [3, 1.5]; }", None, "domain of 'R.x' is empty: [3,1.5]"),
+        ("class R { int x in [2.5, 1]; }", None, "domain of 'R.x' is empty: [2.5,1]"),
+    ], ids=["real-bound", "real-constant-bound", "real-element", "bool", "real-set",
+            "empty-real-upper", "empty-real-lower"])
     def test_a_domain_that_is_not_integral_is_an_error_at_the_attribute(
         self, model, data, message
     ):
@@ -428,7 +432,9 @@ class TestShapesAndDomains:
          "assigned value 2 for 'R.s' lies outside its domain"),
         ("class R { P p[2]; }\nclass P { int x in [0,3]; }", "P R.p := [{1}, {-1}];",
          "assigned value -1 for 'R.p[2].x' lies outside its domain"),
-    ], ids=["scalar", "array-cell", "set", "object-element"])
+        ("class R { real a[2] in [0,1]; }", "real R.a := [7, _];",
+         "assigned value 7 for 'R.a[1]' lies outside its domain"),
+    ], ids=["scalar", "array-cell", "set", "object-element", "integer-in-real-array"])
     def test_an_assigned_value_outside_its_domain_is_an_error_at_the_assignment(
         self, model, data, message
     ):

@@ -5,24 +5,25 @@ set of keys often belongs to both, in different positions.  The model holds
 an enum-typed scalar assigned a label, and an object array over the larger
 enum whose keyed literal covers a random subset of that enum's labels; each
 object holds a two-cell array, and a drawn cell may be ``_``, so an array is
-data, decisions or both.  A keyed constant over the same enum caps each
-object's first cell.  The solver, flat brute force and the model
-interpreter must all give the solution set the test computes from the
-drawn data itself.
+data, decisions or both; at most ``DECIDED`` objects hold a decision.  A
+keyed constant over the same enum caps each object's first cell.  The
+solver, flat brute force and the model interpreter must all give the
+solution set the test computes from the drawn data itself.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import compile_text
 from scomma.interp import ModelInterpreter, flat_solution_set
 from scomma.solver import build_space, solve
 
 POOL = ("a", "b", "c", "d")
-TOP = 1  # each cell lies in [0, TOP]
+TOP = 2  # each cell lies in [0, TOP]
+DECIDED = 3  # objects whose array holds a decision, at most
 
 
 def model_text(scalar_enum: str, axis_enum: str) -> str:
@@ -51,6 +52,9 @@ def instances(draw):
     keys = draw(st.lists(st.sampled_from(big), min_size=1, max_size=len(big), unique=True))
     cell = st.none() | st.integers(0, TOP)  # None is a '_'
     values = {k: (draw(cell), draw(cell)) for k in keys}
+    # every cell of a decided object is a slot over [0, TOP], so the oracles
+    # that enumerate try at most 4 * (TOP + 1) ** (2 * DECIDED) candidates
+    assume(len(big) - sum(None not in pair for pair in values.values()) <= DECIDED)
     caps = {k: draw(st.integers(0, TOP)) for k in draw(st.permutations(big))}
     return enums, big, scalar, label, values, caps
 
