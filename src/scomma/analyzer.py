@@ -429,12 +429,12 @@ class _Analyzer:
                 " an object array takes one",
                 attr,
             )
-        domain = self._resolve_domain(attr, owner)
-        if isinstance(attr.type, EnumType) and attr.domain is not None:
-            self.err(
-                f"'{owner}' has enum type {attr.type.name}; its domain is implicit",
-                attr,
-            )
+        if attr.domain is not None and isinstance(attr.type, (BoolType, EnumType)):
+            kind = "type bool" if isinstance(attr.type, BoolType) else f"enum type {attr.type.name}"
+            self.err(f"'{owner}' has {kind}; its domain is implicit", attr)
+            domain = None
+        else:
+            domain = self._resolve_domain(attr, owner)
         resolved = Attribute(attr.name, attr.type, shape, domain, attr.enum_tag, span=attr.span)
         self.sizes[id(resolved)] = sizes
         return resolved
@@ -740,12 +740,12 @@ class _Analyzer:
         if isinstance(e, SetLit):
             for el in e.elems:
                 if types[id(el)] != INT_T:
-                    self.err("set literals hold integers", e)
+                    self.err("set literals hold integers", el)
             return SET_T
         if isinstance(e, ArrayLit):
             for el in e.elems:
                 if types[id(el)] != INT_T:
-                    self.err("array literals hold integer expressions", e)
+                    self.err("array literals hold integer expressions", el)
             return TArray(INT_T, 1)
         if isinstance(e, UnOp):
             t = types[id(e.operand)]

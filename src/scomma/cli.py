@@ -22,7 +22,7 @@ from .analyzer import TypedModel, analyze
 from .backend import BackendDescriptor, compile_to_target, find_target, list_targets
 from .backend.engine import load_descriptor_file
 from .diagnostics import Diagnostic
-from .errors import BackendError, ContractError, FlattenError, ScommaError, UnsupportedModelError
+from .errors import BackendError, ContractError, ScommaError, UnsupportedModelError
 from .evaluate import check_solution
 from .flattener import flatten
 from .ir import FlatModel, FlatVar, SET, Solution
@@ -469,9 +469,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FlattenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
     except UnsupportedModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

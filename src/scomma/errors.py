@@ -29,10 +29,13 @@ class ContractError(ScommaError):
 
 
 class FlattenError(ScommaError):
-    """Flattening cannot proceed; carries the pipeline pass that failed."""
+    """Flattening cannot proceed; carries the pipeline pass that failed and
+    the source span of the construct at fault."""
 
-    def __init__(self, message: str, pass_name: str = ""):
+    def __init__(self, message: str, pass_name: str = "", span=None):
         self.pass_name = pass_name
+        if span is not None:
+            message = f"{span}: {message}"
         super().__init__(f"[{pass_name}] {message}" if pass_name else message)
 
 

@@ -25,6 +25,16 @@ Six passes run in a fixed order:
 
 Unrolling runs before composition expansion on purpose: per-object arrays
 (``man_1_rank``) can only be addressed once object indices are constants.
+
+The passes consume an analyzed model and check nothing analysis has
+checked.  A ``FlattenError`` names its pass and the source position at
+fault, and is raised only for what depends on data, on unrolling or on the
+names expansion makes: a loop bound that does not fold to an integer, a
+flat-name collision, a decision cell with no finite domain, an object index
+outside its array, a non-constant index into an object array whose target
+is expanded per object, a second objective, and the flatness report of
+``build_flat_model``.  A constant index out of range is left unfolded for
+that report.
 """
 
 from __future__ import annotations
@@ -77,7 +87,6 @@ from .nodes import (
     IntType,
     Item,
     NameRange,
-    Objective,
     RealLit,
     RealType,
     Ref,
@@ -171,7 +180,8 @@ def _fold(node: Expr, tables: dict[str, Table]) -> Expr:
     """``node`` with its children already folded, folded itself.
 
     Arithmetic is the evaluator's; what it rejects (division by zero,
-    inexact integer division) stays unfolded for it to reject at run time."""
+    inexact integer division) stays unfolded for it to reject at run time.
+    A table lookup out of range stays unfolded for the flatness check."""
     if isinstance(node, BinOp) and node.op in ARITH_OPS:
         l, r = node.left, node.right
         if isinstance(l, (IntLit, RealLit)) and isinstance(r, (IntLit, RealLit)):
@@ -180,28 +190,21 @@ def _fold(node: Expr, tables: dict[str, Table]) -> Expr:
             except EvalError:
                 return node
     if isinstance(node, Ref) and len(node.parts) == 1:
-        part = node.parts[0]
-        table = tables.get(part.name)
-        if (
-            table is not None
-            and part.indices
-            and all(isinstance(i, IntLit) for i in part.indices)
-        ):
-            idx = tuple(i.value for i in part.indices)
-            try:
-                return _literal(table.lookup(idx))
-            except IndexError:
-                raise FlattenError(
-                    f"constant index {list(idx)} outside the bounds of '{part.name}'"
-                ) from None
+        table = tables.get(node.parts[0].name)
+        if table is not None:
+            return _lookup(table, node.parts[0]) or node
     return node
 
 
-def _fold_to_int(e: Expr, state: FlattenState, what: str, pass_name: str) -> int:
-    folded = fold_expr(e, state.const_tables)
-    if isinstance(folded, IntLit):
-        return folded.value
-    raise FlattenError(f"{what} '{render_expr(e)}' is not a constant integer", pass_name)
+def _lookup(table: Table, part: RefPart) -> Expr | None:
+    """The cell of ``table`` that ``part``'s constant indices name; None when
+    an index is not constant or is out of range."""
+    if part.indices and all(isinstance(i, IntLit) for i in part.indices):
+        try:
+            return _literal(table.lookup(tuple(i.value for i in part.indices)))
+        except IndexError:
+            return None
+    return None
 
 
 def _rebuild_zones(state: FlattenState, fn) -> None:
@@ -393,13 +396,21 @@ def _subst_loop_var(item: Item, var: str, value: int) -> Item:
     return map_item(item, lambda e: _substitute_and_fold(e, repl, {}))
 
 
+def _loop_bound(bound: Expr, item: Forall, state: FlattenState) -> int:
+    folded = fold_expr(bound, state.const_tables)
+    if isinstance(folded, IntLit):
+        return folded.value
+    raise FlattenError(
+        f"loop bound '{render_expr(bound)}' is not a constant integer",
+        "unroll_loops",
+        bound.span or item.span,
+    )
+
+
 def _unroll_item(item: Item, state: FlattenState) -> list[Item]:
     if isinstance(item, Forall):
-        rng = item.range
-        if not isinstance(rng, IntRange):
-            raise FlattenError(f"loop range '{rng.name}' was not substituted", "unroll_loops")
-        lo = _fold_to_int(rng.lo, state, "loop bound", "unroll_loops")
-        hi = _fold_to_int(rng.hi, state, "loop bound", "unroll_loops")
+        lo = _loop_bound(item.range.lo, item, state)
+        hi = _loop_bound(item.range.hi, item, state)
         out: list[Item] = []
         for v in range(lo, hi + 1):
             for body_item in item.body:
@@ -473,11 +484,12 @@ class _Expander:
 
     # -- naming and registration ------------------------------------------------
 
-    def claim(self, name: str) -> str:
+    def claim(self, name: str, attr: Attribute) -> str:
         if name in self.used_names:
             raise FlattenError(
                 f"flat name '{name}' collides with an existing variable or table",
                 "expand_composition",
+                attr.span,
             )
         self.used_names.add(name)
         return name
@@ -499,10 +511,10 @@ class _Expander:
         if dom is None:
             if base == BOOL:
                 return IntInterval(0, 1)
-            where = "" if attr.span is None else f"{attr.span}: "
             raise FlattenError(
-                f"{where}'{owner}' is a decision variable but has no finite domain",
+                f"'{owner}' is a decision variable but has no finite domain",
                 "expand_composition",
+                attr.span,
             )
         if isinstance(dom, DomainSet):
             return IntSet(tuple(v.value for v in dom.elems))
@@ -514,7 +526,7 @@ class _Expander:
         self, name: str, attr: Attribute, dims: tuple[int, ...], owner: str
     ) -> FlatVar:
         var = FlatVar(
-            name=self.claim(name),
+            name=self.claim(name, attr),
             base=_base_of(attr),
             shape=dims,
             domain=self._domain_of(attr, owner),
@@ -558,7 +570,7 @@ class _Expander:
         for zone in cls.zones:
             origin = f"{label or cls.name}:{zone.name}"
             for item in zone.items:
-                self.add_item(self.instantiate_item(item, instance), origin)
+                self.add_item(map_item(item, lambda e: self.resolve_expr(e, instance)), origin)
         return instance
 
     def _expand_primitive(
@@ -571,7 +583,7 @@ class _Expander:
             return _SlotScalar(Ref((RefPart(name),)))
         indices = list(iter_indices(dims))
         if len(cells) == len(indices):
-            self.claim(name)
+            self.claim(name, attr)
             return _SlotArray(name, Table(name, dims, tuple(cells[i] for i in indices)))
         var = self.make_var(name, attr, dims, owner)
         for idx in indices:
@@ -615,108 +627,58 @@ class _Expander:
         return _substitute_and_fold(e, repl, self.state.const_tables)
 
     def resolve_ref(self, ref: Ref, inst: _Instance) -> Expr:
-        """``ref`` as a flat expression; its indices are already folded."""
+        """``ref`` as a flat expression; its indices are already folded.
+        Analysis has checked the path, so every part names a slot or a data
+        table and is indexed the way its slot is shaped."""
         parts = ref.parts
         slot = inst.slots.get(parts[0].name)
         if slot is None:
-            table = self.state.const_tables.get(parts[0].name)
-            if table is not None and len(parts) == 1:
-                return self._primitive_ref(_SlotArray(table.name, table), parts[0], ref)
-            raise FlattenError(
-                f"unresolved reference '{render_expr(ref)}' in '{inst.label or inst.cls.name}'",
-                "expand_composition",
-            )
-        k = 0
-        while True:
-            part = parts[k]
-            last = k == len(parts) - 1
-            if isinstance(slot, _Instance):
-                if part.indices:
-                    raise FlattenError(
-                        f"scalar object '{part.name}' indexed in '{render_expr(ref)}'",
-                        "expand_composition",
-                    )
-                if last:
-                    raise FlattenError(
-                        f"object '{part.name}' used as a value in '{render_expr(ref)}'",
-                        "expand_composition",
-                    )
-                obj = slot
-            elif isinstance(slot, _SlotObjArray):
-                if len(part.indices) != 1:
-                    raise FlattenError(
-                        f"object array '{part.name}' needs one index in"
-                        f" '{render_expr(ref)}'",
-                        "expand_composition",
-                    )
+            table = self.state.const_tables[parts[0].name]
+            return self._primitive_ref(_SlotArray(table.name, table), parts[0], ref)
+        for k, part in enumerate(parts):
+            if isinstance(slot, _SlotObjArray):
                 idx = part.indices[0]
                 if not isinstance(idx, IntLit):
-                    # variable object index: only a grouped scalar target survives
-                    if k + 2 == len(parts) and not parts[k + 1].indices:
-                        target = slot.grouped.get(parts[k + 1].name)
-                        if target is not None:
-                            return self._primitive_ref(target, RefPart(target.name, (idx,)), ref)
-                    raise FlattenError(
-                        f"variable index into object array '{part.name}' in"
-                        f" '{render_expr(ref)}': the target attribute is expanded"
-                        " per object, so the index must be constant",
-                        "expand_composition",
-                    )
-                if not (1 <= idx.value <= len(slot.insts)):
+                    return self._grouped_ref(slot, k, ref)
+                if not 1 <= idx.value <= len(slot.insts):
                     raise FlattenError(
                         f"object index {idx.value} outside 1..{len(slot.insts)} in"
                         f" '{render_expr(ref)}'",
                         "expand_composition",
+                        idx.span or ref.span,
                     )
-                if last:
-                    raise FlattenError(
-                        f"object '{part.name}[{idx.value}]' used as a value in"
-                        f" '{render_expr(ref)}'",
-                        "expand_composition",
-                    )
-                obj = slot.insts[idx.value - 1]
-            else:
+                slot = slot.insts[idx.value - 1]
+            if not isinstance(slot, _Instance):
                 return self._primitive_ref(slot, part, ref)
-            k += 1
-            slot = obj.slots.get(parts[k].name)
-            if slot is None:
-                raise FlattenError(
-                    f"unresolved reference '{render_expr(ref)}'", "expand_composition"
-                )
+            slot = slot.slots[parts[k + 1].name]
+
+    def _grouped_ref(self, array: _SlotObjArray, k: int, ref: Ref) -> Expr:
+        """``ref``, whose part ``k`` indexes ``array`` by a variable: only a
+        scalar attribute of the elements, grouped into one flat array, can be
+        its target."""
+        part, rest = ref.parts[k], ref.parts[k + 1:]
+        target = array.grouped.get(rest[0].name) if len(rest) == 1 else None
+        if target is None or rest[0].indices:
+            raise FlattenError(
+                f"variable index into object array '{part.name}' in"
+                f" '{render_expr(ref)}': the target attribute is expanded"
+                " per object, so the index must be constant",
+                "expand_composition",
+                ref.span,
+            )
+        return self._primitive_ref(target, RefPart(target.name, part.indices), ref)
 
     def _primitive_ref(self, slot, part: RefPart, ref: Ref) -> Expr:
         if isinstance(slot, _SlotScalar):
-            if part.indices:
-                raise FlattenError(
-                    f"scalar '{part.name}' indexed in '{render_expr(ref)}'",
-                    "expand_composition",
-                )
             e = slot.expr
             return Ref(e.parts, span=ref.span) if isinstance(e, Ref) else e
         table = slot.table
-        if table is not None and part.indices and all(isinstance(i, IntLit) for i in part.indices):
-            idx = tuple(i.value for i in part.indices)
-            try:
-                return _literal(table.lookup(idx))
-            except IndexError:
-                raise FlattenError(
-                    f"constant index {list(idx)} outside bounds of '{table.name}'"
-                    f" in '{render_expr(ref)}'",
-                    "expand_composition",
-                ) from None
         if table is not None:
+            cell = _lookup(table, part)
+            if cell is not None:
+                return cell
             self.register_table(table)
         return Ref((RefPart(slot.name, part.indices),), span=ref.span)
-
-    # -- items ---------------------------------------------------------------------
-
-    def instantiate_item(self, item: Item, inst: _Instance) -> Item:
-        if isinstance(item, Forall):
-            raise FlattenError(
-                "unexpected Forall during expansion (loops must be unrolled first)",
-                "expand_composition",
-            )
-        return map_item(item, lambda e: self.resolve_expr(e, inst))
 
 
 def _base_of(attr: Attribute) -> str:
@@ -732,8 +694,6 @@ def _base_of(attr: Attribute) -> str:
 
 
 def expand_composition(state: FlattenState) -> FlattenState:
-    if state.binding is None:
-        raise FlattenError("data must be substituted before expansion", "expand_composition")
     expander = _Expander(state)
     expander.expand_object(state.classes[state.main], "", state.binding, "")
     state.variables = expander.variables
@@ -768,18 +728,12 @@ def conditional_formula(item: IfElse) -> Expr:
 
 
 def _branch_exprs(items: tuple[Item, ...]) -> list[Expr]:
-    out: list[Expr] = []
-    for item in items:
-        if isinstance(item, Constraint):
-            out.append(item.expr)
-        elif isinstance(item, IfElse):
-            out.append(conditional_formula(item))
-        else:
-            raise FlattenError(
-                f"{type(item).__name__} cannot appear inside a conditional",
-                "remove_conditionals",
-            )
-    return out
+    """A branch holds constraints and conditionals only: analysis rejects
+    objectives and global calls there, and loops are unrolled by now."""
+    return [
+        item.expr if isinstance(item, Constraint) else conditional_formula(item)
+        for item in items
+    ]
 
 
 def remove_conditionals(state: FlattenState) -> FlattenState:
@@ -858,13 +812,10 @@ def build_flat_model(state: FlattenState) -> FlatModel:
             constraints.append(
                 FlatConstraint(Call(item.name, item.args, span=item.span), origin)
             )
-        elif isinstance(item, Objective):
+        else:  # an objective: passes 3 to 5 leave no other item
             if objective is not None:
-                where = "" if item.span is None else f"{item.span}: "
-                raise FlattenError(f"{where}more than one objective after flattening", "build")
+                raise FlattenError("more than one objective after flattening", "build", item.span)
             objective = FlatObjective(item.kind, item.expr)
-        else:
-            raise FlattenError(f"unlowered {type(item).__name__} at build time", "build")
     fm = FlatModel(
         name=state.name,
         variables=list(state.variables),

@@ -247,6 +247,17 @@ class TestTyping:
         )
         assert any("'and' needs bool" in e.message for e in errors)
 
+    @pytest.mark.parametrize("zone, message", [
+        ("alldifferent([b, true, x[1]]);", "array literals hold integer expressions"),
+        ("x[1] in {b, true, 2};", "set literals hold integers"),
+    ], ids=["array", "set"])
+    def test_each_bad_literal_element_is_reported_at_its_own_position(self, zone, message):
+        head = "class A { bool b; int x[2] in [0,3]; constraint z { "
+        errors = analyze_err(head + zone + " } }")
+        column = len(head) + zone.index("b") + 1
+        assert [(e.message, e.span.line, e.span.column) for e in errors] == [
+            (message, 1, column), (message, 1, column + 3)]
+
     def test_alldifferent_arity(self):
         errors = analyze_err(
             """
@@ -410,7 +421,7 @@ class TestShapesAndDomains:
         ("class R { int x in [n, 3]; }", "real n := 1.5;",
          "domain bounds of 'R.x' must be integers"),
         ("class R { int x in {1, 2.5}; }", None, "domain values of 'R.x' must be integers"),
-        ("class R { bool b in [0, 1.5]; }", None, "domain bounds of 'R.b' must be integers"),
+        ("class R { bool b in [0, 1.5]; }", None, "'R.b' has type bool; its domain is implicit"),
         ("class R { real r in {1, 2.5}; }", None, "domain values of 'R.r' must be integers"),
         # an empty interval is reported as empty, whatever its bounds
         ("class R { int x in [3, 1.5]; }", None, "domain of 'R.x' is empty: [3,1.5]"),
@@ -440,6 +451,18 @@ class TestShapesAndDomains:
     ):
         errors = analyze_err(model, data)
         assert [(e.message, e.span.line, e.span.column) for e in errors] == [(message, 1, 1)]
+
+    @pytest.mark.parametrize("model, message", [
+        ("class R { bool b in [0,3]; constraint c { b; } }",
+         "'R.b' has type bool; its domain is implicit"),
+        # the interval's own problem is not reported beside it
+        ("class R { E e in [0, 2.5]; }", "'R.e' has enum type E; its domain is implicit"),
+    ], ids=["bool", "enum-with-a-bad-interval"])
+    def test_a_domain_on_a_bool_or_enum_attribute_is_one_error_at_the_attribute(
+        self, model, message
+    ):
+        errors = analyze_err(model, "enum E := {x, y};")
+        assert [(e.message, e.span.line, e.span.column) for e in errors] == [(message, 1, 11)]
 
     def test_real_values_and_undomained_ints_are_not_checked(self):
         analyze_ok(parse_ok("class R { real r in [0, 1]; int z; }"),

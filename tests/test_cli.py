@@ -465,3 +465,51 @@ class TestShapesAndDomains:
         want_code, want_out, want_err = expected
         assert (code, out, err) == (
             want_code, want_out, want_err.format(model=model_path, data=data_path))
+
+
+P_WITH_W = "\nclass P { int w in [0,1]; int x in [0,1]; int arr[2] in [0,1]; }"
+
+
+class TestFlatteningErrors:
+    """What flattening can still reject depends on data or on unrolling, and
+    each such error is printed with the position of the construct at fault."""
+
+    @pytest.mark.parametrize("model, data, expected", [
+        # the index's own position
+        ("class R { P p[3]; constraint c { p[5].w = 1; } }" + P_WITH_W, None,
+         "[expand_composition] {model}:1:36: object index 5 outside 1..3 in 'p[5].w'"),
+        # an unrolled index has no position of its own: the reference's stands in
+        ("class R { P p[2]; constraint c { forall (i in 1..3) { p[i].x = 1; } } }" + P_WITH_W,
+         None,
+         "[expand_composition] {model}:1:55: object index 3 outside 1..2 in 'p[3].x'"),
+        # a constant index out of range is the one flatness text, whether the
+        # array is a data table, a fully assigned attribute or a variable
+        ("class R { int x in [0,9]; constraint c { x = t[5]; } }", "int t[3] := [1,2,3];\n",
+         "[build] {model}:1:48: constraint 0: index 5 outside 1..3 for 't'"),
+        ("class R { int a[3] in [0,9]; int x in [0,9]; constraint c { x = a[5]; } }",
+         "int R.a := [1,2,3];\n",
+         "[build] {model}:1:67: constraint 0: index 5 outside 1..3 for 'a'"),
+        ("class R { int x[3] in [0,1]; constraint c { forall (i in 1..n/2) { x[i] = 1; } } }",
+         "int n := 3;\n",
+         "[unroll_loops] {model}:1:62: loop bound '3/2' is not a constant integer"),
+        # the attribute that claims the name second
+        ("class R { P p; int p_w in [0,1]; constraint c { p_w = 1; } }" + P_WITH_W, None,
+         "[expand_composition] {model}:1:16: flat name 'p_w' collides with an existing"
+         " variable or table"),
+        ("class R { P p[2]; int k in [1,2]; constraint z { p[k].arr[1] = 0; } }" + P_WITH_W,
+         None,
+         "[expand_composition] {model}:1:50: variable index into object array 'p' in"
+         " 'p[k].arr[1]': the target attribute is expanded per object, so the index must"
+         " be constant"),
+    ], ids=["object-index", "object-index-unrolled", "table-index", "assigned-array-index",
+            "loop-bound", "flat-name-collision", "variable-object-index"])
+    def test_cli_output(self, tmp_path, capsys, model, data, expected):
+        model_path, data_path = tmp_path / "m.scm", tmp_path / "m.dat"
+        model_path.write_text(model)
+        files = [str(model_path)]
+        if data is not None:
+            data_path.write_text(data)
+            files.append(str(data_path))
+        code, out, err = run(capsys, "compile", *files, "--target", "flat",
+                             "--out", str(tmp_path / "m.fsc"))
+        assert (code, out, err) == (1, "", f"error: {expected.format(model=model_path)}\n")
