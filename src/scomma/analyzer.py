@@ -630,14 +630,18 @@ class _Analyzer:
 
         typed = transform(e, rewrite)
         if range_position:
-            self._check_range_refs(typed, loops)
+            self._check_range_refs(typed, cls, loops)
         return typed, types[id(typed)]
 
-    def _check_range_refs(self, e: Expr, loops: list[str]) -> None:
+    def _check_range_refs(self, e: Expr, cls: ClassDef, loops: list[str]) -> None:
+        """A loop bound reads loop variables and the constants that no
+        attribute of ``cls`` shadows."""
         for node in walk(e):
             if isinstance(node, Ref):
                 head = node.parts[0].name
-                if head not in loops and head not in self.data.constants:
+                if head not in loops and (
+                    head not in self.data.constants or self._attr_of(cls, head) is not None
+                ):
                     self.err(
                         "loop bounds may only use constants and enclosing loop variables",
                         node,

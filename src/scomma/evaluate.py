@@ -5,7 +5,9 @@ Values come as one vector.  Every element of every flat variable has a
 slot, in the order of ``fm.variables`` and, within a variable, of
 ``iter_indices``, which is also the order of the solver's decision cells.
 A flat expression is compiled once, on an explicit stack, into a closure
-over that vector: ``_Compiler.compile(e)(values)`` is the value of ``e``.
+over that vector: ``_FlatCompiler.compile(e)(values)`` is the value of
+``e``.  Its base ``ExprCompiler`` compiles the operators, and the model
+interpreter's compiler is a second subclass, so both oracles share them.
 A constant reference reads its slot; a constant reference to a table
 element is looked up while compiling.  A variable subscript computes its
 offset axis by axis with strides, as ``Table.lookup`` does.  A chain of
@@ -95,7 +97,7 @@ def eval_expr(expr: Expr, asg, tables: Mapping[str, Table] | None = None):
     """
     values = asg.values if isinstance(asg, Solution) else asg
     layout, vector = _assignment_layout(values)
-    return _Compiler(tables or {}, layout).compile(expr)(vector)
+    return _FlatCompiler(tables or {}, layout).compile(expr)(vector)
 
 
 def arith(e: BinOp, a, b):
@@ -215,7 +217,7 @@ def compile_check(fm: FlatModel) -> tuple[list, list, list[Closure]]:
             if checked:
                 domains.extend((slot, var.base == BOOL, var.domain)
                                for slot in range(first, len(layout.keys)))
-        compile_expr = _Compiler(fm.tables, layout).compile
+        compile_expr = _FlatCompiler(fm.tables, layout).compile
         fm._check = layout.keys, domains, [compile_expr(c.expr) for c in fm.constraints]
     return fm._check
 
@@ -299,9 +301,11 @@ class _Aside:
         return 0
 
 
-class _Compiler:
-    """Compiles flat expressions over one set of tables and one layout into
-    closures.
+class ExprCompiler:
+    """Compiles expressions into closures over a value vector.  Every
+    operator is compiled here; how a reference reads the vector is up to a
+    subclass's ``_ref``, which returns the reference's closure or a plan
+    (see ``_plan``).
 
     A closure is a code function bound to its environment tuple,
     ``MethodType(code, env)``: called with the value vector it runs
@@ -310,9 +314,7 @@ class _Compiler:
     and no slower to call.  The memo maps each code to its closures, keyed
     by their environments, in which child closures compare by identity."""
 
-    def __init__(self, tables: Mapping[str, Table], layout: _Layout):
-        self.tables = tables
-        self.slots, self.boxes, self.incomplete = layout.slots, layout.boxes, layout.incomplete
+    def __init__(self):
         self.memo: dict[Callable, dict[tuple, Closure]] = {}
 
     def compile(self, root: Expr) -> Closure:
@@ -355,8 +357,7 @@ class _Compiler:
                 return self._build_product, _spine(e), None
             return self._build_binop, (e.left, e.right), e
         if isinstance(e, (IntLit, RealLit, BoolLit)):
-            # repr keeps 1, True, 0.0 and -0.0 apart
-            return self._shared(_constant, e.value, repr(e.value))
+            return self.constant(e.value)
         if isinstance(e, UnOp):
             if e.op == "not":
                 return self._build_one, (e.operand,), _not
@@ -373,6 +374,15 @@ class _Compiler:
         if isinstance(e, ArrayLit):
             return self._build_array, e.elems, None
         return self._fails(f"cannot evaluate {type(e).__name__}")
+
+    def constant(self, value) -> Closure:
+        """The closure of ``value``; the repr keeps 1, True, 0.0 and -0.0
+        apart."""
+        return self._shared(_constant, value, repr(value))
+
+    def slot(self, slot: int) -> Closure:
+        """The closure that reads slot ``slot`` of the value vector."""
+        return self._shared(_slot, slot)
 
     def _fails(self, message: str) -> Closure:
         return self._shared(_raise, EvalError, message)
@@ -428,6 +438,15 @@ class _Compiler:
         return self._shared(_sum, fs[0], neg,
                             tuple([(op, n, f) for (op, n), f in zip(rest, fs[1:])]))
 
+
+class _FlatCompiler(ExprCompiler):
+    """Compiles flat expressions over one set of tables and one layout."""
+
+    def __init__(self, tables: Mapping[str, Table], layout: _Layout):
+        super().__init__()
+        self.tables = tables
+        self.slots, self.boxes, self.incomplete = layout.slots, layout.boxes, layout.incomplete
+
     def _ref(self, e: Ref):
         """A reference with no variable subscript reads its slot; a key
         without one, or a value that may be missing, falls back on the
@@ -447,7 +466,7 @@ class _Compiler:
             return missing(key)
         if name in self.incomplete:
             return self._shared(_slot_or, slot, missing(key))
-        return self._shared(_slot, slot)
+        return self.slot(slot)
 
     def _table_constant(self, key: SolutionKey) -> Closure:
         """A table element under a constant index, looked up once."""

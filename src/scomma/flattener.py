@@ -9,7 +9,8 @@ Six passes run in a fixed order:
    the analyzer (labels as ordinals, arrays positional and row-major), so
    this pass reads none of them.
 2. ``substitute_data``     — scalar constants in constraints are replaced by
-   their values, constant arrays become lookup tables, and
+   their values where no enclosing loop variable or attribute of the class
+   shadows them, constant arrays become lookup tables, and
    variable-assignments are laid out into per-object slot bindings.  Shapes
    and domains arrive resolved by the analyzer (sizes and bounds as
    literals), so no pass folds them.
@@ -208,11 +209,11 @@ def _lookup(table: Table, part: RefPart) -> Expr | None:
 
 
 def _rebuild_zones(state: FlattenState, fn) -> None:
-    """Replace each item of every zone of every class by the items ``fn``
-    returns for it."""
+    """Replace each item of every zone of every class by the items
+    ``fn(cls, item)`` returns for it."""
     for name, cls in state.classes.items():
         zones = tuple(
-            ConstraintZone(z.name, tuple(out for i in z.items for out in fn(i)), span=z.span)
+            ConstraintZone(z.name, tuple(out for i in z.items for out in fn(cls, i)), span=z.span)
             for z in cls.zones
         )
         state.classes[name] = ClassDef(cls.name, None, cls.attributes, zones, span=cls.span)
@@ -285,8 +286,8 @@ def substitute_enums(state: FlattenState) -> FlattenState:
 
     # all loop ranges first, then all expressions: the order in which enums
     # are first used is the order of ``enum_types`` in the emitted text
-    _rebuild_zones(state, lambda item: (map_range(item),))
-    _rebuild_zones(state, lambda item: (map_item(item, sub_expr),))
+    _rebuild_zones(state, lambda cls, item: (map_range(item),))
+    _rebuild_zones(state, lambda cls, item: (map_item(item, sub_expr),))
 
     state.constants = {
         n: replace(c, shape=tuple(sub_bound(b) for b in c.shape))
@@ -305,25 +306,45 @@ def substitute_data(state: FlattenState) -> FlattenState:
     # Constant declarations become scalars or lookup tables; an array's
     # cells are row-major already, and its shape holds each of its sizes.
     for name, decl in state.constants.items():
-        if not decl.shape:
-            state.const_scalars[name] = const_scalar_value(decl.value)
-
-    def sub_expr(e: Expr) -> Expr:
-        def repl(node: Expr) -> Expr:
-            if isinstance(node, Ref) and node.simple_name in state.const_scalars:
-                return _literal(state.const_scalars[node.simple_name])
-            return node
-
-        return _substitute_and_fold(e, repl, state.const_tables)
-
-    for name, decl in state.constants.items():
         if decl.shape:
             values = tuple(const_scalar_value(c) for c in decl.value.items)
             state.const_tables[name] = Table(name, shape_dims(decl.shape, state.enums), values)
+        else:
+            state.const_scalars[name] = const_scalar_value(decl.value)
 
-    _rebuild_zones(state, lambda item: (map_item(item, sub_expr),))
+    def sub_expr(e: Expr, shadowed: frozenset[str]) -> Expr:
+        """``e`` with the constants no name in ``shadowed`` hides substituted."""
+        scalars = {n: v for n, v in state.const_scalars.items() if n not in shadowed}
+        tables = {n: t for n, t in state.const_tables.items() if n not in shadowed}
+
+        def repl(node: Expr) -> Expr:
+            if isinstance(node, Ref) and node.simple_name in scalars:
+                return _literal(scalars[node.simple_name])
+            return node
+
+        return _substitute_and_fold(e, repl, tables)
+
+    # a class's attributes shadow the constants of their names in its zones
+    _rebuild_zones(state, lambda cls, item: (
+        _map_in_scope(item, sub_expr, frozenset(a.name for a in cls.attributes)),))
     state.binding = _build_binding(state)
     return state
+
+
+def _map_in_scope(item: Item, fn, bound: frozenset[str]) -> Item:
+    """``map_item(item, lambda e: fn(e, bound))``, except that a loop's body,
+    but not its range, is mapped with the loop variable added to ``bound``."""
+    def within(items: tuple[Item, ...], names: frozenset[str]) -> tuple[Item, ...]:
+        return tuple(_map_in_scope(i, fn, names) for i in items)
+
+    if isinstance(item, Forall):
+        head = map_item(replace(item, body=()), lambda e: fn(e, bound))
+        return replace(head, body=within(item.body, bound | {item.var}))
+    if isinstance(item, IfElse):
+        else_items = None if item.else_items is None else within(item.else_items, bound)
+        return IfElse(fn(item.cond, bound), within(item.then_items, bound), else_items,
+                      span=item.span)
+    return map_item(item, lambda e: fn(e, bound))
 
 
 _PRIMITIVE_TYPES = (IntType, RealType, BoolType, SetType)
@@ -430,7 +451,7 @@ def _unroll_item(item: Item, state: FlattenState) -> list[Item]:
 
 
 def unroll_loops(state: FlattenState) -> FlattenState:
-    _rebuild_zones(state, lambda item: _unroll_item(item, state))
+    _rebuild_zones(state, lambda cls, item: _unroll_item(item, state))
     return state
 
 
@@ -624,7 +645,9 @@ class _Expander:
                 return self.resolve_ref(node, inst)
             return node
 
-        return _substitute_and_fold(e, repl, self.state.const_tables)
+        # tables are read in ``resolve_ref``, where attributes shadow them,
+        # not by the flat name a reference resolves to
+        return _substitute_and_fold(e, repl, {})
 
     def resolve_ref(self, ref: Ref, inst: _Instance) -> Expr:
         """``ref`` as a flat expression; its indices are already folded.

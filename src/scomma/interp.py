@@ -1,29 +1,39 @@
 """Brute-force oracles: flat-model enumeration and a direct model interpreter.
 
-The two sides are deliberately separate code paths.  ``enumerate_flat``
-walks the flat model's variables and checks each candidate, a value vector
-in slot order, against the flat constraints as :mod:`scomma.evaluate`
-compiles them, once per model.
-``ModelInterpreter`` never flattens anything: it executes the analyzed
-source model natively — loops iterate, conditionals branch, object paths are
-followed through an instance tree — and makes and names its decision slots
-the way the flattener makes its variables, so solution sets and candidate
-counts can be compared directly: an array that the data fills only in part
-is a slot per cell, and each assigned cell's slot is pinned to its value.
-It reads data values, array sizes and domains in the form the analyzer
-resolved them to (labels as ordinals, arrays positional and row-major,
-sizes and domain bounds as literals), so it looks up no label, lays out no
-keyed list and evaluates no constant expression itself.
+Both enumerate with ``backtrack``: slots are assigned in a fixed order, each
+over its whole domain, and a check runs as soon as the last slot it reads is
+assigned.  Nothing is propagated, so neither oracle depends on the solver,
+and solutions come in the order of the full product of the domains.
+
+``enumerate_flat`` checks the flat constraints as :mod:`scomma.evaluate`
+compiles them, once per model.  A constraint reads the slots its references
+name; a variable subscript or a whole-array argument reads every cell of its
+variable.
+
+``ModelInterpreter`` never flattens anything.  It instantiates the analyzed
+source model once: objects become an instance tree, loops iterate, object
+paths are followed to the cells they name, and each constraint, conditional
+and objective becomes a closure plus the slots it reads; each data pin is a
+one-slot check.  The closures are built by evaluate's ``ExprCompiler``, so
+every operator means what it means to ``enumerate_flat`` and
+``check_solution``; the interpreter resolves only the references.  It makes
+and names its decision slots the way the flattener makes its variables, so
+solution sets and candidate counts can be compared directly: an array that
+the data fills only in part is a slot per cell, and each assigned cell's
+slot is pinned to its value.  It reads data values, array sizes and domains
+as the analyzer resolved them (labels as ordinals, arrays positional and
+row-major, sizes and domain bounds as literals).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import prod
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .analyzer import TypedModel, shape_dims
 from .errors import EvalError, UnsupportedModelError
-from .evaluate import compile_check
+from .evaluate import ExprCompiler, compile_check
 from .ir import (
     BOOL,
     FlatModel,
@@ -36,10 +46,7 @@ from .ir import (
     iter_indices,
 )
 from .nodes import (
-    ArrayLit,
     Attribute,
-    BinOp,
-    BoolLit,
     BoolType,
     Call,
     ClassDef,
@@ -57,14 +64,55 @@ from .nodes import (
     Item,
     NameRange,
     Objective,
-    RealLit,
     RealType,
     Ref,
-    SetLit,
+    RefPart,
     SetType,
-    UnOp,
     VOmit,
+    walk,
 )
+from .printer import render_expr
+
+Closure = Callable[[Sequence], object]
+Check = tuple[Closure, frozenset]  # a closure and the slots it reads
+
+
+def backtrack(domains: Sequence[Sequence], checks: Iterable[Check]) -> Iterator[tuple]:
+    """Each value vector over ``domains`` under which every check holds, in
+    the order of ``itertools.product(*domains)``.  The iterators over the
+    assigned slots' domains are an explicit stack.  A check ``(holds,
+    reads)`` runs on each value of the last slot in ``reads``; one that
+    reads no slot runs before any slot is assigned."""
+    due: list[list[Closure]] = [[] for _ in range(len(domains) + 1)]
+    for holds, reads in checks:
+        due[max(reads, default=-1) + 1].append(holds)
+    values: list = [None] * len(domains)
+    if not all(domains) or not all(holds(values) for holds in due[0]):
+        return
+    if not domains:
+        yield ()
+    stack = [iter(domains[0])] if domains else []
+    while stack:
+        k = len(stack) - 1
+        for values[k] in stack[k]:
+            if all(holds(values) for holds in due[k + 1]):
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) < len(domains):
+            stack.append(iter(domains[k + 1]))
+        else:
+            yield tuple(values)
+
+
+def _subsets(universe: Sequence) -> list[frozenset]:
+    """Every subset of ``universe``, in the order of the bit masks over it."""
+    return [
+        frozenset(u for i, u in enumerate(universe) if mask >> i & 1)
+        for mask in range(1 << len(universe))
+    ]
+
 
 # ---------------------------------------------------------------------------
 # Flat-model brute force
@@ -79,11 +127,7 @@ def _element_domain(var) -> list:
     if var.base == SET:
         if not isinstance(var.domain, IntInterval):
             raise UnsupportedModelError(["set variable without an interval universe"])
-        universe = list(var.domain.values())
-        subsets = []
-        for mask in range(1 << len(universe)):
-            subsets.append(frozenset(universe[i] for i in range(len(universe)) if mask >> i & 1))
-        return subsets
+        return _subsets(list(var.domain.values()))
     raise UnsupportedModelError([f"{var.base} variables cannot be enumerated"])
 
 
@@ -104,19 +148,29 @@ def count_candidates(fm: FlatModel) -> int:
 
 def enumerate_flat(fm: FlatModel) -> list[Solution]:
     """Every satisfying total assignment, by exhaustive enumeration."""
-    keys: list = []
+    keys, _, constraints = compile_check(fm)
     domains: list[list] = []
     for var in fm.variables:
         dom = _element_domain(var)
-        for idx in iter_indices(var.shape):
-            keys.append((var.name, idx))
-            domains.append(dom)
-    solutions: list[Solution] = []
-    _, _, constraints = compile_check(fm)
-    for combo in itertools.product(*domains):
-        if all(holds(combo) for holds in constraints):
-            solutions.append(Solution(dict(zip(keys, combo))))
-    return solutions
+        domains.extend(dom for _ in iter_indices(var.shape))
+    slots = {key: i for i, key in enumerate(keys)}
+    cells: dict[str, list[int]] = {}
+    for i, (name, _) in enumerate(keys):
+        cells.setdefault(name, []).append(i)
+    checks = []
+    for c, holds in zip(fm.constraints, constraints):
+        reads = set()
+        for node in walk(c.expr):
+            if type(node) is Ref:
+                part = node.parts[0]
+                idx = tuple(i.value if type(i) is IntLit else None for i in part.indices)
+                slot = slots.get((part.name, idx))
+                if slot is None:  # a variable subscript, a whole array or a table
+                    reads.update(cells.get(part.name, ()))
+                else:
+                    reads.add(slot)
+        checks.append((holds, frozenset(reads)))
+    return [Solution(dict(zip(keys, values))) for values in backtrack(domains, checks)]
 
 
 def flat_solution_set(fm: FlatModel) -> set[frozenset]:
@@ -132,6 +186,7 @@ def flat_solution_set(fm: FlatModel) -> set[frozenset]:
 class _DecSlot:
     key: tuple[str, tuple[int, ...]]
     values: list
+    pos: int  # its place in the value vector
 
 
 class _Obj:
@@ -148,11 +203,14 @@ class ModelInterpreter:
         self.enums = tm.enums
         self.constants: dict[str, object] = {}
         self.slots: list[_DecSlot] = []
-        self.pins: list[tuple[_DecSlot, object]] = []  # (slot, its assigned value)
+        self.checks: list[Check] = []
+        self.objectives: list[tuple[str, Closure]] = []  # (kind, value)
         self._load_constants()
-        self.root = self._build_object(tm.main, "")
-        self._apply_assignments()
-        self._collect_slots(self.root, "")
+        root = self._build_object(tm.main)
+        self._apply_assignments(root)
+        self._collect_slots(root, "")
+        self._compiler = _SourceCompiler(self.constants)
+        self._instantiate(root)
 
     # -- construction -----------------------------------------------------------
 
@@ -174,11 +232,7 @@ class ModelInterpreter:
         if isinstance(t, SetType):
             if not isinstance(dom, DomainInterval):
                 raise UnsupportedModelError(["set attribute without an interval universe"])
-            universe = list(range(dom.lo.value, dom.hi.value + 1))
-            return [
-                frozenset(u for i, u in enumerate(universe) if mask >> i & 1)
-                for mask in range(1 << len(universe))
-            ]
+            return _subsets(range(dom.lo.value, dom.hi.value + 1))
         if isinstance(t, RealType):
             raise UnsupportedModelError(["real decision variables cannot be enumerated"])
         if dom is None:
@@ -187,7 +241,7 @@ class ModelInterpreter:
             return sorted({v.value for v in dom.elems})
         return list(range(dom.lo.value, dom.hi.value + 1))
 
-    def _build_object(self, cls: ClassDef, label: str) -> _Obj:
+    def _build_object(self, cls: ClassDef) -> _Obj:
         obj = _Obj(cls)
         for attr in cls.attributes:
             dims = shape_dims(attr.shape, self.enums)
@@ -196,17 +250,14 @@ class ModelInterpreter:
             else:
                 target = self.tm.class_map[attr.type.name]
                 if dims:
-                    obj.attrs[attr.name] = [
-                        self._build_object(target, f"{label}.{attr.name}[{i}]")
-                        for i in range(1, dims[0] + 1)
-                    ]
+                    obj.attrs[attr.name] = [self._build_object(target) for _ in range(dims[0])]
                 else:
-                    obj.attrs[attr.name] = self._build_object(target, f"{label}.{attr.name}")
+                    obj.attrs[attr.name] = self._build_object(target)
         return obj
 
-    def _apply_assignments(self) -> None:
+    def _apply_assignments(self, root: _Obj) -> None:
         for asg in self.tm.assignments:
-            obj = self.root
+            obj = root
             for seg in asg.path[1:-1]:
                 obj = obj.attrs[seg]
             attr = next(a for a in obj.cls.attributes if a.name == asg.path[-1])
@@ -266,284 +317,169 @@ class ModelInterpreter:
         values = self._domain_values(attr)
         free = {}
         for idx in indices:
-            slot = _DecSlot((name, idx), values)
+            slot = _DecSlot((name, idx), values, len(self.slots))
             self.slots.append(slot)
             if idx in cells:
-                self.pins.append((slot, cells[idx]))
+                pin = lambda values, pos=slot.pos, value=cells[idx]: values[pos] == value
+                self.checks.append((pin, frozenset({slot.pos})))
             else:
                 free[idx] = slot
         return free
 
-    # -- evaluation -------------------------------------------------------------
+    # -- instantiation -------------------------------------------------------------
+
+    def _instantiate(self, obj: _Obj) -> None:
+        """The checks and objectives of ``obj``'s items and of every object
+        under it, those under it first."""
+        for entry in obj.attrs.values():
+            if not isinstance(entry, dict):
+                for child in entry if isinstance(entry, list) else [entry]:
+                    self._instantiate(child)
+        for zone in obj.cls.zones:
+            for item in zone.items:
+                self.checks.extend(self._item_checks(item, obj, {}))
+
+    def _item_checks(self, item: Item, obj: _Obj, loops: dict) -> list[Check]:
+        """``item``'s checks in ``obj`` with ``loops`` bound; an objective is
+        recorded and has none."""
+        check = self._compiler.check
+        if isinstance(item, Constraint):
+            return [check(item.expr, obj, loops)]
+        if isinstance(item, Forall):
+            if isinstance(item.range, NameRange):
+                values = range(1, len(self.enums[item.range.name].values) + 1)
+            else:  # analysis lets a bound read only loop variables and constants
+                lo, hi = (check(b, obj, loops)[0](None) for b in (item.range.lo, item.range.hi))
+                values = range(lo, hi + 1)
+            return [c for v in values for sub in item.body
+                    for c in self._item_checks(sub, obj, {**loops, item.var: v})]
+        if isinstance(item, IfElse):
+            cond, reads = check(item.cond, obj, loops)
+            branches = [[c for sub in items for c in self._item_checks(sub, obj, loops)]
+                        for items in (item.then_items, item.else_items or ())]
+            reads = reads.union(*(r for branch in branches for _, r in branch))
+            then, orelse = ([holds for holds, _ in branch] for branch in branches)
+            return [(lambda values: all(h(values) for h in (then if cond(values) else orelse)),
+                     reads)]
+        if isinstance(item, Objective):
+            self.objectives.append((item.kind, check(item.expr, obj, loops)[0]))
+            return []
+        if isinstance(item, GlobalCall) and item.name == "alldifferent":
+            return [check(Call(item.name, item.args, span=item.span), obj, loops)]
+        raise UnsupportedModelError([f"global constraint '{item.name}'"])
+
+    # -- enumeration ---------------------------------------------------------------
 
     def candidate_count(self) -> int:
-        total = 1
-        for slot in self.slots:
-            total *= len(slot.values)
-        return total
+        return prod(len(slot.values) for slot in self.slots)
+
+    def _vectors(self) -> Iterator[tuple]:
+        return backtrack([s.values for s in self.slots], self.checks)
 
     def solutions(self) -> list[dict]:
         """All satisfying assignments, keyed like flat solutions."""
-        out = []
-        for combo in itertools.product(*(s.values for s in self.slots)):
-            env = {s.key: v for s, v in zip(self.slots, combo)}
-            if self._satisfied(env):
-                out.append(dict(env))
-        return out
+        keys = [s.key for s in self.slots]
+        return [dict(zip(keys, values)) for values in self._vectors()]
 
     def solution_set(self) -> set[frozenset]:
         return {frozenset(sol.items()) for sol in self.solutions()}
 
     def optimum(self):
-        """(kind, best objective value) by exhaustive search; None if no
-        objective or no solution."""
-        obj_item = self._find_objective()
-        if obj_item is None:
+        """(kind, best objective value) by exhaustive search, the value None
+        if there is no solution; None if there is no objective."""
+        if not self.objectives:
             return None
-        best = None
-        for combo in itertools.product(*(s.values for s in self.slots)):
-            env = {s.key: v for s, v in zip(self.slots, combo)}
-            if not self._satisfied(env):
-                continue
-            val = self._eval(obj_item.expr, self.root, {}, env)
-            if best is None:
-                best = val
-            elif obj_item.kind == "minimize":
-                best = min(best, val)
-            else:
-                best = max(best, val)
-        return (obj_item.kind, best)
+        if len(self.objectives) > 1:
+            raise EvalError("more than one objective after instantiation")
+        kind, value = self.objectives[0]
+        found = [value(values) for values in self._vectors()]
+        return kind, (min if kind == "minimize" else max)(found, default=None)
 
-    def _find_objective(self) -> Objective | None:
-        for cls in self.tm.class_map.values():
-            for zone in cls.zones:
-                for item in zone.items:
-                    if isinstance(item, Objective):
-                        return item
-        return None
 
-    def _satisfied(self, env: dict) -> bool:
-        return all(env[slot.key] == value for slot, value in self.pins) and (
-            self._eval_object_zones(self.root, env)
-        )
+def _index(offsets: Table, index: list):
+    """The offset of ``index`` in an array laid out as ``offsets``."""
+    try:
+        return offsets.lookup(tuple(index))
+    except IndexError:
+        raise EvalError(f"index {index} out of range for '{offsets.name}'") from None
 
-    def _eval_object_zones(self, obj: _Obj, env: dict) -> bool:
-        for attr in obj.cls.attributes:
-            entry = obj.attrs[attr.name]
-            if isinstance(entry, _Obj):
-                if not self._eval_object_zones(entry, env):
-                    return False
-            elif isinstance(entry, list):
-                for child in entry:
-                    if not self._eval_object_zones(child, env):
-                        return False
-        for zone in obj.cls.zones:
-            for item in zone.items:
-                if not self._eval_item(item, obj, {}, env):
-                    return False
-        return True
 
-    def _eval_item(self, item: Item, obj: _Obj, loops: dict, env: dict) -> bool:
-        if isinstance(item, Constraint):
-            v = self._eval(item.expr, obj, loops, env)
-            if not isinstance(v, bool):
-                raise EvalError("constraint did not evaluate to a bool")
-            return v
-        if isinstance(item, Forall):
-            for v in self._range_values(item.range, obj, loops, env):
-                inner = dict(loops)
-                inner[item.var] = v
-                for sub in item.body:
-                    if not self._eval_item(sub, obj, inner, env):
-                        return False
-            return True
-        if isinstance(item, IfElse):
-            cond = self._eval(item.cond, obj, loops, env)
-            branch = item.then_items if cond else (item.else_items or ())
-            return all(self._eval_item(sub, obj, loops, env) for sub in branch)
-        if isinstance(item, Objective):
-            return True
-        if isinstance(item, GlobalCall):
-            if item.name == "alldifferent":
-                values = self._array_values(item.args[0], obj, loops, env)
-                return len(set(values)) == len(values)
-            raise UnsupportedModelError([f"global constraint '{item.name}'"])
-        raise EvalError(f"unexpected item {type(item).__name__}")
+class _SourceCompiler(ExprCompiler):
+    """Evaluate's compiler over source expressions, in one object with its
+    loop variables bound.  Only references are resolved here: to a loop
+    variable first, then an attribute of the object, then a data constant,
+    as analysis resolves a name.  ``reads`` gathers the slots they read."""
 
-    def _range_values(self, rng, obj: _Obj, loops: dict, env: dict):
-        if isinstance(rng, NameRange):
-            return range(1, len(self.enums[rng.name].values) + 1)
-        lo = self._eval(rng.lo, obj, loops, env)
-        hi = self._eval(rng.hi, obj, loops, env)
-        return range(lo, hi + 1)
+    def __init__(self, constants: dict[str, object]):
+        super().__init__()
+        self.constants = constants
+        self.obj: _Obj | None = None
+        self.loops: dict = {}
+        self.reads: set[int] = set()
 
-    def _array_values(self, e: Expr, obj: _Obj, loops: dict, env: dict) -> list:
-        if isinstance(e, ArrayLit):
-            return [self._eval(x, obj, loops, env) for x in e.elems]
-        if isinstance(e, Ref):
-            target, dims = self._locate_array(e, obj, loops, env)
-            if isinstance(target, Table):  # constant array
-                return list(target.values)
-            return [self._cell_value(target, idx, env) for idx in iter_indices(dims)]
-        raise EvalError("alldifferent argument must be an array")
+    def check(self, e: Expr, obj: _Obj, loops: dict) -> Check:
+        """``e``'s closure in ``obj`` under ``loops``, and the slots it reads."""
+        self.obj, self.loops, self.reads = obj, loops, set()
+        holds = self.compile(e)
+        return holds, frozenset(self.reads)
 
-    def _cell_value(self, entry: dict, idx: tuple, env: dict):
-        cell = entry["cells"][idx]
-        if isinstance(cell, _DecSlot):
-            return env[cell.key]
-        return cell
-
-    def _locate_array(self, ref: Ref, obj: _Obj, loops: dict, env: dict):
-        """Resolve an index-free reference to an array attribute or constant."""
-        name = ref.parts[0].name
-        if len(ref.parts) == 1 and not ref.parts[0].indices and name in self.constants:
-            arr = self.constants[name]
-            if not isinstance(arr, Table):
-                raise EvalError(f"'{name}' is not an array")
-            return arr, None
-        entry, _ = self._walk_path(ref, obj, loops, env, want_array=True)
-        if not (isinstance(entry, dict) and entry["dims"]):
-            raise EvalError(f"'{name}' is not an array attribute")
-        return entry, tuple(entry["dims"])
-
-    def _eval(self, e: Expr, obj: _Obj, loops: dict, env: dict):
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, RealLit):
-            return e.value
-        if isinstance(e, BoolLit):
-            return e.value
+    def _plan(self, e: Expr):
         if isinstance(e, EnumRef):
-            return e.ordinal
-        if isinstance(e, SetLit):
-            return frozenset(self._eval(x, obj, loops, env) for x in e.elems)
-        if isinstance(e, UnOp):
-            v = self._eval(e.operand, obj, loops, env)
-            return (not v) if e.op == "not" else -v
-        if isinstance(e, Call):
-            if e.name == "cardinality":
-                return len(self._eval(e.args[0], obj, loops, env))
-            raise EvalError(f"unknown function '{e.name}'")
-        if isinstance(e, BinOp):
-            return self._eval_binop(e, obj, loops, env)
-        if isinstance(e, Ref):
-            value, _ = self._walk_path(e, obj, loops, env, want_array=False)
-            return value
-        raise EvalError(f"cannot evaluate {type(e).__name__}")
+            return self.constant(e.ordinal)
+        return super()._plan(e)
 
-    def _eval_binop(self, e: BinOp, obj: _Obj, loops: dict, env: dict):
-        op = e.op
-        a = self._eval(e.left, obj, loops, env)
-        if op == "and":
-            return bool(a) and bool(self._eval(e.right, obj, loops, env))
-        if op == "or":
-            return bool(a) or bool(self._eval(e.right, obj, loops, env))
-        b = self._eval(e.right, obj, loops, env)
-        tol = 1e-9
-        is_real = isinstance(a, float) or isinstance(b, float)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0:
-                raise EvalError("division by zero")
-            if isinstance(a, int) and isinstance(b, int):
-                if a % b:
-                    raise EvalError(f"inexact integer division {a}/{b}")
-                return a // b
-            return a / b
-        if op == "=":
-            if is_real:
-                return abs(a - b) <= tol
-            return a == b
-        if op == "<>":
-            if is_real:
-                return abs(a - b) > tol
-            return a != b
-        if op == "<":
-            return (b - a > tol) if is_real else a < b
-        if op == ">":
-            return (a - b > tol) if is_real else a > b
-        if op == "<=":
-            return (a - b <= tol) if is_real else a <= b
-        if op == ">=":
-            return (b - a <= tol) if is_real else a >= b
-        if op == "xor":
-            return bool(a) != bool(b)
-        if op == "->":
-            return (not a) or bool(b)
-        if op == "<-":
-            return bool(a) or (not b)
-        if op == "<->":
-            return bool(a) == bool(b)
-        if op == "in":
-            return a in b
-        if op == "subset":
-            return a <= b
-        if op == "superset":
-            return a >= b
-        if op == "union":
-            return a | b
-        if op == "diff":
-            return a - b
-        if op == "symdiff":
-            return a ^ b
-        if op == "intersection":
-            return a & b
-        raise EvalError(f"unknown operator '{op}'")
-
-    def _walk_path(self, ref: Ref, obj: _Obj, loops: dict, env: dict, want_array: bool):
-        current: object = obj
-        for k, part in enumerate(ref.parts):
-            last = k == len(ref.parts) - 1
-            idx = tuple(self._eval(i, obj, loops, env) for i in part.indices)
-            if k == 0 and part.name in loops and not idx:
-                return loops[part.name], None
-            if k == 0 and not isinstance(current, _Obj):
-                raise EvalError("bad path root")
-            if isinstance(current, _Obj) and part.name in current.attrs:
-                entry = current.attrs[part.name]
-            elif k == 0 and part.name in self.constants:
-                return self._const_lookup(part.name, idx), None
-            else:
-                raise EvalError(f"unknown attribute '{part.name}'")
-            if isinstance(entry, _Obj):
-                current = entry
-                continue
-            if isinstance(entry, list):  # object array
-                if len(idx) != 1:
-                    raise EvalError(f"object array '{part.name}' needs one index")
-                if not (1 <= idx[0] <= len(entry)):
-                    raise EvalError(f"object index {idx[0]} out of range for '{part.name}'")
-                current = entry[idx[0] - 1]
-                continue
-            # primitive attribute
-            if not last:
-                raise EvalError(f"'{part.name}' has no attributes")
-            if not entry["dims"]:
-                return self._cell_value(entry, (), env), None
-            if not idx:
-                if want_array:
-                    return entry, entry["dims"]
-                raise EvalError(f"array '{part.name}' used as a scalar")
-            dims = entry["dims"]
-            if len(idx) != len(dims) or any(not (1 <= i <= d) for i, d in zip(idx, dims)):
-                raise EvalError(f"index {list(idx)} out of range for '{part.name}'")
-            return self._cell_value(entry, idx, env), None
-        if want_array:
-            raise EvalError("path names an object, not an array")
-        raise EvalError("path names an object, not a value")
-
-    def _const_lookup(self, name: str, idx: tuple):
-        value = self.constants[name]
-        if not idx:
-            return value
+    def _ref(self, e: Ref) -> Closure:
+        head = e.parts[0]
+        if head.name in self.loops:
+            return self.constant(self.loops[head.name])
+        if head.name in self.obj.attrs:
+            return self._path(self.obj, e.parts)
+        value = self.constants.get(head.name)
+        if value is None:
+            return self._fails(f"unknown attribute '{head.name}'")
         if not isinstance(value, Table):
-            raise EvalError(f"constant '{name}' is not an array")
-        try:
-            return value.lookup(idx)
-        except IndexError:
-            raise EvalError(f"index {list(idx)} out of range for '{name}'") from None
+            value = Table(head.name, (), (value,))
+        return self._element(head, value.shape, lambda i: self.constant(value.values[i]))
+
+    def _path(self, obj: _Obj, parts: tuple[RefPart, ...]) -> Closure:
+        """The closure of the path ``parts`` from ``obj``."""
+        part, rest = parts[0], parts[1:]
+        entry = obj.attrs.get(part.name)
+        if entry is None or isinstance(entry, dict) == bool(rest):
+            return self._fails(f"'{render_expr(Ref(parts))}' names no value")
+        if isinstance(entry, _Obj):
+            return self._path(entry, rest)
+        if isinstance(entry, list):  # an object array
+            return self._element(part, (len(entry),), lambda i: self._path(entry[i], rest))
+        cells = [entry["cells"][idx] for idx in iter_indices(entry["dims"])]
+        return self._element(part, entry["dims"], lambda i: self._cell(cells[i]))
+
+    def _cell(self, cell) -> Closure:
+        if isinstance(cell, _DecSlot):
+            self.reads.add(cell.pos)
+            return self.slot(cell.pos)
+        return self.constant(cell)
+
+    def _element(self, part: RefPart, dims: tuple, cell: Callable[[int], Closure]) -> Closure:
+        """The element ``part`` indexes in an array shaped ``dims``, whose
+        element at row-major offset ``i`` ``cell(i)`` compiles.  Constant
+        indices compile only that element, a variable index every one; an
+        array without indices is the list of its elements."""
+        offsets = Table(part.name, dims, tuple(range(prod(dims))))
+        if not part.indices:
+            return cell(0) if not dims else self._build_array(None, list(map(cell, offsets.values)))
+        subs, constant = [], True
+        for ix in part.indices:
+            outer, self.reads = self.reads, set()
+            subs.append(self.compile(ix))
+            constant = constant and not self.reads
+            self.reads |= outer
+        if constant:
+            try:
+                offset = _index(offsets, [f(None) for f in subs])
+            except EvalError:
+                pass  # raised when the check runs
+            else:
+                return cell(offset)
+        cells = list(map(cell, offsets.values))
+        return lambda values: cells[_index(offsets, [f(values) for f in subs])](values)

@@ -235,6 +235,16 @@ class TestTyping:
         )
         assert any("unknown name 'i'" in e.message for e in errors)
 
+    def test_a_loop_bound_reads_an_attribute_that_shadows_a_constant(self):
+        errors = analyze_err(
+            "class R { int t[3] in [1,2]; int x[3] in [0,9];"
+            " constraint c { forall (i in 1..t[1]) { x[i] = i; } } }",
+            "int t[3] := [3,3,3];",
+        )
+        assert [e.message for e in errors] == [
+            "loop bounds may only use constants and enclosing loop variables"
+        ]
+
     def test_type_errors_reported(self):
         errors = analyze_err(
             """

@@ -513,3 +513,24 @@ class TestFlatteningErrors:
         code, out, err = run(capsys, "compile", *files, "--target", "flat",
                              "--out", str(tmp_path / "m.fsc"))
         assert (code, out, err) == (1, "", f"error: {expected.format(model=model_path)}\n")
+
+
+class TestConstantShadowing:
+    """A name resolves to an enclosing loop variable first, then to an
+    attribute of the class, and only then to a data constant."""
+
+    @pytest.mark.parametrize("model, data, argv, expected", [
+        ("class R { int x[3] in [0,9]; constraint c { forall (n in 1..3) { x[n] = n; } } }",
+         "int n := 2;\n", ("solve", "--all"), "x = [1, 2, 3]\n----------\n==========\n"),
+        ("class R { int t[3] in [0,9]; int x in [0,9]; int n in [0,9];"
+         " constraint c { x = t[1]; x = n; } }",
+         "int t[3] := [7,8,9]; int n := 4;\n", ("solve",),
+         "t = [0, 0, 0]\nx = 0\nn = 0\n----------\n"),
+    ], ids=["loop-variable", "attribute"])
+    def test_cli_output(self, tmp_path, capsys, model, data, argv, expected):
+        model_path, data_path = tmp_path / "m.scm", tmp_path / "m.dat"
+        model_path.write_text(model)
+        data_path.write_text(data)
+        command, *flags = argv
+        code, out, err = run(capsys, command, str(model_path), str(data_path), *flags)
+        assert (code, out, err) == (0, expected, "")

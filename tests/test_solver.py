@@ -302,6 +302,16 @@ class TestOptimize:
         assert kind == "maximize"
         assert best.objective_value == brute_best
 
+    def test_component_objective_equals_exhaustive_search(self):
+        # the objective is declared in the class of a component, not the root
+        tm, fm = compile_text(
+            "class R { A a; int y in [0,2]; constraint c { y <> a.v; } }\n"
+            "class A { int v in [0,2]; constraint z { [minimize] v; } }"
+        )
+        best, _ = optimize(build_space(fm))
+        assert ModelInterpreter(tm).optimum() == ("minimize", best.objective_value)
+        assert best.objective_value == 0
+
     def test_infeasible_returns_none(self):
         _tm, fm = compile_text(
             "class A { int x in [1,1]; constraint z { x > 1; [minimize] x; } }"
