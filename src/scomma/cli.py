@@ -24,7 +24,7 @@ from .backend.engine import load_descriptor_file
 from .diagnostics import Diagnostic
 from .errors import BackendError, ContractError, ScommaError, UnsupportedModelError
 from .evaluate import check_solution
-from .flattener import flatten
+from .flattener import PassTrace, flatten
 from .ir import FlatModel, FlatVar, SET, Solution
 from .lexer import EOF, IDENT, INT, count_tokens
 from .parser import TokenCursor, parse_data, parse_model
@@ -55,8 +55,9 @@ class _LoadError(Exception):
     pass
 
 
-def load_problem(model_path: str, data_paths: list[str]) -> tuple[TypedModel, FlatModel, list[str]]:
-    """Parse, merge imports with explicit data files, analyze, flatten."""
+def load_problem(model_path: str, data_paths: list[str]) -> tuple[TypedModel, FlatModel, PassTrace]:
+    """Parse, merge imports with explicit data files, analyze, flatten; the
+    diagnostics are printed as they arise."""
     mpath = Path(model_path)
     try:
         text = mpath.read_text(encoding="utf-8")
@@ -91,8 +92,8 @@ def load_problem(model_path: str, data_paths: list[str]) -> tuple[TypedModel, Fl
     _print_diags(adiags)
     if tm is None:
         raise _LoadError("analysis failed")
-    fm, _trace = flatten(tm)
-    return tm, fm, [d.render() for d in adiags if d.severity == "warning"]
+    fm, trace = flatten(tm)
+    return tm, fm, trace
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +333,10 @@ def cmd_check(args) -> int:
 def _bench_one(path: Path, targets: list[BackendDescriptor], time_limit: float) -> dict:
     row: dict = {"name": path.stem, "status": "ok", "note": ""}
     try:
-        tm, fm, _ = load_problem(str(path), [])
+        t0 = time.perf_counter()
+        tm, fm, trace = load_problem(str(path), [])
+        row["compile_s"] = round(time.perf_counter() - t0, 6)
+        row["nodes_after"] = [after for _, _, after in trace.steps]
         source_tokens = count_tokens(path.read_text(encoding="utf-8"))
         for imp in tm.model.imports:
             source_tokens += count_tokens((path.parent / imp).read_text(encoding="utf-8"))

@@ -16,9 +16,16 @@ Six passes run in a fixed order:
    literals), so no pass folds them.
 3. ``unroll_loops``        — every forall is replaced by one copy of its body
    per range value with the loop variable substituted (outermost first).
+   Each loop body is compiled once into builders: a copy rebuilds only the
+   paths above the loop variables, folding as it builds, and a subtree is
+   built once per value of the loop variables it names, so the copies that
+   differ in the other variables share it (``q[i]`` is one object in all
+   the copies of an inner loop over ``j``).
 4. ``expand_composition``  — the object tree reachable from the main class is
    inlined into prefixed flat variables; constant slots fold into literals or
-   element-constraint tables.
+   element-constraint tables.  Each distinct node of an object's zones is
+   resolved once, so a subtree the unrolled copies share stays shared, and a
+   reference already in flat form is kept as it is.
 5. ``remove_conditionals`` — ``if a then b else c`` becomes the pair
    ``a -> b`` and ``a or c``.
 6. ``normalize_logic``     — ``a <-> b`` becomes ``(a -> b) and (b -> a)``;
@@ -43,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .analyzer import TypedModel, const_scalar_value, shape_dims
+from .diagnostics import SourceSpan
 from .errors import EvalError, FlattenError
 from .evaluate import arith
 from .ir import (
@@ -64,6 +72,7 @@ from .ir import (
 )
 from .nodes import (
     ARITH_OPS,
+    ArrayLit,
     Attribute,
     BinOp,
     BoolLit,
@@ -92,7 +101,9 @@ from .nodes import (
     RealType,
     Ref,
     RefPart,
+    SetLit,
     SetType,
+    UnOp,
     VOmit,
     map_item,
     transform,
@@ -101,17 +112,26 @@ from .nodes import (
 from .printer import render_expr
 
 
-@dataclass
 class PassTrace:
     """Instrumentation: (pass name, node count before, node count after).
 
     Counts are exact; each pass boundary is counted once, so a pass's
-    ``before`` is the previous pass's ``after``."""
+    ``before`` is the previous pass's ``after``.  ``flatten`` counts
+    nothing: the trace keeps the typed model, and the first read of
+    ``steps`` runs the passes again with a count at each boundary."""
 
-    steps: list[tuple[str, int, int]] = field(default_factory=list)
+    def __init__(self, tm: TypedModel):
+        self._tm = tm
+        self._steps: list[tuple[str, int, int]] | None = None
 
-    def record(self, name: str, before: int, after: int) -> None:
-        self.steps.append((name, before, after))
+    @property
+    def steps(self) -> list[tuple[str, int, int]]:
+        if self._steps is None:
+            counts = [(name, node_count(state)) for name, state in _pass_states(self._tm)]
+            self._steps = [
+                (name, before, after) for (_, before), (name, after) in zip(counts, counts[1:])
+            ]
+        return self._steps
 
 
 @dataclass
@@ -169,6 +189,9 @@ def fold_expr(e: Expr, tables: dict[str, Table] | None = None) -> Expr:
     """
     tables = tables or {}
     return transform(e, lambda node: _fold(node, tables))
+
+
+_NO_TABLES: dict[str, Table] = {}
 
 
 def _substitute_and_fold(e: Expr, repl, tables: dict[str, Table]) -> Expr:
@@ -405,18 +428,6 @@ def _bind(slot, attr: Attribute, value: DataValue, state: FlattenState) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _subst_loop_var(item: Item, var: str, value: int) -> Item:
-    lit = IntLit(value)
-
-    def repl(node: Expr) -> Expr:
-        if isinstance(node, Ref) and node.parts[0].name == var:
-            if len(node.parts) == 1 and not node.parts[0].indices:
-                return lit
-        return node
-
-    return map_item(item, lambda e: _substitute_and_fold(e, repl, {}))
-
-
 def _loop_bound(bound: Expr, item: Forall, state: FlattenState) -> int:
     folded = fold_expr(bound, state.const_tables)
     if isinstance(folded, IntLit):
@@ -428,30 +439,214 @@ def _loop_bound(bound: Expr, item: Forall, state: FlattenState) -> int:
     )
 
 
-def _unroll_item(item: Item, state: FlattenState) -> list[Item]:
-    if isinstance(item, Forall):
-        lo = _loop_bound(item.range.lo, item, state)
-        hi = _loop_bound(item.range.hi, item, state)
-        out: list[Item] = []
-        for v in range(lo, hi + 1):
-            for body_item in item.body:
-                out.extend(_unroll_item(_subst_loop_var(body_item, item.var, v), state))
-        return out
-    if isinstance(item, IfElse):
-        then_items = tuple(
-            sub for it in item.then_items for sub in _unroll_item(it, state)
-        )
-        else_items = None
-        if item.else_items is not None:
-            else_items = tuple(
-                sub for it in item.else_items for sub in _unroll_item(it, state)
-            )
-        return [IfElse(item.cond, then_items, else_items, span=item.span)]
-    return [item]
+# How a rebuilt node takes each child: as it is (the child names no loop
+# variable, so every copy shares it), as a loop variable's literal, or as the
+# next result on the builder's stack.
+_KEEP, _VALUE, _BUILT = 0, 1, 2
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    """``e``'s child expressions in ``transform``'s order; a reference's
+    children are the indices of all its parts."""
+    t = type(e)
+    if t is BinOp:
+        return (e.left, e.right)
+    if t is Ref:
+        return tuple(i for p in e.parts for i in p.indices)
+    if t is UnOp:
+        return (e.operand,)
+    if t is Call:
+        return e.args
+    if t is SetLit or t is ArrayLit:
+        return e.elems
+    return ()
+
+
+def _loop_names(e: Expr, scope: frozenset[str]) -> dict[int, frozenset[str]]:
+    """The loop variables of ``scope`` that each node of ``e`` names, keyed
+    by the node's id; found children first, on an explicit stack."""
+    names: dict[int, frozenset[str]] = {}
+    stack: list[tuple[Expr, bool]] = [(e, False)]
+    while stack:
+        node, children_done = stack.pop()
+        kids = _children(node)
+        if children_done:
+            names[id(node)] = frozenset().union(*(names[id(k)] for k in kids))
+        elif type(node) is Ref and node.simple_name in scope:
+            names[id(node)] = frozenset((node.simple_name,))
+        else:
+            stack.append((node, True))
+            stack.extend((k, False) for k in kids)
+    return names
+
+
+def _compile_body_expr(e: Expr, scope: frozenset[str], shared: dict) -> tuple:
+    """The builder of ``e`` under the loop variables ``scope``: ``(mode,
+    payload)``.
+
+    ``_KEEP``: ``e`` names no loop variable, and every copy shares it.
+    ``_VALUE``: ``e`` is the loop variable the payload names.  ``_BUILT``:
+    the payload lists the steps that rebuild the nodes on the paths above
+    the loop variables' leaves, in post-order, each from its children on the
+    builder's stack.  A subtree that names fewer loop variables than the
+    scope or its parent is one step of its own: it is built once per value
+    of the variables it names and kept in ``shared``, so that the copies
+    that differ only in the other variables share it.  The tree is walked
+    on explicit stacks; only such steps nest, and at most once per loop
+    variable."""
+    names = _loop_names(e, scope)
+
+    def mode(node: Expr) -> tuple[int, object]:
+        if not names[id(node)]:
+            return _KEEP, node
+        if type(node) is Ref and node.simple_name in scope:
+            return _VALUE, node.simple_name
+        return _BUILT, None
+
+    def steps_of(root: Expr) -> list:
+        """The steps that build ``root``, whose own loop variables are
+        ``names[id(root)]``; a subtree that names fewer is one shared step."""
+        own = names[id(root)]
+        steps: list = []
+        stack: list[tuple[Expr, int]] = [(root, 0)]  # 0: visit, 1: build, 2: share
+        while stack:
+            node, action = stack.pop()
+            if action == 1:
+                steps.append(_build_step(node, tuple(mode(k) for k in _children(node))))
+            elif action == 2:
+                steps.append(_share_step(node, sorted(names[id(node)]), steps_of(node), shared))
+            else:
+                stack.append((node, 1))
+                stack.extend((k, 0 if names[id(k)] == own else 2)
+                             for k in reversed(_children(node)) if mode(k)[0] == _BUILT)
+        return steps
+
+    kind, payload = mode(e)
+    if kind != _BUILT:
+        return kind, payload
+    if names[id(e)] != scope:
+        return _BUILT, [_share_step(e, sorted(names[id(e)]), steps_of(e), shared)]
+    return _BUILT, steps_of(e)
+
+
+def _build_step(node: Expr, modes: tuple[tuple[int, object], ...]):
+    """The step that rebuilds ``node`` from its children, each taken as
+    ``modes`` says, and pushes it folded."""
+    if type(node) is BinOp:
+        op, span, fold = node.op, node.span, node.op in ARITH_OPS
+        (lm, lx), (rm, rx) = modes
+
+        def binop(pop, push, env):
+            r = pop() if rm == _BUILT else env[rx] if rm == _VALUE else rx
+            l = pop() if lm == _BUILT else env[lx] if lm == _VALUE else lx
+            built = BinOp(op, l, r, span=span)
+            push(_fold(built, _NO_TABLES) if fold else built)
+
+        return binop
+
+    def rebuild(pop, push, env):
+        args = [None] * len(modes)
+        for k in range(len(modes) - 1, -1, -1):
+            m, x = modes[k]
+            args[k] = pop() if m == _BUILT else env[x] if m == _VALUE else x
+        push(_rebuilt(node, args))
+
+    return rebuild
+
+
+def _share_step(node: Expr, loop_vars: list[str], steps: list, shared: dict):
+    """The step that pushes ``node`` built by ``steps``, once per value of
+    ``loop_vars``, the loop variables it names."""
+    node_id = id(node)
+
+    def share(pop, push, env):
+        key = (node_id, *[env[v].value for v in loop_vars])
+        built = shared.get(key)
+        if built is None:
+            built = shared[key] = _run_steps(steps, env)
+        push(built)
+
+    return share
+
+
+def _run_steps(steps: list, env: dict[str, IntLit]) -> Expr:
+    stack: list[Expr] = []
+    pop, push = stack.pop, stack.append
+    for step in steps:
+        step(pop, push, env)
+    return stack[0]
+
+
+def _rebuilt(e: Expr, args: list[Expr]) -> Expr:
+    """A copy of ``e``, not a ``BinOp``, with ``args`` for its
+    ``_children``; nothing but a ``BinOp`` folds."""
+    t = type(e)
+    if t is Ref:
+        parts, k = [], 0
+        for p in e.parts:
+            n = len(p.indices)
+            indices = tuple(args[k:k + n])
+            parts.append(p if all(a is b for a, b in zip(indices, p.indices))
+                         else RefPart(p.name, indices))
+            k += n
+        return Ref(tuple(parts), span=e.span)
+    if t is UnOp:
+        return UnOp(e.op, args[0], span=e.span)
+    if t is Call:
+        return Call(e.name, tuple(args), span=e.span)
+    return t(tuple(args), span=e.span)
+
+
+class _Unroller:
+    """Each loop body is compiled once, where its loop is first met, and each
+    unrolled copy is built from the builders under the values of the loop
+    variables in scope (``env``, name to literal): what names no loop
+    variable is shared as it is, and only the paths above the loop
+    variables are rebuilt, folding as they are built."""
+
+    def __init__(self, state: FlattenState):
+        self.state = state
+        self.codes: dict[int, tuple] = {}  # id of a source expression -> its builder
+        self.shared: dict[tuple, Expr] = {}  # (id of a source node, values) -> built node
+
+    def unroll(self, item: Item, env: dict[str, IntLit]) -> list[Item]:
+        t = type(item)
+        if t is Forall:
+            lo = _loop_bound(self.expr(item.range.lo, env), item, self.state)
+            hi = _loop_bound(self.expr(item.range.hi, env), item, self.state)
+            out: list[Item] = []
+            for v in range(lo, hi + 1):
+                inner = {**env, item.var: IntLit(v)}
+                for body_item in item.body:
+                    out.extend(self.unroll(body_item, inner))
+            return out
+        if t is IfElse:
+            then_items = tuple(sub for it in item.then_items for sub in self.unroll(it, env))
+            else_items = None
+            if item.else_items is not None:
+                else_items = tuple(sub for it in item.else_items for sub in self.unroll(it, env))
+            return [IfElse(self.expr(item.cond, env), then_items, else_items, span=item.span)]
+        if not env:
+            return [item]
+        return [map_item(item, lambda e: self.expr(e, env))]
+
+    def expr(self, e: Expr, env: dict[str, IntLit]) -> Expr:
+        if not env:
+            return e
+        code = self.codes.get(id(e))
+        if code is None:
+            code = self.codes[id(e)] = _compile_body_expr(e, frozenset(env), self.shared)
+        kind, payload = code
+        if kind == _KEEP:
+            return e
+        if kind == _VALUE:
+            return env[payload]
+        return _run_steps(payload, env)
 
 
 def unroll_loops(state: FlattenState) -> FlattenState:
-    _rebuild_zones(state, lambda cls, item: _unroll_item(item, state))
+    unroller = _Unroller(state)
+    _rebuild_zones(state, lambda cls, item: unroller.unroll(item, {}))
     return state
 
 
@@ -497,7 +692,8 @@ class _SlotObjArray:
 class _Expander:
     def __init__(self, state: FlattenState):
         self.state = state
-        self.used_names: set[str] = set()
+        # flat name -> the table that holds it, or None for a variable
+        self.names: dict[str, Table | None] = {}
         self.variables: list[FlatVar] = []
         self.tables: dict[str, Table] = {}
         self.items: list[Item] = []
@@ -505,18 +701,23 @@ class _Expander:
 
     # -- naming and registration ------------------------------------------------
 
-    def claim(self, name: str, attr: Attribute) -> str:
-        if name in self.used_names:
+    def claim(self, name: str, span: SourceSpan | None, table: Table | None = None) -> str:
+        """Give ``name`` to a new variable, or to ``table``, which may claim
+        its own name again; ``span`` is where a second owner is reported."""
+        if name in self.names and (table is None or self.names[name] is not table):
             raise FlattenError(
                 f"flat name '{name}' collides with an existing variable or table",
                 "expand_composition",
-                attr.span,
+                span,
             )
-        self.used_names.add(name)
+        self.names[name] = table
         return name
 
-    def register_table(self, table: Table) -> None:
-        if table.name not in self.tables:
+    def register_table(self, table: Table, span: SourceSpan | None) -> None:
+        """Put ``table``, which the reference at ``span`` reads, in the flat
+        model; a data table claims its name here, when it is first read."""
+        if self.tables.get(table.name) is not table:
+            self.claim(table.name, span, table)
             self.tables[table.name] = table
 
     def add_item(self, item: Item, origin: str) -> None:
@@ -547,7 +748,7 @@ class _Expander:
         self, name: str, attr: Attribute, dims: tuple[int, ...], owner: str
     ) -> FlatVar:
         var = FlatVar(
-            name=self.claim(name, attr),
+            name=self.claim(name, attr.span),
             base=_base_of(attr),
             shape=dims,
             domain=self._domain_of(attr, owner),
@@ -588,10 +789,15 @@ class _Expander:
                     binding[attr.name], owner,
                 )
         instance = _Instance(cls, slots, label)
+        # a node unrolling shared between constraints is resolved once, and
+        # its flat result is shared in turn; resolution depends on the
+        # instance, so the memo serves this object's zones only
+        memo: dict[int, Expr] = {}
         for zone in cls.zones:
             origin = f"{label or cls.name}:{zone.name}"
             for item in zone.items:
-                self.add_item(map_item(item, lambda e: self.resolve_expr(e, instance)), origin)
+                self.add_item(map_item(item, lambda e: self.resolve_expr(e, instance, memo)),
+                              origin)
         return instance
 
     def _expand_primitive(
@@ -604,8 +810,8 @@ class _Expander:
             return _SlotScalar(Ref((RefPart(name),)))
         indices = list(iter_indices(dims))
         if len(cells) == len(indices):
-            self.claim(name, attr)
-            return _SlotArray(name, Table(name, dims, tuple(cells[i] for i in indices)))
+            table = Table(name, dims, tuple(cells[i] for i in indices))
+            return _SlotArray(self.claim(name, attr.span, table), table)
         var = self.make_var(name, attr, dims, owner)
         for idx in indices:
             if idx in cells:
@@ -639,15 +845,15 @@ class _Expander:
 
     # -- reference resolution -----------------------------------------------------
 
-    def resolve_expr(self, e: Expr, inst: _Instance) -> Expr:
-        def repl(node: Expr) -> Expr:
-            if isinstance(node, Ref):
-                return self.resolve_ref(node, inst)
-            return node
+    def resolve_expr(self, e: Expr, inst: _Instance, memo: dict[int, Expr]) -> Expr:
+        """``e`` with its references resolved in ``inst`` and folded; ``memo``
+        answers the nodes already resolved in ``inst``."""
+        def resolve(node: Expr) -> Expr:
+            # tables are read in ``resolve_ref``, where attributes shadow
+            # them, not by the flat name a reference resolves to
+            return self.resolve_ref(node, inst) if type(node) is Ref else _fold(node, _NO_TABLES)
 
-        # tables are read in ``resolve_ref``, where attributes shadow them,
-        # not by the flat name a reference resolves to
-        return _substitute_and_fold(e, repl, {})
+        return transform(e, resolve, memo)
 
     def resolve_ref(self, ref: Ref, inst: _Instance) -> Expr:
         """``ref`` as a flat expression; its indices are already folded.
@@ -692,15 +898,21 @@ class _Expander:
         return self._primitive_ref(target, RefPart(target.name, part.indices), ref)
 
     def _primitive_ref(self, slot, part: RefPart, ref: Ref) -> Expr:
+        """The flat form of ``part`` of ``ref``, which names ``slot``:
+        ``ref`` itself when it is already that form."""
         if isinstance(slot, _SlotScalar):
             e = slot.expr
-            return Ref(e.parts, span=ref.span) if isinstance(e, Ref) else e
+            if not isinstance(e, Ref):
+                return e
+            return ref if ref.parts == e.parts else Ref(e.parts, span=ref.span)
         table = slot.table
         if table is not None:
             cell = _lookup(table, part)
             if cell is not None:
                 return cell
-            self.register_table(table)
+            self.register_table(table, ref.span)
+        if ref.parts == (part,) and part.name == slot.name:
+            return ref
         return Ref((RefPart(slot.name, part.indices),), span=ref.span)
 
 
@@ -778,7 +990,8 @@ def remove_conditionals(state: FlattenState) -> FlattenState:
 # ---------------------------------------------------------------------------
 
 
-def normalize_expr(e: Expr) -> Expr:
+def normalize_expr(e: Expr, memo: dict[int, Expr] | None = None) -> Expr:
+    """``e`` with ``<->`` and ``<-`` rewritten; ``memo`` is ``transform``'s."""
     def repl(node: Expr) -> Expr:
         if isinstance(node, BinOp):
             if node.op == "<->":
@@ -792,11 +1005,13 @@ def normalize_expr(e: Expr) -> Expr:
                 return BinOp("->", node.right, node.left, span=node.span)
         return node
 
-    return transform(e, repl)
+    return transform(e, repl, memo)
 
 
 def normalize_logic(state: FlattenState) -> FlattenState:
-    state.items = [map_item(item, normalize_expr) for item in state.items]
+    # a subtree that constraints share is rewritten once
+    memo: dict[int, Expr] = {}
+    state.items = [map_item(item, lambda e: normalize_expr(e, memo)) for item in state.items]
     return state
 
 
@@ -856,14 +1071,19 @@ def build_flat_model(state: FlattenState) -> FlatModel:
     return fm
 
 
-def flatten(tm: TypedModel) -> tuple[FlatModel, PassTrace]:
-    """Run the full six-pass pipeline."""
+def _pass_states(tm: TypedModel):
+    """The state before the first pass, then after each pass, with the
+    name of the pass that made it (``""`` for the first).  Passes update
+    the state in place, so a consumer reads each one before the next."""
     state = state_from_typed_model(tm)
-    trace = PassTrace()
-    before = node_count(state)
+    yield "", state
     for name, pass_fn in PIPELINE:
         state = pass_fn(state)
-        after = node_count(state)
-        trace.record(name, before, after)
-        before = after
-    return build_flat_model(state), trace
+        yield name, state
+
+
+def flatten(tm: TypedModel) -> tuple[FlatModel, PassTrace]:
+    """Run the full six-pass pipeline."""
+    for _name, state in _pass_states(tm):
+        pass
+    return build_flat_model(state), PassTrace(tm)

@@ -162,7 +162,7 @@ def walk(*roots) -> list:
     return out
 
 
-def transform(e: Expr, fn) -> Expr:
+def transform(e: Expr, fn, memo: dict[int, Expr] | None = None) -> Expr:
     """Rebuild ``e`` bottom-up, applying ``fn`` to every node.
 
     ``fn`` receives a node whose children are already transformed and returns
@@ -171,17 +171,28 @@ def transform(e: Expr, fn) -> Expr:
     paths above a change are rebuilt and untouched subtrees are shared
     between the input and the result.  A node may therefore belong to
     several trees and must not be mutated once built.
+
+    ``memo`` maps ``id(node)`` to the result for the nodes already
+    transformed: a node met again, in ``e`` or in a later call with the same
+    ``memo``, is answered from it without a second visit, so a shared
+    subtree is transformed once and its result is shared too.  That holds
+    only while ``fn`` depends on the node alone and the nodes stay alive.
     """
+    if memo is not None:
+        done = memo.get(id(e))
+        if done is not None:
+            return done
+    source = e
     t = type(e)
     if t is BinOp:
-        left = transform(e.left, fn)
-        right = transform(e.right, fn)
+        left = transform(e.left, fn, memo)
+        right = transform(e.right, fn, memo)
         if left is not e.left or right is not e.right:
             e = BinOp(e.op, left, right, span=e.span)
     elif t is Ref:
         parts = None
         for k, p in enumerate(e.parts):
-            indices = _map_all(transform, p.indices, fn)
+            indices = _transform_all(p.indices, fn, memo)
             if indices is not p.indices:
                 if parts is None:
                     parts = list(e.parts[:k])
@@ -191,18 +202,36 @@ def transform(e: Expr, fn) -> Expr:
         if parts is not None:
             e = Ref(tuple(parts), span=e.span)
     elif t is UnOp:
-        operand = transform(e.operand, fn)
+        operand = transform(e.operand, fn, memo)
         if operand is not e.operand:
             e = UnOp(e.op, operand, span=e.span)
     elif t is Call:
-        args = _map_all(transform, e.args, fn)
+        args = _transform_all(e.args, fn, memo)
         if args is not e.args:
             e = Call(e.name, args, span=e.span)
     elif t is SetLit or t is ArrayLit:
-        elems = _map_all(transform, e.elems, fn)
+        elems = _transform_all(e.elems, fn, memo)
         if elems is not e.elems:
             e = t(elems, span=e.span)
-    return fn(e)
+    e = fn(e)
+    if memo is not None:
+        memo[id(source)] = e
+    return e
+
+
+def _transform_all(xs: tuple, fn, memo) -> tuple:
+    """``transform`` of each of ``xs``; ``xs`` itself when none changed.
+    ``_map_all`` for ``transform``, which takes ``memo`` as well: passing it
+    through ``*args`` would slow every ``transform`` by about a tenth."""
+    out = None
+    for k, x in enumerate(xs):
+        x2 = transform(x, fn, memo)
+        if out is not None:
+            out.append(x2)
+        elif x2 is not x:
+            out = list(xs[:k])
+            out.append(x2)
+    return xs if out is None else tuple(out)
 
 
 def _map_all(f, xs: tuple, fn) -> tuple:

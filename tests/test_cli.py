@@ -300,6 +300,21 @@ class TestBench:
                 assert r[f"emit_s_{target}"] >= 0 and f"tokens_{target}" in r
         assert "emit_s" not in out.splitlines()[0]  # the console table is unchanged
 
+    def test_rows_report_compile_time_and_node_counts(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("queens-10.scm", "queens-10.dat"):
+            shutil.copy(corpus_dir() / name, corpus / name)
+        code, out, _ = run(capsys, "bench", str(corpus), "--report", str(tmp_path / "r.jsonl"))
+        assert code == 0
+        [row] = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
+        assert row["compile_s"] > 0
+        # one count per pass, read from the trace: the counts of queens-10
+        assert row["nodes_after"] == [35, 35, 991, 991, 991, 991]
+        assert out.splitlines()[0].split() == [
+            "name", "status", "variables", "constraints", "tokens_source", "tokens_flat",
+            "tokens_gecodej", "tokens_clp", "solved", "solve_time", "note"]
+
     def test_empty_corpus_dir(self, tmp_path, capsys):
         empty = tmp_path / "corpus"
         empty.mkdir()
@@ -501,8 +516,20 @@ class TestFlatteningErrors:
          "[expand_composition] {model}:1:50: variable index into object array 'p' in"
          " 'p[k].arr[1]': the target attribute is expanded per object, so the index must"
          " be constant"),
+        # a data table that a reference reads claims its name as a variable
+        # does: at the reference when the variable came first, else at the
+        # attribute whose variable comes second
+        ("class R { P p; int k in [1,2]; constraint c { p.x = p_x[k]; } }" + P_WITH_W,
+         "int p_x[2] := [3,4];\n",
+         "[expand_composition] {model}:1:53: flat name 'p_x' collides with an existing"
+         " variable or table"),
+        ("class R { Q q; P p; }\nclass Q { int k in [1,2]; constraint c { k <> p_x[k]; } }"
+         + P_WITH_W, "int p_x[2] := [3,4];\n",
+         "[expand_composition] {model}:3:27: flat name 'p_x' collides with an existing"
+         " variable or table"),
     ], ids=["object-index", "object-index-unrolled", "table-index", "assigned-array-index",
-            "loop-bound", "flat-name-collision", "variable-object-index"])
+            "loop-bound", "flat-name-collision", "variable-object-index",
+            "table-after-variable", "table-before-variable"])
     def test_cli_output(self, tmp_path, capsys, model, data, expected):
         model_path, data_path = tmp_path / "m.scm", tmp_path / "m.dat"
         model_path.write_text(model)

@@ -5,6 +5,8 @@ import pytest
 
 from conftest import compile_corpus, compile_text, parse_data_ok, parse_ok
 from scomma.analyzer import analyze
+from scomma.cli import corpus_dir
+from scomma import flattener
 from scomma.errors import EvalError, FlattenError
 from scomma.evaluate import eval_expr
 from scomma.flattener import (
@@ -18,7 +20,7 @@ from scomma.flattener import (
     substitute_enums,
 )
 from scomma.ir import IntInterval, flatness_violations
-from scomma.nodes import BinOp, Constraint, IfElse, IntLit, RealLit, Ref, transform
+from scomma.nodes import BinOp, Constraint, IfElse, IntLit, RealLit, Ref, transform, walk
 from scomma.parser import parse_expression
 from scomma.printer import render_expr
 
@@ -96,6 +98,25 @@ class TestStableGolden:
     def test_trace_node_counts_are_exact(self, name, steps):
         _tm, _fm, trace = compile_corpus(name)
         assert trace.steps == steps
+
+    @pytest.mark.parametrize("name, steps", [
+        ("stable", [("substitute_enums", 58, 66), ("substitute_data", 66, 66),
+                    ("unroll_loops", 66, 966), ("expand_composition", 966, 672),
+                    ("remove_conditionals", 672, 672), ("normalize_logic", 672, 672)]),
+        ("queens-10", [("substitute_enums", 35, 35), ("substitute_data", 35, 35),
+                       ("unroll_loops", 35, 991), ("expand_composition", 991, 991),
+                       ("remove_conditionals", 991, 991), ("normalize_logic", 991, 991)]),
+    ])
+    def test_nodes_are_counted_only_when_the_trace_is_read(self, monkeypatch, name, steps):
+        calls = []
+        count = flattener.node_count
+        monkeypatch.setattr(flattener, "node_count", lambda state: calls.append(1) or count(state))
+        _tm, _fm, trace = compile_corpus(name)
+        assert calls == []  # flatten counts nothing
+        assert trace.steps == steps
+        assert len(calls) == 7  # the first read counts each pass boundary once
+        assert trace.steps == steps
+        assert len(calls) == 7  # a second read counts nothing
 
     def test_flatness_machine_check(self, stable):
         _tm, fm = stable
@@ -208,6 +229,44 @@ class TestUnrollLoops:
         tm, diags = analyze(model, None)
         assert tm is None  # the analyzer already rejects the unknown constant
         assert any("unknown name 'n'" in d.message for d in diags)
+
+
+class TestSharing:
+    """A loop body is built once per value of the loop variables each of its
+    subtrees names, and expansion resolves each distinct node once, so the
+    flat constraints share what the source writes once."""
+
+    def queens(self, n):
+        model = parse_ok((corpus_dir() / "queens-10.scm").read_text())
+        tm, diags = analyze(model, parse_data_ok(f"int n := {n};"))
+        assert tm is not None, [d.render() for d in diags]
+        return flatten(tm)[0]
+
+    def test_queens_30_flat_constraints_hold_fewer_distinct_objects(self):
+        fm = self.queens(30)
+        nodes = walk(*(c.expr for c in fm.constraints))
+        assert len(nodes) == 8265
+        # 6,989 distinct objects when every unrolled copy was rebuilt whole
+        assert len({id(node) for node in nodes}) == 3277
+
+    def test_a_reference_is_one_object_where_its_loop_variable_has_one_value(self):
+        # constraint (i, j, line) for 1 <= i < j <= 30 and the three lines
+        #   q[i] <> q[j];  q[i] <> q[j] + (j-i);  q[i] <> q[j] - (j-i);
+        fm = self.queens(30)
+        rows = [(i, j) for i in range(1, 31) for j in range(i + 1, 31)]
+        exprs = [c.expr for c in fm.constraints]
+        assert len(exprs) == 3 * len(rows)
+        for line in range(3):
+            q_i, q_j = {}, {}
+            for (i, j), e in zip(rows, exprs[line::3]):
+                right = e.right if line == 0 else e.right.left
+                assert render_expr(e.left) == f"q[{i}]" and render_expr(right) == f"q[{j}]"
+                q_i.setdefault(i, set()).add(id(e.left))
+                q_j.setdefault(j, set()).add(id(right))
+            # one q[i] for all the constraints of outer iteration i, and one
+            # q[j] for all the outer iterations that reach j
+            assert all(len(ids) == 1 for ids in q_i.values())
+            assert all(len(ids) == 1 for ids in q_j.values())
 
 
 class TestExpandComposition:

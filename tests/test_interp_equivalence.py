@@ -2,7 +2,16 @@
 
 import itertools
 
-from conftest import FIXTURES, compile_corpus, compile_text, parse_data_ok, parse_ok
+import pytest
+
+from conftest import (
+    FIXTURES,
+    analyze_ok,
+    compile_corpus,
+    compile_text,
+    parse_data_ok,
+    parse_ok,
+)
 from scomma.analyzer import analyze
 from scomma.cli import corpus_dir
 from scomma.evaluate import compile_check
@@ -15,6 +24,7 @@ from scomma.interp import (
     flat_solution_set,
 )
 from scomma.ir import BOOL, SET, iter_indices
+from scomma.printer import render_expr
 from scomma.solver import build_space, solve
 
 LIMIT = 10**6
@@ -176,6 +186,64 @@ class TestDataValues:
         assert_equivalent(tm, fm)
         assert [v.name for v in fm.variables] == ["q_1_p_x", "q_2_p_x"]
         assert len(flat_solution_set(fm)) == 9
+
+
+def steps(*counts):
+    """A pass trace from its seven node counts: the first pass's ``before``,
+    then each pass's ``after``."""
+    names = ("substitute_enums", "substitute_data", "unroll_loops",
+             "expand_composition", "remove_conditionals", "normalize_logic")
+    return list(zip(names, counts, counts[1:]))
+
+
+class TestLoopShapes:
+    """Loop bodies of every shape the unroller specialises: the flat model
+    keeps the source's solutions, and its pass trace is the one recorded
+    before loop bodies were specialised once per loop level."""
+
+    @pytest.mark.parametrize("model, trace", [
+        ("class R { int x[4] in [0,3]; constraint c {"
+         " forall (i in 1..3) { forall (j in i+1..4) { x[i] <= x[j] + (j - i); } }"
+         " forall (i in 1..2) { forall (j in 1..2*i) { x[j] <> i; } } } }",
+         steps(32, 32, 32, 79, 79, 79, 79)),
+        ("class R { int x[4] in [0,4]; constraint c { forall (i in 1..4) {"
+         " x[i] >= i*2 - 5; x[i] - (i - 1) * (i + 1) <= 3 - i;"
+         " i = 2 or x[i] <> 4/(i - 2); i = 1 or i = 3 or x[i] <= i/2 + 2; } } }",
+         steps(58, 58, 58, 147, 147, 147, 147)),
+        ("class R { int x[3] in [0,2]; constraint c { forall (i in 1..3) {"
+         " if (i < 2) { x[i] <> 1; } else { if (x[4 - i] > 0) { x[i] >= i - 1; }"
+         " else x[i] = 2; } } } }",
+         steps(32, 32, 32, 73, 73, 100, 100)),
+        ("class R { int x[2,3] in [1,3]; constraint c { forall (i in 1..2) {"
+         " alldifferent([x[i,1], x[i,2], x[i,3]]); x[i,1] < x[i,3] + i - 1; } } }",
+         steps(27, 27, 27, 47, 47, 47, 47)),
+        ("class R { P p[3]; constraint c { forall (i in 1..2) {"
+         " p[i].v < p[i+1].v + p[i].w[i]; } } }\n"
+         "class P { int v in [0,3]; int w[2] in [0,1]; }",
+         steps(18, 18, 18, 23, 22, 22, 22)),
+        ("class R { int x[3] in [0,2]; constraint c { forall (i in 1..2) {"
+         " forall (j in i..3) { forall (k in j..3) { x[i] + x[j] <= x[k] + k - i; } } } } }",
+         steps(23, 23, 23, 118, 118, 118, 118)),
+    ], ids=["inner-bound-reads-outer", "arithmetic", "if", "alldifferent", "object-index",
+            "three-deep"])
+    def test_unrolled_model_keeps_the_solutions(self, model, trace):
+        tm = analyze_ok(parse_ok(model))
+        fm, passes = flatten(tm)
+        assert_equivalent(tm, fm)
+        assert passes.steps == trace
+
+    def test_division_the_evaluator_rejects_stays_unfolded(self):
+        tm = analyze_ok(parse_ok(
+            "class R { int x[4] in [0,4]; constraint c { forall (i in 1..4) {"
+            " i = 2 or x[i] <> 4/(i - 2); i = 1 or i = 3 or x[i] <= i/2 + 2; } } }"))
+        fm, _ = flatten(tm)
+        assert [render_expr(c.expr) for c in fm.constraints] == [
+            "1=2 or x[1]<>-4", "1=1 or 1=3 or x[1]<=1/2+2",
+            "2=2 or x[2]<>4/0", "2=1 or 2=3 or x[2]<=3",
+            "3=2 or x[3]<>4", "3=1 or 3=3 or x[3]<=3/2+2",
+            "4=2 or x[4]<>2", "4=1 or 4=3 or x[4]<=4",
+        ]
+        assert_equivalent(tm, fm)
 
 
 class TestQueensEight:
