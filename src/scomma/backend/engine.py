@@ -254,7 +254,11 @@ def _descriptor_files() -> list[Path]:
 
 
 def load_descriptor_file(path: Path) -> BackendDescriptor:
-    bd, diags = parse_descriptor(path.read_text(encoding="utf-8"), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise BackendError(f"cannot read descriptor file: {exc}") from exc
+    bd, diags = parse_descriptor(text, str(path))
     if bd is None:
         details = "; ".join(d.render() for d in diags)
         raise BackendError(f"bad descriptor {path}: {details}")

@@ -16,13 +16,14 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .analyzer import TypedModel, analyze
 from .backend import BackendDescriptor, compile_to_target, find_target, list_targets
 from .backend.engine import load_descriptor_file
 from .diagnostics import Diagnostic
-from .errors import BackendError, ContractError, ScommaError, UnsupportedModelError
+from .errors import ContractError, ScommaError, UnsupportedModelError
 from .evaluate import check_solution
 from .flattener import PassTrace, flatten
 from .ir import FlatModel, FlatVar, SET, Solution
@@ -51,8 +52,9 @@ def _print_diags(diags: list[Diagnostic]) -> None:
         print(d.render(), file=sys.stderr)
 
 
-class _LoadError(Exception):
-    pass
+class _InputError(ScommaError):
+    """A file the user named cannot be read or written, or an input does not
+    compile; ``main`` prints it as one ``error:`` line."""
 
 
 def load_problem(model_path: str, data_paths: list[str]) -> tuple[TypedModel, FlatModel, PassTrace]:
@@ -62,11 +64,11 @@ def load_problem(model_path: str, data_paths: list[str]) -> tuple[TypedModel, Fl
     try:
         text = mpath.read_text(encoding="utf-8")
     except OSError as exc:
-        raise _LoadError(f"cannot read model file: {exc}") from exc
+        raise _InputError(f"cannot read model file: {exc}") from exc
     model, diags = parse_model(text, str(mpath))
     _print_diags(diags)
     if model is None:
-        raise _LoadError("model did not parse")
+        raise _InputError("model did not parse")
 
     from .nodes import DataFile
 
@@ -77,21 +79,21 @@ def load_problem(model_path: str, data_paths: list[str]) -> tuple[TypedModel, Fl
         try:
             dtext = spath.read_text(encoding="utf-8")
         except OSError as exc:
-            raise _LoadError(f"cannot read data file '{source}': {exc}") from exc
+            raise _InputError(f"cannot read data file '{source}': {exc}") from exc
         part, ddiags = parse_data(dtext, str(spath))
         _print_diags(ddiags)
         if part is None:
-            raise _LoadError(f"data file '{source}' did not parse")
+            raise _InputError(f"data file '{source}' did not parse")
         data, clashes = data.merged_with(part)
         if clashes:
             for c in clashes:
                 print(f"{source}: error: {c}", file=sys.stderr)
-            raise _LoadError("conflicting data files")
+            raise _InputError("conflicting data files")
 
     tm, adiags = analyze(model, data)
     _print_diags(adiags)
     if tm is None:
-        raise _LoadError("analysis failed")
+        raise _InputError("analysis failed")
     fm, trace = flatten(tm)
     return tm, fm, trace
 
@@ -232,29 +234,24 @@ def _parse_value(text: str, fm: FlatModel, var: FlatVar, lineno: int):
 
 
 def cmd_compile(args) -> int:
-    try:
-        _tm, fm, _ = load_problem(args.model, args.data)
-    except _LoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
+    _tm, fm, _ = load_problem(args.model, args.data)
     target_name = "flat" if args.emit_flat or not args.target else args.target
-    try:
-        if target_name.endswith(".bd"):
-            bd = load_descriptor_file(Path(target_name))
-        else:
-            bd = find_target(target_name)
-        text = compile_to_target(fm, bd, no_rewrites=args.no_rewrites)
-    except BackendError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
+    if target_name.endswith(".bd"):
+        bd = load_descriptor_file(Path(target_name))
+    else:
+        bd = find_target(target_name)
+    text = compile_to_target(fm, bd, no_rewrites=args.no_rewrites)
     out = Path(args.out) if args.out else Path(args.model).with_suffix(bd.extension)
-    out.write_text(text, encoding="utf-8")
+    try:
+        out.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot write output file: {exc}") from exc
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def _search_config(args) -> SearchConfig:
-    limit = None if args.all else (args.limit if args.limit else 1)
+    limit = None if args.all else (1 if args.limit is None else args.limit)
     return SearchConfig(
         var_order=args.strategy,
         value_order=args.value_order,
@@ -264,11 +261,7 @@ def _search_config(args) -> SearchConfig:
 
 
 def cmd_solve(args) -> int:
-    try:
-        _tm, fm, _ = load_problem(args.model, args.data)
-    except _LoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
+    _tm, fm, _ = load_problem(args.model, args.data)
     try:
         space = build_space(fm)
     except UnsupportedModelError as exc:
@@ -308,11 +301,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        _tm, fm, _ = load_problem(args.model, args.data)
-    except _LoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
+    _tm, fm, _ = load_problem(args.model, args.data)
     try:
         text = Path(args.solution).read_text(encoding="utf-8")
         sol = parse_solution_file(fm, text)
@@ -330,7 +319,7 @@ def cmd_check(args) -> int:
     return EXIT_NO_SOLUTION
 
 
-def _bench_one(path: Path, targets: list[BackendDescriptor], time_limit: float) -> dict:
+def _bench_one(path: Path, targets: list[BackendDescriptor], cfg: SearchConfig) -> dict:
     row: dict = {"name": path.stem, "status": "ok", "note": ""}
     try:
         t0 = time.perf_counter()
@@ -355,12 +344,11 @@ def _bench_one(path: Path, targets: list[BackendDescriptor], time_limit: float) 
             row["note"] = "emit-only: " + "; ".join(exc.constructs)
             row["solved"] = False
             return row
-        cfg = SearchConfig(solution_limit=1, time_limit=time_limit)
         if fm.objective is not None:
-            best, stats = optimize(space, cfg=SearchConfig(time_limit=time_limit))
+            best, stats = optimize(space, cfg)
             solutions = [best] if best is not None else []
         else:
-            search = solve(space, cfg)
+            search = solve(space, replace(cfg, solution_limit=1))
             solutions = list(search)
             stats = search.stats
         row["solved"] = bool(solutions)
@@ -369,7 +357,7 @@ def _bench_one(path: Path, targets: list[BackendDescriptor], time_limit: float) 
         if solutions:
             ok, _ = check_solution(fm, solutions[0])
             row["verified"] = ok
-    except (ScommaError, _LoadError, OSError) as exc:
+    except (ScommaError, OSError) as exc:
         row["status"] = "failed"
         row["note"] = str(exc)
     return row
@@ -381,9 +369,8 @@ def cmd_bench(args) -> int:
         print(f"error: '{corpus}' is not a directory", file=sys.stderr)
         return EXIT_USAGE
     targets, _ = list_targets()
-    rows = [
-        _bench_one(path, targets, args.time_limit) for path in sorted(corpus.glob("*.scm"))
-    ]
+    cfg = SearchConfig(time_limit=args.time_limit)  # one error for a bad limit, not one per row
+    rows = [_bench_one(path, targets, cfg) for path in sorted(corpus.glob("*.scm"))]
     columns = [
         "name", "status", "variables", "constraints", "tokens_source",
         "tokens_flat", "tokens_gecodej", "tokens_clp", "solved", "solve_time", "note",
@@ -394,9 +381,11 @@ def cmd_bench(args) -> int:
     for r in rows:
         print("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in columns))
     report = Path(args.report)
-    with report.open("w", encoding="utf-8") as fh:
-        for r in rows:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
+    try:
+        report.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows),
+                          encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot write report file: {exc}") from exc
     print(f"report written to {report}")
     return EXIT_OK
 

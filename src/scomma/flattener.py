@@ -38,11 +38,10 @@ The passes consume an analyzed model and check nothing analysis has
 checked.  A ``FlattenError`` names its pass and the source position at
 fault, and is raised only for what depends on data, on unrolling or on the
 names expansion makes: a loop bound that does not fold to an integer, a
-flat-name collision, a decision cell with no finite domain, an object index
-outside its array, a non-constant index into an object array whose target
-is expanded per object, a second objective, and the flatness report of
-``build_flat_model``.  A constant index out of range is left unfolded for
-that report.
+flat-name collision, a decision cell with no finite domain, a constant index
+outside its array (rejected where expansion resolves the reference), a
+non-constant index into an object array whose target is expanded per
+object, and a second objective.  Nothing re-checks the flat model.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from .ir import (
     RealInterval,
     SET,
     Table,
-    flatness_violations,
     iter_indices,
 )
 from .nodes import (
@@ -205,7 +203,7 @@ def _fold(node: Expr, tables: dict[str, Table]) -> Expr:
 
     Arithmetic is the evaluator's; what it rejects (division by zero,
     inexact integer division) stays unfolded for it to reject at run time.
-    A table lookup out of range stays unfolded for the flatness check."""
+    A table lookup out of range stays unfolded for expansion to reject."""
     if isinstance(node, BinOp) and node.op in ARITH_OPS:
         l, r = node.left, node.right
         if isinstance(l, (IntLit, RealLit)) and isinstance(r, (IntLit, RealLit)):
@@ -665,10 +663,11 @@ class _SlotScalar:
 
 @dataclass
 class _SlotArray:
-    """A primitive array: the flat array variable ``name``, or the constant
-    ``table`` of that name when every cell is assigned."""
+    """A primitive array of sizes ``dims``: the flat array variable ``name``,
+    or the constant ``table`` of that name when every cell is assigned."""
 
     name: str
+    dims: tuple[int, ...]
     table: Table | None
 
 
@@ -811,12 +810,12 @@ class _Expander:
         indices = list(iter_indices(dims))
         if len(cells) == len(indices):
             table = Table(name, dims, tuple(cells[i] for i in indices))
-            return _SlotArray(self.claim(name, attr.span, table), table)
+            return _SlotArray(self.claim(name, attr.span, table), dims, table)
         var = self.make_var(name, attr, dims, owner)
         for idx in indices:
             if idx in cells:
                 self.pin(var, idx, cells[idx])
-        return _SlotArray(name, None)
+        return _SlotArray(name, dims, None)
 
     def _expand_object_array(self, prefix: str, attr: Attribute, bindings: list, owner: str):
         """Each scalar primitive attribute of the elements becomes one flat
@@ -863,19 +862,13 @@ class _Expander:
         slot = inst.slots.get(parts[0].name)
         if slot is None:
             table = self.state.const_tables[parts[0].name]
-            return self._primitive_ref(_SlotArray(table.name, table), parts[0], ref)
+            return self._primitive_ref(_SlotArray(table.name, table.shape, table), parts[0], ref)
         for k, part in enumerate(parts):
             if isinstance(slot, _SlotObjArray):
                 idx = part.indices[0]
                 if not isinstance(idx, IntLit):
                     return self._grouped_ref(slot, k, ref)
-                if not 1 <= idx.value <= len(slot.insts):
-                    raise FlattenError(
-                        f"object index {idx.value} outside 1..{len(slot.insts)} in"
-                        f" '{render_expr(ref)}'",
-                        "expand_composition",
-                        idx.span or ref.span,
-                    )
+                _check_index(idx, len(slot.insts), "object index", ref)
                 slot = slot.insts[idx.value - 1]
             if not isinstance(slot, _Instance):
                 return self._primitive_ref(slot, part, ref)
@@ -905,6 +898,9 @@ class _Expander:
             if not isinstance(e, Ref):
                 return e
             return ref if ref.parts == e.parts else Ref(e.parts, span=ref.span)
+        for idx, size in zip(part.indices, slot.dims):
+            if isinstance(idx, IntLit):
+                _check_index(idx, size, "index", ref)
         table = slot.table
         if table is not None:
             cell = _lookup(table, part)
@@ -914,6 +910,17 @@ class _Expander:
         if ref.parts == (part,) and part.name == slot.name:
             return ref
         return Ref((RefPart(slot.name, part.indices),), span=ref.span)
+
+
+def _check_index(idx: IntLit, size: int, what: str, ref: Ref) -> None:
+    """Reject ``ref``'s constant index ``idx`` outside ``1..size``: at ``idx``,
+    or at ``ref`` when folding left the index no position."""
+    if not 1 <= idx.value <= size:
+        raise FlattenError(
+            f"{what} {idx.value} outside 1..{size} in '{render_expr(ref)}'",
+            "expand_composition",
+            idx.span or ref.span,
+        )
 
 
 def _base_of(attr: Attribute) -> str:
@@ -1054,7 +1061,7 @@ def build_flat_model(state: FlattenState) -> FlatModel:
             if objective is not None:
                 raise FlattenError("more than one objective after flattening", "build", item.span)
             objective = FlatObjective(item.kind, item.expr)
-    fm = FlatModel(
+    return FlatModel(
         name=state.name,
         variables=list(state.variables),
         constraints=constraints,
@@ -1062,13 +1069,6 @@ def build_flat_model(state: FlattenState) -> FlatModel:
         tables=dict(state.tables),
         objective=objective,
     )
-    problems = flatness_violations(fm)
-    if problems:
-        raise FlattenError(
-            "; ".join(text if span is None else f"{span}: {text}" for text, span in problems),
-            "build",
-        )
-    return fm
 
 
 def _pass_states(tm: TypedModel):

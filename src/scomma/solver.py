@@ -98,7 +98,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.solution_limit is not None and self.solution_limit < 1:
             raise ContractError("solution_limit must be >= 1")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:  # NaN too
             raise ContractError("time_limit must be positive")
 
 

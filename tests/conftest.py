@@ -7,7 +7,9 @@ from hypothesis import settings
 
 from scomma.analyzer import analyze
 from scomma.cli import corpus_dir
+from scomma.evaluate import compile_check
 from scomma.flattener import flatten
+from scomma.ir import BOOL, FlatConstraint, FlatModel, FlatVar, IntInterval
 from scomma.parser import parse_data, parse_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -23,6 +25,15 @@ def parse_data_ok(text: str, filename: str = "<test>"):
     data, diags = parse_data(text, filename)
     assert data is not None, [d.render() for d in diags]
     return data
+
+
+def compile_formulas(atoms, *formulas):
+    """One closure per formula over the boolean scalars ``atoms``, compiled
+    once: it takes the atoms' values in order, as ``itertools.product``
+    yields them, and returns the formula's value."""
+    variables = [FlatVar(a, BOOL, (), IntInterval(0, 1)) for a in atoms]
+    constraints = [FlatConstraint(f) for f in formulas]
+    return compile_check(FlatModel("formulas", variables, constraints))[2]
 
 
 def analyze_ok(model, data=None):

@@ -12,12 +12,19 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_NAMES, FIXTURES, compile_corpus, compile_text, parse_data_ok, parse_ok
+from conftest import (
+    CORPUS_NAMES,
+    FIXTURES,
+    compile_corpus,
+    compile_formulas,
+    compile_text,
+    parse_data_ok,
+    parse_ok,
+)
 from scomma.analyzer import analyze
 from scomma.backend import compile_to_target, find_target
 from scomma.backend.rules import decompose_set_matrix
 from scomma.cli import corpus_dir
-from scomma.evaluate import eval_expr
 from scomma.flattener import conditional_formula, flatten
 from scomma.interp import ModelInterpreter, count_candidates, flat_solution_set
 from scomma.lexer import count_tokens
@@ -132,10 +139,11 @@ def test_criterion_4_conditional_removal_property():
         else_e, _ = parse_expression(_random_bool_expr(rng, atoms, 2))
         item = IfElse(cond, (Constraint(then_e),), (Constraint(else_e),))
         formula = conditional_formula(item)
+        cond_of, then_of, else_of, formula_of = compile_formulas(
+            atoms, cond, then_e, else_e, formula)
         for bits in itertools.product([False, True], repeat=n_atoms):
-            asg = {(a, ()): v for a, v in zip(atoms, bits)}
-            expected = eval_expr(then_e, asg) if eval_expr(cond, asg) else eval_expr(else_e, asg)
-            assert eval_expr(formula, asg) == expected
+            expected = then_of(bits) if cond_of(bits) else else_of(bits)
+            assert formula_of(bits) == expected
         cases += 1
     assert cases == 1000
     report(4, "1000 random conditionals match the implication rewrite on all valuations")

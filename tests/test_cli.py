@@ -73,6 +73,20 @@ class TestCompile:
         assert err.strip() == (
             f"error: [build] {model}:2:42: more than one objective after flattening")
 
+    def test_output_path_that_is_a_directory(self, tmp_path, capsys):
+        code, out, err = run(capsys, "compile", str(corpus_dir() / "send.scm"),
+                             "--target", "flat", "--out", str(tmp_path))
+        assert (code, out, err) == (
+            1, "", f"error: cannot write output file: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+    def test_missing_descriptor_file(self, tmp_path, capsys):
+        missing = tmp_path / "none.bd"
+        code, out, err = run(capsys, "compile", str(corpus_dir() / "send.scm"),
+                             "--target", str(missing), "--out", str(tmp_path / "m.out"))
+        assert (code, out, err) == (
+            1, "", "error: cannot read descriptor file: [Errno 2] No such file or directory:"
+            f" '{missing}'\n")
+
     def test_no_rewrites_direct_generation(self, tmp_path, capsys):
         model = tmp_path / "setmat.scm"
         model.write_text((FIXTURES / "setmat.scm").read_text())
@@ -199,6 +213,15 @@ class TestSolve:
         assert code == 0
         assert "objective = " in out
 
+    @pytest.mark.parametrize("flags, message", [
+        # 0 is a limit like any other, not "no limit given"
+        (("--limit", "0"), "solution_limit must be >= 1"),
+        (("--time-limit", "nan"), "time_limit must be positive"),
+    ], ids=["limit-zero", "time-limit-nan"])
+    def test_limit_out_of_range_is_rejected(self, capsys, flags, message):
+        code, out, err = run(capsys, "solve", str(corpus_dir() / "send.scm"), *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestCheck:
     def test_round_trip_solve_then_check(self, tmp_path, capsys):
@@ -322,6 +345,21 @@ class TestBench:
                            "--report", str(tmp_path / "r.jsonl"))
         assert code == 0
         assert (tmp_path / "r.jsonl").read_text() == ""
+
+    def test_time_limit_that_is_not_a_number_is_rejected(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.scm").write_text("class A { int x in [0,1]; }")
+        code, out, err = run(capsys, "bench", str(corpus), "--time-limit", "nan",
+                             "--report", str(tmp_path / "r.jsonl"))
+        assert (code, out, err) == (1, "", "error: time_limit must be positive\n")
+
+    def test_report_path_that_is_a_directory(self, tmp_path, capsys):
+        empty = tmp_path / "corpus"
+        empty.mkdir()
+        code, _, err = run(capsys, "bench", str(empty), "--report", str(tmp_path))
+        assert (code, err) == (
+            1, f"error: cannot write report file: [Errno 21] Is a directory: '{tmp_path}'\n")
 
     def test_unparsable_file_marks_row_failed_others_proceed(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -497,13 +535,38 @@ class TestFlatteningErrors:
         ("class R { P p[2]; constraint c { forall (i in 1..3) { p[i].x = 1; } } }" + P_WITH_W,
          None,
          "[expand_composition] {model}:1:55: object index 3 outside 1..2 in 'p[3].x'"),
-        # a constant index out of range is the one flatness text, whether the
-        # array is a data table, a fully assigned attribute or a variable
+        # a constant index out of range is rejected where expansion resolves
+        # the reference, whether the array is a data table, a fully assigned
+        # attribute or a variable, and wherever the reference stands
         ("class R { int x in [0,9]; constraint c { x = t[5]; } }", "int t[3] := [1,2,3];\n",
-         "[build] {model}:1:48: constraint 0: index 5 outside 1..3 for 't'"),
+         "[expand_composition] {model}:1:48: index 5 outside 1..3 in 't[5]'"),
         ("class R { int a[3] in [0,9]; int x in [0,9]; constraint c { x = a[5]; } }",
          "int R.a := [1,2,3];\n",
-         "[build] {model}:1:67: constraint 0: index 5 outside 1..3 for 'a'"),
+         "[expand_composition] {model}:1:67: index 5 outside 1..3 in 'a[5]'"),
+        ("class R { int x[3] in [0,9]; constraint c { [minimize] x[4]; } }", None,
+         "[expand_composition] {model}:1:58: index 4 outside 1..3 in 'x[4]'"),
+        ("class R { int x[3] in [0,1]; int y in [0,1];"
+         " constraint c { if (x[4] = 1) { y = 1; } } }", None,
+         "[expand_composition] {model}:1:67: index 4 outside 1..3 in 'x[4]'"),
+        ("class R { int x[3] in [0,9]; constraint c { alldifferent([x[1], x[4]]); } }", None,
+         "[expand_composition] {model}:1:67: index 4 outside 1..3 in 'x[4]'"),
+        ("class R { int m[2,3] in [0,9]; constraint c { m[2,4] = 1; } }", None,
+         "[expand_composition] {model}:1:51: index 4 outside 1..3 in 'm[2,4]'"),
+        ("class R { int m[2,3] in [0,9]; constraint c { forall (i in 1..3) { m[i,1] = 1; } } }",
+         None, "[expand_composition] {model}:1:68: index 3 outside 1..2 in 'm[3,1]'"),
+        ("class R { P p[2]; constraint c { p[1].arr[3] = 1; } }" + P_WITH_W, None,
+         "[expand_composition] {model}:1:43: index 3 outside 1..2 in 'p[1].arr[3]'"),
+        # each object's zone is expanded in turn: the first one rejects
+        ("class R { P p[2]; }\nclass P { int w in [0,1]; int x in [0,1]; int arr[2] in [0,1];"
+         " constraint c { arr[3] = 1; } }", None,
+         "[expand_composition] {model}:2:83: index 3 outside 1..2 in 'arr[3]'"),
+        ("class R { int x in [0,9]; constraint c { x = t[2,4]; } }",
+         "int t[2,3] := [[1,2,3],[4,5,6]];\n",
+         "[expand_composition] {model}:1:50: index 4 outside 1..3 in 't[2,4]'"),
+        ("class R { int x[3] in [0,9]; constraint c { x[0] = 1; } }", None,
+         "[expand_composition] {model}:1:47: index 0 outside 1..3 in 'x[0]'"),
+        ("class R { int x[3] in [0,9]; constraint c { x[-1] = 1; } }", None,
+         "[expand_composition] {model}:1:47: index -1 outside 1..3 in 'x[-1]'"),
         ("class R { int x[3] in [0,1]; constraint c { forall (i in 1..n/2) { x[i] = 1; } } }",
          "int n := 3;\n",
          "[unroll_loops] {model}:1:62: loop bound '3/2' is not a constant integer"),
@@ -528,8 +591,10 @@ class TestFlatteningErrors:
          "[expand_composition] {model}:3:27: flat name 'p_x' collides with an existing"
          " variable or table"),
     ], ids=["object-index", "object-index-unrolled", "table-index", "assigned-array-index",
-            "loop-bound", "flat-name-collision", "variable-object-index",
-            "table-after-variable", "table-before-variable"])
+            "objective-index", "if-condition-index", "alldifferent-index", "matrix-index",
+            "unrolled-matrix-row-index", "object-element-array-index", "per-object-array-index",
+            "table-2d-index", "index-zero", "index-negative", "loop-bound", "flat-name-collision",
+            "variable-object-index", "table-after-variable", "table-before-variable"])
     def test_cli_output(self, tmp_path, capsys, model, data, expected):
         model_path, data_path = tmp_path / "m.scm", tmp_path / "m.dat"
         model_path.write_text(model)

@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import compile_text
 from scomma.interp import ModelInterpreter, flat_solution_set
+from scomma.ir import flatness_violations
 from scomma.solver import build_space, solve
 
 POOL = ("a", "b", "c", "d")
@@ -96,6 +97,7 @@ def expected(big, scalar, label, values, caps):
 def test_three_oracles_agree_with_the_drawn_data(instance):
     enums, big, scalar, label, values, caps = instance
     tm, fm = compile_text(*sources(*instance))
+    assert flatness_violations(fm) == []
     flat = flat_solution_set(fm)
     assert {s.as_frozen() for s in solve(build_space(fm))} == flat
     assert ModelInterpreter(tm).solution_set() == flat

@@ -1,14 +1,24 @@
 import itertools
 import random
+import sys
 
 import pytest
 
-from conftest import compile_corpus, compile_text, parse_data_ok, parse_ok
+from conftest import (
+    FIXTURES,
+    compile_corpus,
+    compile_formulas,
+    compile_text,
+    parse_data_ok,
+    parse_ok,
+)
 from scomma.analyzer import analyze
+from scomma.backend import apply_rewrites, compile_to_target, find_target
 from scomma.cli import corpus_dir
 from scomma import flattener
 from scomma.errors import EvalError, FlattenError
 from scomma.evaluate import eval_expr
+from scomma.flatparse import parse_flat
 from scomma.flattener import (
     PIPELINE,
     conditional_formula,
@@ -121,6 +131,21 @@ class TestStableGolden:
     def test_flatness_machine_check(self, stable):
         _tm, fm = stable
         assert flatness_violations(fm) == []
+
+    def test_only_outside_input_is_checked_for_flatness(self, monkeypatch):
+        # the passes build flat models; a flat text and a rewrite's result
+        # come from outside them.  Every module that holds the check counts.
+        calls = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("scomma") and hasattr(module, "flatness_violations"):
+                monkeypatch.setattr(module, "flatness_violations",
+                                    lambda fm: calls.append(fm) or flatness_violations(fm))
+        _tm, fm = compile_text((FIXTURES / "setmat.scm").read_text())
+        assert calls == []
+        parsed, diags = parse_flat(compile_to_target(fm, find_target("flat")))
+        assert diags == [] and calls == [parsed]
+        out = apply_rewrites(fm, [("decompose_set_matrix", ())])
+        assert out is not fm and calls == [parsed, out]
 
 
 class TestSubstituteEnums:
@@ -320,10 +345,10 @@ class TestExpandComposition:
     @pytest.mark.parametrize("zone, message", [
         # the index literal carries its own position
         ("x[5] = 1;",
-         "[build] m.scm:4:7: constraint 1: index 5 outside 1..3 for 'x'"),
+         "[expand_composition] m.scm:4:7: index 5 outside 1..3 in 'x[5]'"),
         # a folded index has none, so the reference's position stands in
         ("forall (i in 1..2) { x[i + 2] = 1; }",
-         "[build] m.scm:4:26: constraint 2: index 4 outside 1..3 for 'x'"),
+         "[expand_composition] m.scm:4:26: index 4 outside 1..3 in 'x[4]'"),
     ], ids=["direct", "folded"])
     def test_constant_index_out_of_range_is_positioned(self, zone, message):
         model = parse_ok(
@@ -421,11 +446,10 @@ class TestRemoveConditionals:
         item = IfElse(
             expr("a"), (Constraint(expr("b")),), (Constraint(expr("c")),)
         )
-        formula = conditional_formula(item)
+        (formula_of,) = compile_formulas("abc", conditional_formula(item))
         for a, b, c in itertools.product([False, True], repeat=3):
-            asg = {("a", ()): a, ("b", ()): b, ("c", ()): c}
             direct = b if a else c
-            assert eval_expr(formula, asg) == direct
+            assert formula_of((a, b, c)) == direct
 
     def test_in_pipeline(self):
         _tm, fm = compile_text(
@@ -470,10 +494,9 @@ class TestNormalizeLogic:
 
         for _ in range(200):
             e = expr(gen(3))
-            normalized = normalize_expr(e)
+            e_of, normalized_of = compile_formulas(atoms, e, normalize_expr(e))
             for bits in itertools.product([False, True], repeat=len(atoms)):
-                asg = {(name, ()): v for name, v in zip(atoms, bits)}
-                assert eval_expr(e, asg) == eval_expr(normalized, asg)
+                assert e_of(bits) == normalized_of(bits)
 
 
 class TestTransform:

@@ -23,7 +23,7 @@ from scomma.interp import (
     enumerate_flat,
     flat_solution_set,
 )
-from scomma.ir import BOOL, SET, iter_indices
+from scomma.ir import BOOL, SET, flatness_violations, iter_indices
 from scomma.printer import render_expr
 from scomma.solver import build_space, solve
 
@@ -31,6 +31,7 @@ LIMIT = 10**6
 
 
 def assert_equivalent(tm, fm):
+    assert flatness_violations(fm) == []
     assert count_candidates(fm) <= LIMIT
     interp = ModelInterpreter(tm)
     assert interp.candidate_count() == count_candidates(fm)

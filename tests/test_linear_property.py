@@ -16,6 +16,7 @@ from conftest import compile_text
 from scomma.evaluate import eval_expr
 from scomma.flatparse import parse_flat
 from scomma.interp import enumerate_flat, flat_solution_set
+from scomma.ir import flatness_violations
 from scomma.solver import SearchConfig, _Eq, _Le, _Linear, build_space, optimize, solve
 
 OPS = ("<", "<=", ">", ">=", "=", "<>")
@@ -79,6 +80,7 @@ def objective_models(draw):
 @given(comparison_models())
 def test_solver_solutions_equal_flat_brute_force(text):
     _tm, fm = compile_text(text)
+    assert flatness_violations(fm) == []
     found = [s.as_frozen() for s in solve(build_space(fm))]
     assert len(found) == len(set(found))
     assert set(found) == flat_solution_set(fm)
@@ -88,6 +90,7 @@ def test_solver_solutions_equal_flat_brute_force(text):
 @given(objective_models())
 def test_optimum_equals_flat_brute_force(text):
     _tm, fm = compile_text(text)
+    assert flatness_violations(fm) == []
     best, _stats = optimize(build_space(fm))
     values = [eval_expr(fm.objective.expr, s) for s in enumerate_flat(fm)]
     if not values:

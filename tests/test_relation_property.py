@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 
 from conftest import compile_text
 from scomma.interp import flat_solution_set
+from scomma.ir import flatness_violations
 from scomma.solver import build_space, solve
 
 OPS = ("<", "<=", ">", ">=", "=", "<>")
@@ -58,6 +59,7 @@ def models(draw):
 @given(models())
 def test_solver_solutions_equal_flat_brute_force(model):
     _tm, fm = compile_text(model)
+    assert flatness_violations(fm) == []
     found = [s.as_frozen() for s in solve(build_space(fm))]
     assert len(found) == len(set(found))
     assert set(found) == flat_solution_set(fm)
